@@ -9,8 +9,8 @@
 //! (`EvalConfig::with_compiled(false)`) and property-tested equivalent, so
 //! this bench measures **old-vs-new on the same storage, same workloads**:
 //!
-//! * the E11 fixpoint workload (reach/feed over friendship components) at
-//!   `workers = 1` — headline claim **≥ 1.5×**;
+//! * the E11 fixpoint workload (reach/feed over friendship components) —
+//!   headline claim **≥ 1.5×**;
 //! * the E10 incremental-maintenance workload (untag / unfriend
 //!   delete+reinsert pairs through `MaterializedView::apply`) — headline
 //!   claim **≥ 1.3×**.
@@ -28,7 +28,7 @@ use wdl_datalog::incremental::{Delta, MaterializedView};
 use wdl_datalog::{Database, EvalConfig, Fact, Program};
 
 /// E11 fixpoint scales: (components, persons per component, pictures per
-/// person). Matches `e11_parallel`. Quick mode keeps the first full scale
+/// person). Quick mode keeps the first full scale
 /// (1488 base facts, well under a second for both engines) so the
 /// `fixpoint_speedup_1488` metric the CI gate pins is measured on the
 /// same workload in both modes.
@@ -72,9 +72,9 @@ fn table(c: &mut Criterion) {
     let quick = wdl_bench::quick();
     let runs = if quick { 3 } else { 5 };
 
-    // ---- Fixpoint: compiled plans vs substitution interpreter, workers=1.
+    // ---- Fixpoint: compiled plans vs substitution interpreter.
     println!("\n# E12: interned + compiled data plane vs interpreted baseline");
-    println!("## fixpoint (E11 reach/feed workload, workers = 1)");
+    println!("## fixpoint (E11 reach/feed workload)");
     println!(
         "{:>8} {:>8} {:>14} {:>14} {:>9}",
         "base", "derived", "old ns", "new ns", "speedup"

@@ -18,8 +18,7 @@
 //!   peer set;
 //! * a **provenance-derived default for views**: a peer may read an
 //!   intensional relation iff it may read *every base relation feeding it*
-//!   (computed statically from the owner's rules — the relation-level
-//!   analogue of [`wdl_datalog::provenance`]);
+//!   (computed statically from the owner's rules, at relation level);
 //! * **declassification**: marking a view exempts it from the provenance
 //!   rule, leaving only its explicit grant.
 //!

@@ -154,8 +154,7 @@ pub(crate) fn compile_local(peer: &Peer) -> Option<(Program, HashSet<RuleId>)> {
         // along: an interpreted peer runs its maintained view on the
         // interpreter too, so the whole peer is one semantic reference.
         Ok(program) => {
-            let config = wdl_datalog::EvalConfig::with_workers(peer.eval_workers)
-                .with_compiled(peer.compiled_stage);
+            let config = wdl_datalog::EvalConfig::default().with_compiled(peer.compiled_stage);
             Some((
                 program
                     .with_iteration_limit(peer.fixpoint_limit)

@@ -70,8 +70,6 @@ pub struct Peer {
     pub(crate) prev_sent: HashMap<Symbol, HashSet<WFact>>,
     pub(crate) stage: u64,
     pub(crate) fixpoint_limit: usize,
-    /// Seminaive worker threads for the compiled local program (1 = serial).
-    pub(crate) eval_workers: usize,
     /// Maintained materialization of the compilable (fully local) rules;
     /// `None` until the first stage builds it, or when compilation is not
     /// possible (see `maintain.rs`).
@@ -157,7 +155,6 @@ impl Peer {
             prev_sent: HashMap::new(),
             stage: 0,
             fixpoint_limit: 10_000,
-            eval_workers: 1,
             incr: None,
             ruleset_epoch: 0,
             base_log: Vec::new(),
@@ -225,11 +222,11 @@ impl Peer {
     /// engine of the maintained local view and of [`Peer::query`], so the
     /// whole peer runs one engine.
     ///
-    /// Like [`Peer::set_eval_workers`] and [`Peer::set_fixpoint_limit`],
-    /// this is a runtime tuning knob, **not durable state**: snapshots
-    /// ([`crate::PeerState`]) carry semantic state only, so a restored
-    /// peer starts back on the default (compiled) engine — re-apply the
-    /// toggle after restore when pinning the interpreter matters.
+    /// Like [`Peer::set_fixpoint_limit`], this is a runtime tuning knob,
+    /// **not durable state**: snapshots ([`crate::PeerState`]) carry
+    /// semantic state only, so a restored peer starts back on the default
+    /// (compiled) engine — re-apply the toggle after restore when pinning
+    /// the interpreter matters.
     pub fn set_compiled_stage(&mut self, compiled: bool) {
         if self.compiled_stage != compiled {
             self.compiled_stage = compiled;
@@ -366,22 +363,6 @@ impl Peer {
     /// Caps the per-stage local fixpoint round count (default 10,000).
     pub fn set_fixpoint_limit(&mut self, limit: usize) {
         self.fixpoint_limit = limit;
-    }
-
-    /// Sets the seminaive worker-thread count for this peer's compiled
-    /// local program (default 1 = serial; see `wdl_datalog::EvalConfig`).
-    /// An already-materialized view is retuned in place (worker count does
-    /// not change what the program computes, so no rebuild is needed);
-    /// future compilations pick the new count up from the peer.
-    pub fn set_eval_workers(&mut self, workers: usize) {
-        let workers = workers.max(1);
-        if self.eval_workers == workers {
-            return;
-        }
-        self.eval_workers = workers;
-        if let Some(state) = &mut self.incr {
-            state.view.set_workers(workers);
-        }
     }
 
     /// Declares a local relation.
@@ -1101,41 +1082,6 @@ mod tests {
             p.query(&body),
             Err(WdlError::UnsafeDistribution(_))
         ));
-    }
-
-    /// Re-tuning the worker count keeps the materialized view alive (no
-    /// O(database) rebuild) and threads the count into its program.
-    #[test]
-    fn set_eval_workers_retunes_live_view_in_place() {
-        use crate::{WAtom, WRule};
-        use wdl_datalog::Term;
-        let mut p = Peer::new("tune");
-        p.declare("v", 1, RelationKind::Intensional).unwrap();
-        p.insert_local("b", vec![Value::from(1)]).unwrap();
-        p.add_rule(WRule::new(
-            WAtom::at("v", "tune", vec![Term::var("x")]),
-            vec![WAtom::at("b", "tune", vec![Term::var("x")]).into()],
-        ))
-        .unwrap();
-        p.run_stage().unwrap();
-        let epoch = p.ruleset_epoch;
-        assert_eq!(p.incr.as_ref().unwrap().view.program().workers(), 1);
-
-        p.set_eval_workers(3);
-        assert_eq!(p.ruleset_epoch, epoch, "no recompile forced");
-        assert_eq!(p.incr.as_ref().unwrap().view.program().workers(), 3);
-        let out = p.run_stage().unwrap();
-        assert!(!out.changed, "retune does not disturb the view");
-        assert_eq!(p.relation_facts("v").len(), 1);
-
-        // A later rebuild (rule change) compiles with the tuned count.
-        p.add_rule(WRule::new(
-            WAtom::at("v", "tune", vec![Term::var("x")]),
-            vec![WAtom::at("c", "tune", vec![Term::var("x")]).into()],
-        ))
-        .unwrap();
-        p.run_stage().unwrap();
-        assert_eq!(p.incr.as_ref().unwrap().view.program().workers(), 3);
     }
 
     #[test]

@@ -5,22 +5,20 @@
 //! one process. Stage semantics are identical over the TCP transport in
 //! `wdl-net`; only delivery changes.
 
-use crate::{Message, Peer, Result, StageOutput, StageStats};
+use crate::{Message, Peer, Result, StageStats};
 use std::collections::HashMap;
 use wdl_datalog::Symbol;
 
-/// Compile-time proof that the parallel runtime is sound to build: peers
-/// (with their databases, maintained views and inboxes) move across scoped
-/// threads, and databases are probed concurrently through `&`.
+/// Compile-time proof that [`crate::shard::ShardedRuntime`] is sound to
+/// build: peers (with their databases, maintained views and inboxes) move
+/// onto shard worker threads, and messages and stage errors travel back
+/// to the coordinator over channels.
 #[allow(dead_code)]
 fn assert_thread_safe() {
     fn send<T: Send>() {}
-    fn sync<T: Sync>() {}
     send::<Peer>();
     send::<Message>();
-    send::<StageOutput>();
-    sync::<wdl_datalog::Database>();
-    sync::<wdl_datalog::Relation>();
+    send::<crate::WdlError>();
 }
 
 /// Result of one synchronous round of stages across all peers.
@@ -54,14 +52,13 @@ pub struct QuiescenceReport {
 /// Peers execute stages round-robin in insertion order; messages produced in
 /// round *t* are ingested at round *t+1*. This models the demo's Figure 2
 /// topology with reproducible interleavings.
+#[derive(Default)]
 pub struct LocalRuntime {
     peers: Vec<Peer>,
     /// Name → position in `peers`, kept in sync with every add/remove so
     /// lookup (and hence per-message delivery) is O(1) instead of a linear
     /// scan. `peers` itself stays in insertion order for tick determinism.
     index: HashMap<Symbol, usize>,
-    /// Thread budget for [`LocalRuntime::par_tick`]; 1 = sequential.
-    workers: usize,
     /// Whether peers currently carry trace sinks ([`LocalRuntime::set_tracing`]).
     tracing: bool,
     /// Online trace aggregation; kept after `set_tracing(false)` so results
@@ -71,35 +68,10 @@ pub struct LocalRuntime {
     trace_scratch: Vec<crate::TraceEvent>,
 }
 
-impl Default for LocalRuntime {
-    fn default() -> LocalRuntime {
-        LocalRuntime {
-            peers: Vec::new(),
-            index: HashMap::new(),
-            workers: 1,
-            tracing: false,
-            agg: None,
-            trace_scratch: Vec::new(),
-        }
-    }
-}
-
 impl LocalRuntime {
     /// Empty runtime.
     pub fn new() -> LocalRuntime {
         LocalRuntime::default()
-    }
-
-    /// Sets the thread budget used by [`LocalRuntime::par_tick`] (clamped
-    /// to at least 1; capped by the peer count at tick time). `tick` stays
-    /// sequential regardless — parallel execution is always explicit.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.workers = workers.max(1);
-    }
-
-    /// The configured thread budget.
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// Turns structured tracing on or off.
@@ -273,8 +245,8 @@ impl LocalRuntime {
     /// produced — the event-at-a-time hook the simulation layer and
     /// schedule-exploration tests build on. Interleaving `step_peer` calls
     /// in any fair order (every peer keeps getting stepped until quiet)
-    /// reaches the same quiescent state as the round-robin [`tick`]
-    /// (`LocalRuntime::tick`) loop; `tests/sim_conformance.rs` sweeps
+    /// reaches the same quiescent state as the round-robin
+    /// [`LocalRuntime::tick`] loop; `tests/sim_conformance.rs` sweeps
     /// random schedules to pin that down.
     pub fn step_peer(&mut self, name: impl Into<Symbol>) -> Result<TickReport> {
         let name = name.into();
@@ -298,93 +270,12 @@ impl LocalRuntime {
         Ok(report)
     }
 
-    /// Like [`LocalRuntime::tick`], but runs peers' stages concurrently on
-    /// scoped worker threads, then merges at a barrier.
-    ///
-    /// A stage only reads a peer's own state plus its inbox (filled at the
-    /// *previous* barrier), so peers are independent within a round; the
-    /// only cross-peer effect — message routing — happens after every
-    /// stage has finished, in **stable peer order** (insertion order, the
-    /// same order [`LocalRuntime::tick`] uses). Every inbox therefore
-    /// receives the same message sequence as under the sequential tick,
-    /// and the two are observationally identical round for round
-    /// (property-tested in `tests/parallel_properties.rs`). The one
-    /// divergence is error timing: `tick` stops at the first failing peer,
-    /// while `par_tick` completes the round and reports the failure of the
-    /// earliest peer in insertion order.
-    pub fn par_tick(&mut self) -> Result<TickReport> {
-        let n = self.peers.len();
-        let workers = self.workers.min(n);
-        if workers <= 1 {
-            return self.tick();
-        }
-        // Round-robin assignment so every configured worker gets peers
-        // (contiguous div_ceil chunking would leave threads idle whenever
-        // `workers` does not divide the peer count).
-        let mut buckets: Vec<Vec<(usize, &mut Peer)>> = (0..workers).map(|_| Vec::new()).collect();
-        for (idx, peer) in self.peers.iter_mut().enumerate() {
-            buckets[idx % workers].push((idx, peer));
-        }
-        let (tx, rx) = crossbeam::channel::unbounded();
-        crossbeam::thread::scope(|scope| {
-            for bucket in buckets {
-                let tx = tx.clone();
-                scope.spawn(move || {
-                    for (idx, peer) in bucket {
-                        let out = peer.run_stage();
-                        let _ = tx.send((idx, peer.name(), out));
-                    }
-                });
-            }
-        });
-        drop(tx);
-        let mut slots: Vec<Option<(Symbol, Result<StageOutput>)>> = (0..n).map(|_| None).collect();
-        for (idx, name, out) in rx.try_iter() {
-            slots[idx] = Some((name, out));
-        }
-        // Post-barrier merge in peer insertion order: deterministic, and
-        // identical to the sequential tick's routing order.
-        let mut report = TickReport::default();
-        let mut outgoing: Vec<Message> = Vec::new();
-        for slot in slots {
-            let (name, out) = slot.expect("every peer reports exactly once");
-            let out = out?;
-            report.changed |= out.changed;
-            report.stats.insert(name, out.stats);
-            outgoing.extend(out.messages);
-        }
-        for msg in outgoing {
-            if self.deliver(msg) {
-                report.messages += 1;
-            } else {
-                report.undeliverable += 1;
-            }
-        }
-        self.drain_traces();
-        Ok(report)
-    }
-
     /// Ticks until a round where nothing changed and nothing was sent, or
     /// until `max_rounds` is exhausted.
     pub fn run_to_quiescence(&mut self, max_rounds: usize) -> Result<QuiescenceReport> {
-        self.quiesce(max_rounds, false)
-    }
-
-    /// [`LocalRuntime::run_to_quiescence`] over [`LocalRuntime::par_tick`]:
-    /// every round runs peers concurrently under the configured worker
-    /// budget.
-    pub fn par_run_to_quiescence(&mut self, max_rounds: usize) -> Result<QuiescenceReport> {
-        self.quiesce(max_rounds, true)
-    }
-
-    fn quiesce(&mut self, max_rounds: usize, parallel: bool) -> Result<QuiescenceReport> {
         let mut report = QuiescenceReport::default();
         for _ in 0..max_rounds {
-            let tick = if parallel {
-                self.par_tick()?
-            } else {
-                self.tick()?
-            };
+            let tick = self.tick()?;
             report.rounds += 1;
             report.messages += tick.messages;
             report.undeliverable += tick.undeliverable;
@@ -467,68 +358,6 @@ mod tests {
         let tick = rt.tick().unwrap();
         assert_eq!(tick.undeliverable, 1);
         assert_eq!(tick.messages, 0);
-    }
-
-    /// `par_tick` preserves stage semantics: the paper's delegation round
-    /// trip (install, derive, revoke on deselect) behaves identically when
-    /// every round runs peers on worker threads.
-    #[test]
-    fn par_tick_runs_delegation_round_trip() {
-        let mut rt = LocalRuntime::new();
-        rt.set_workers(3);
-        rt.add_peer(open_peer("jules")).unwrap();
-        rt.add_peer(open_peer("emilien")).unwrap();
-        rt.add_peer(open_peer("bystander")).unwrap();
-
-        let jules = rt.peer_mut("jules").unwrap();
-        jules
-            .declare("attendeePictures", 4, RelationKind::Intensional)
-            .unwrap();
-        jules
-            .add_rule(WRule::example_attendee_pictures("jules"))
-            .unwrap();
-        jules
-            .insert_local("selectedAttendee", vec![Value::from("emilien")])
-            .unwrap();
-        rt.peer_mut("emilien")
-            .unwrap()
-            .insert_local(
-                "pictures",
-                vec![
-                    Value::from(1),
-                    Value::from("sea.jpg"),
-                    Value::from("emilien"),
-                    Value::bytes(&[1, 2, 3]),
-                ],
-            )
-            .unwrap();
-
-        let r = rt.par_run_to_quiescence(16).unwrap();
-        assert!(r.quiescent, "did not quiesce: {r:?}");
-        assert_eq!(
-            rt.peer("jules")
-                .unwrap()
-                .relation_facts("attendeePictures")
-                .len(),
-            1
-        );
-
-        rt.peer_mut("jules")
-            .unwrap()
-            .delete_local("selectedAttendee", vec![Value::from("emilien")])
-            .unwrap();
-        let r = rt.par_run_to_quiescence(16).unwrap();
-        assert!(r.quiescent);
-        assert!(rt
-            .peer("jules")
-            .unwrap()
-            .relation_facts("attendeePictures")
-            .is_empty());
-        assert!(rt
-            .peer("emilien")
-            .unwrap()
-            .installed_delegations()
-            .is_empty());
     }
 
     /// The full paper delegation round trip: Jules' selection pulls

@@ -32,10 +32,10 @@
 //!   seeds, and shard counts); with a finite budget the same quiescent
 //!   state is reached over more rounds.
 //!
-//! The one intentional divergence from `LocalRuntime::tick`: error timing
-//! matches [`crate::runtime::LocalRuntime::par_tick`] — a round completes
-//! everywhere and the failure of the earliest peer in insertion order is
-//! reported, with the failing peer's input retained for retry.
+//! The one intentional divergence from `LocalRuntime::tick`: error timing.
+//! `tick` stops at the first failing peer, while a sharded round completes
+//! everywhere and reports the failure of the earliest peer in insertion
+//! order, with the failing peer's input retained for retry.
 
 mod report;
 mod worker;

@@ -66,16 +66,6 @@ impl Database {
         self.insert_tuple(pred.into(), values.into())
     }
 
-    /// Shard-building fast path for the parallel evaluator: appends a row
-    /// known to be distinct (see [`Relation::push_distinct_ids`]),
-    /// creating the relation with `arity` on first use.
-    pub(crate) fn push_distinct_ids(&mut self, pred: Symbol, arity: usize, ids: &[ValueId]) {
-        self.relations
-            .entry(pred)
-            .or_insert_with(|| Relation::new(arity))
-            .push_distinct_ids(ids);
-    }
-
     /// Id-native insert: inserts an interned row into `pred`, creating the
     /// relation with `arity` on first use. Same semantics as
     /// [`Database::insert_tuple`].

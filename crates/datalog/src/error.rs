@@ -42,10 +42,6 @@ pub enum DatalogError {
         /// The capacity that was hit.
         capacity: u64,
     },
-    /// A parallel evaluation worker terminated abnormally mid-round; the
-    /// fixpoint was abandoned (the worker's panic is re-raised once its
-    /// thread is joined).
-    WorkerFailed,
     /// A [`crate::ColumnExport`] was internally inconsistent (cell index out
     /// of range, cell count not `rows * arity`) — persisted data that fails
     /// here is corrupt, not merely stale.
@@ -82,9 +78,6 @@ impl fmt::Display for DatalogError {
                     f,
                     "relation reached its maximum capacity of {capacity} tuples"
                 )
-            }
-            DatalogError::WorkerFailed => {
-                write!(f, "a parallel evaluation worker terminated abnormally")
             }
             DatalogError::CorruptExport(msg) => {
                 write!(f, "corrupt column export: {msg}")

@@ -7,25 +7,47 @@
 
 mod diff;
 mod naive;
-mod parallel;
 mod plan;
 mod seminaive;
 mod stratify;
 
-pub use parallel::EvalConfig;
 pub use plan::{BodyPlan, BodyScratch};
 pub use stratify::{negative_cycle, NegativeCycle};
 
 pub(crate) use diff::{match_body_at_slot, DiffSide, NetChange};
 pub(crate) use naive::{naive_fixpoint, naive_fixpoint_compiled};
-pub(crate) use parallel::seminaive_fixpoint_sharded;
 pub(crate) use plan::{derive_plan, has_witness, run_plan, DiffCtx, FixCtx, RulePlan, Scratch};
-pub(crate) use seminaive::{
-    seminaive_fixpoint, seminaive_fixpoint_compiled, seminaive_fixpoint_compiled_profiled,
-};
+pub(crate) use seminaive::{seminaive_fixpoint, seminaive_fixpoint_compiled};
 pub(crate) use stratify::{stratify, Strata};
 
 use crate::{Atom, BodyItem, Database, DatalogError, Result, Subst, Symbol, Term};
+
+/// Evaluation knobs, threaded from [`crate::Program`] down to the fixpoint
+/// strategies.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct EvalConfig {
+    /// Whether rules run as compiled register-file plans over interned ids
+    /// (`true`, the default) or through the symbol-keyed substitution
+    /// interpreter (`false`). Both compute identical relation sets and
+    /// [`crate::EvalStats`]; the interpreter is retained as the semantic
+    /// reference (property-tested against the compiled path) and as the
+    /// baseline the `e12_interned` bench measures against.
+    pub compiled: bool,
+}
+
+impl Default for EvalConfig {
+    fn default() -> EvalConfig {
+        EvalConfig { compiled: true }
+    }
+}
+
+impl EvalConfig {
+    /// Selects compiled-plan (default) or interpreted evaluation.
+    pub fn with_compiled(mut self, compiled: bool) -> EvalConfig {
+        self.compiled = compiled;
+        self
+    }
+}
 
 /// A rule paired with its compiled plan — what the fixpoint strategies
 /// consume (the interpreted paths read the rule, the compiled paths the

@@ -94,22 +94,12 @@ pub(crate) struct HeadBuf {
 /// register-file [`crate::eval::RulePlan`] and candidates stay in the
 /// interned id plane end to end — the only `Value` traffic is inside
 /// builtins.
+///
+/// With a `profile`, each `derive_plan` invocation is timed and recorded
+/// against the rule's head predicate, with the delta relation's size as
+/// `delta_in` (0 on the full round-0 pass). `None` takes exactly the
+/// unprofiled path — no clocks, no extra work.
 pub(crate) fn seminaive_fixpoint_compiled(
-    db: &mut Database,
-    rules: &[PlannedRule<'_>],
-    stratum_idb: &[Symbol],
-    stats: &mut EvalStats,
-    iteration_limit: usize,
-) -> Result<()> {
-    seminaive_fixpoint_compiled_profiled(db, rules, stratum_idb, stats, iteration_limit, None)
-}
-
-/// [`seminaive_fixpoint_compiled`] with optional per-rule cost capture:
-/// each `derive_plan` invocation is timed and recorded against the
-/// rule's head predicate, with the delta relation's size as `delta_in`
-/// (0 on the full round-0 pass). `None` takes exactly the unprofiled
-/// path — no clocks, no extra work.
-pub(crate) fn seminaive_fixpoint_compiled_profiled(
     db: &mut Database,
     rules: &[PlannedRule<'_>],
     stratum_idb: &[Symbol],
@@ -228,9 +218,8 @@ fn merge_round(
 }
 
 /// Derives every head instantiation of `rule` (optionally delta-rewritten
-/// at one positive occurrence) into `out`. Shared with the sharded
-/// parallel evaluator, whose workers run exactly this per shard.
-pub(crate) fn derive_into(
+/// at one positive occurrence) into `out`.
+fn derive_into(
     db: &Database,
     delta: Option<(&Database, usize)>,
     rule: &Rule,

@@ -310,14 +310,6 @@ impl MaterializedView {
         &self.program
     }
 
-    /// Re-tunes the seminaive worker count of the maintained program.
-    /// Maintenance passes themselves are differential (counting/DRed walk
-    /// individual changes), so workers matter for the from-scratch paths:
-    /// view construction and [`MaterializedView::recompute`].
-    pub fn set_workers(&mut self, workers: usize) {
-        self.program.set_workers(workers);
-    }
-
     /// Number of derivations currently supporting `fact` (counting strata
     /// only; facts of recursive strata are maintained by DRed and report
     /// `None`). Base facts add one unit of external support.

@@ -67,7 +67,6 @@ pub mod intern;
 pub mod optimize;
 pub mod profile;
 mod program;
-pub mod provenance;
 mod rule;
 mod storage;
 mod subst;

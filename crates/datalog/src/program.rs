@@ -1,7 +1,7 @@
 //! Programs: validated rule sets with stratified fixpoint evaluation.
 
 use crate::eval::{
-    naive_fixpoint, naive_fixpoint_compiled, seminaive_fixpoint, seminaive_fixpoint_sharded,
+    naive_fixpoint, naive_fixpoint_compiled, seminaive_fixpoint, seminaive_fixpoint_compiled,
     stratify, EvalConfig, PlannedRule, RulePlan, Strata,
 };
 use crate::{Database, Result, Rule};
@@ -91,29 +91,10 @@ impl Program {
         self
     }
 
-    /// Sets the number of seminaive worker threads (default 1 = serial).
-    /// Every worker count computes the same result; see
-    /// [`crate::eval::EvalConfig`].
-    pub fn with_workers(mut self, workers: usize) -> Program {
-        self.eval_config.workers = workers.max(1);
-        self
-    }
-
     /// Replaces the whole evaluation config.
     pub fn with_eval_config(mut self, config: EvalConfig) -> Program {
         self.eval_config = config;
         self
-    }
-
-    /// Adjusts the worker count in place (used when re-tuning a program
-    /// that is already owned by a materialized view).
-    pub fn set_workers(&mut self, workers: usize) {
-        self.eval_config.workers = workers.max(1);
-    }
-
-    /// The configured seminaive worker count.
-    pub fn workers(&self) -> usize {
-        self.eval_config.workers
     }
 
     /// The rules, in the order given to [`Program::new`].
@@ -136,7 +117,7 @@ impl Program {
         self.iteration_limit
     }
 
-    /// The evaluation config (workers, compiled/interpreted).
+    /// The evaluation config (compiled/interpreted).
     pub(crate) fn eval_config(&self) -> EvalConfig {
         self.eval_config
     }
@@ -187,7 +168,7 @@ impl Program {
     }
 
     /// [`Program::eval_in_place`] with optional per-rule cost capture.
-    /// On the compiled serial seminaive path every plan invocation is
+    /// On the compiled seminaive path every plan invocation is
     /// timed into `profile` (keyed by head predicate); the other
     /// strategies ignore the profile rather than guess — they are
     /// reference/ablation paths, not production ones.
@@ -221,18 +202,8 @@ impl Program {
                 }
                 EvalStrategy::Seminaive => {
                     let idb = self.strata.preds_of(stratum_idx);
-                    if self.eval_config.workers > 1 {
-                        seminaive_fixpoint_sharded(
-                            db,
-                            &planned,
-                            &idb,
-                            stats,
-                            self.iteration_limit,
-                            self.eval_config.workers,
-                            compiled,
-                        )?;
-                    } else if compiled {
-                        crate::eval::seminaive_fixpoint_compiled_profiled(
+                    if compiled {
+                        seminaive_fixpoint_compiled(
                             db,
                             &planned,
                             &idb,

@@ -237,18 +237,6 @@ impl Relation {
         Ok(true)
     }
 
-    /// Appends a row assuming it is distinct and no indexes are cached yet
-    /// — the parallel evaluator builds per-worker delta shards from already
-    /// deduplicated facts, and shards only ever serve probe lookups (which
-    /// index off the arena), so paying for membership would be pure
-    /// overhead. Note: such rows are invisible to [`Relation::contains`].
-    pub(crate) fn push_distinct_ids(&mut self, ids: &[ValueId]) {
-        debug_assert_eq!(ids.len(), self.arity);
-        debug_assert!(self.indexes.read().expect("index lock poisoned").is_empty());
-        self.arena.extend_from_slice(ids);
-        self.len += 1;
-    }
-
     /// Removes a tuple; returns `true` if it was present.
     pub fn remove(&mut self, tuple: &[Value]) -> bool {
         if tuple.len() != self.arity {

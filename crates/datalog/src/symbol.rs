@@ -61,11 +61,6 @@ impl Symbol {
     pub fn as_str(self) -> &'static str {
         interner().read().expect("interner poisoned").names[self.0 as usize]
     }
-
-    /// The raw id; stable within a process only. Exposed for index keys.
-    pub fn id(self) -> u32 {
-        self.0
-    }
 }
 
 impl fmt::Debug for Symbol {

@@ -1,15 +1,6 @@
 //! Offline stand-in for `crossbeam`, providing the subset this workspace
 //! uses: unbounded and bounded MPMC channels with cloneable senders *and*
-//! receivers (built on `Mutex<VecDeque>` + `Condvar`), and scoped threads.
-
-/// Scoped threads (subset of `crossbeam::thread`).
-///
-/// Delegates to `std::thread::scope`, which provides the same guarantee the
-/// crossbeam original pioneered: spawned threads may borrow from the
-/// enclosing stack frame because the scope joins them all before returning.
-pub mod thread {
-    pub use std::thread::{scope, Scope, ScopedJoinHandle};
-}
+//! receivers (built on `Mutex<VecDeque>` + `Condvar`).
 
 /// MPMC channels (subset of `crossbeam::channel`).
 pub mod channel {

@@ -16,16 +16,19 @@
 //!   messages is),
 //!
 //! and, at quiescence, identical contents for every declared relation of
-//! every peer. Scenarios span all wepic generators, seeds, shard counts
-//! 1–8, mid-run peer add/remove churn, and finite-admission-budget runs
-//! that must converge to the unbudgeted reference outcome.
+//! every peer. Scenarios span all wepic generators plus a ring of peers
+//! (negation view, DRed-maintained recursive closure, remote-head shipping
+//! with cross-peer retraction under churn), seeds, shard counts 1–8,
+//! mid-run peer add/remove churn, and finite-admission-budget runs that
+//! must converge to the unbudgeted reference outcome.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use webdamlog::core::acl::UntrustedPolicy;
 use webdamlog::core::runtime::LocalRuntime;
 use webdamlog::core::shard::ShardedRuntime;
-use webdamlog::core::{Message, Payload, Peer};
-use webdamlog::datalog::{Symbol, Tuple};
+use webdamlog::core::{Message, Payload, Peer, RelationKind, WAtom, WBodyItem, WRule};
+use webdamlog::datalog::{Symbol, Term, Tuple, Value};
 use webdamlog::net::sim::oracle::Scenario;
 use webdamlog::net::sim::SimOp;
 use wepic::scenarios;
@@ -166,6 +169,146 @@ fn run_parity(scenario: &Scenario, shards: usize) {
     }
 }
 
+const RING: usize = 4;
+const RING_VALS: i64 = 10;
+
+fn ring_name(i: usize) -> String {
+    format!("ring{i}")
+}
+
+/// One ring peer: a compiled negation view, a recursive closure (DRed
+/// under deletion), a compiled consumer of remote contributions, and a
+/// remote-head rule shipping the view to the next peer in the ring.
+fn ring_peer(i: usize, rng: &mut StdRng) -> Peer {
+    let me = ring_name(i);
+    let next = ring_name((i + 1) % RING);
+    let mut p = Peer::new(me.as_str());
+    p.acl_mut().set_untrusted_policy(UntrustedPolicy::Accept);
+    for (rel, arity) in [("item", 1), ("hidden", 1), ("edge", 2)] {
+        p.declare(rel, arity, RelationKind::Extensional).unwrap();
+    }
+    for rel in ["visible", "mirror", "echo"] {
+        p.declare(rel, 1, RelationKind::Intensional).unwrap();
+    }
+    p.declare("path", 2, RelationKind::Intensional).unwrap();
+    let local = |pred: &str, vars: &[&str]| {
+        WAtom::at(
+            pred,
+            me.as_str(),
+            vars.iter().map(|v| Term::var(*v)).collect(),
+        )
+    };
+    // visible(x) :- item(x), not hidden(x)   [compiled, counting]
+    p.add_rule(WRule::new(
+        local("visible", &["x"]),
+        vec![
+            local("item", &["x"]).into(),
+            WBodyItem::not_atom(local("hidden", &["x"])),
+        ],
+    ))
+    .unwrap();
+    // path closure                            [compiled, DRed]
+    p.add_rule(WRule::new(
+        local("path", &["x", "y"]),
+        vec![local("edge", &["x", "y"]).into()],
+    ))
+    .unwrap();
+    p.add_rule(WRule::new(
+        local("path", &["x", "z"]),
+        vec![
+            local("edge", &["x", "y"]).into(),
+            local("path", &["y", "z"]).into(),
+        ],
+    ))
+    .unwrap();
+    // echo(x) :- mirror(x)                    [compiled over remote contribs]
+    p.add_rule(WRule::new(
+        local("echo", &["x"]),
+        vec![local("mirror", &["x"]).into()],
+    ))
+    .unwrap();
+    // mirror@next(x) :- visible(x)            [dynamic: remote head]
+    p.add_rule(WRule::new(
+        WAtom::at("mirror", next.as_str(), vec![Term::var("x")]),
+        vec![local("visible", &["x"]).into()],
+    ))
+    .unwrap();
+    for _ in 0..rng.gen_range(2..8) {
+        p.insert_local("item", vec![Value::from(rng.gen_range(0..RING_VALS))])
+            .unwrap();
+    }
+    if rng.gen_bool(0.5) {
+        p.insert_local("hidden", vec![Value::from(rng.gen_range(0..RING_VALS))])
+            .unwrap();
+    }
+    for _ in 0..rng.gen_range(1..6) {
+        p.insert_local(
+            "edge",
+            vec![
+                Value::from(rng.gen_range(0..6i64)),
+                Value::from(rng.gen_range(0..6i64)),
+            ],
+        )
+        .unwrap();
+    }
+    p
+}
+
+/// The ring as a scenario: three churn batches of random inserts and
+/// deletes on `item`, `hidden` and `edge`. Deletions drive the incremental
+/// path — counting retractions, DRed, and retraction of facts already
+/// shipped to the next peer.
+fn ring(seed: u64) -> Scenario {
+    let mut rng = StdRng::seed_from_u64(0x9A7_000 + seed);
+    let batches = (0..3)
+        .map(|_| {
+            (0..6)
+                .map(|_| {
+                    let peer = Symbol::intern(&ring_name(rng.gen_range(0..RING)));
+                    let (rel, tuple) = match rng.gen_range(0..3) {
+                        0 => ("item", vec![Value::from(rng.gen_range(0..RING_VALS))]),
+                        1 => ("hidden", vec![Value::from(rng.gen_range(0..RING_VALS))]),
+                        _ => (
+                            "edge",
+                            vec![
+                                Value::from(rng.gen_range(0..6i64)),
+                                Value::from(rng.gen_range(0..6i64)),
+                            ],
+                        ),
+                    };
+                    let rel = Symbol::intern(rel);
+                    let op = if rng.gen_bool(0.5) {
+                        SimOp::Insert { rel, tuple }
+                    } else {
+                        SimOp::Delete { rel, tuple }
+                    };
+                    (peer, op)
+                })
+                .collect()
+        })
+        .collect();
+    Scenario {
+        name: format!("ring/{seed}"),
+        additive: false,
+        // Every ring peer holds received remote contributions (`mirror`).
+        crashable: Vec::new(),
+        watched: (0..RING)
+            .map(|i| (Symbol::intern(&ring_name(i)), Symbol::intern("echo")))
+            .collect(),
+        build: Box::new(move || {
+            (0..RING)
+                .map(|i| {
+                    // Per-peer RNG: each peer's content depends only on
+                    // the seed and its index.
+                    let mut rng = StdRng::seed_from_u64(seed ^ (0xbeef + i as u64));
+                    ring_peer(i, &mut rng)
+                })
+                .collect()
+        }),
+        batches,
+    }
+}
+
 type Generator = fn(u64) -> Scenario;
 
 #[test]
@@ -176,6 +319,7 @@ fn parity_across_generators_seeds_and_shard_counts() {
         ("acl", scenarios::acl_restricted),
         ("transfer", scenarios::transfer_dispatch),
         ("publish", scenarios::publish_chain),
+        ("ring", ring),
     ];
     let mut rng = StdRng::seed_from_u64(0x5AD5_ED01);
     for seed in 1..=3u64 {

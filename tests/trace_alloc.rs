@@ -12,9 +12,13 @@
 //! add *zero* on top of that baseline; with a sink installed they must
 //! add some (the events have to live somewhere), which proves the
 //! counter actually observes the loop — guarding against a vacuous pass.
+//!
+//! The counter is per thread: the test harness runs this binary's tests on
+//! parallel threads, and a process-global count would fold one test's
+//! allocations into the other's deltas.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use webdamlog::core::runtime::LocalRuntime;
 use webdamlog::core::{BufferSink, Peer};
@@ -22,12 +26,23 @@ use webdamlog::datalog::Value;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised and drop-free, so reaching the slot never
+    // allocates (which would recurse into the allocator).
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: defers entirely to `System`; the counter is a relaxed atomic.
+/// Counts one allocation on the calling thread. `try_with` rather than
+/// `with`: the allocator must never panic, including while a thread's
+/// locals are being torn down.
+fn bump() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: defers entirely to `System`; the counter is a thread-local cell.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump();
         System.alloc(layout)
     }
 
@@ -36,7 +51,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -44,8 +59,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 /// Builds a two-peer network with one derivation rule, converged so
