@@ -202,37 +202,6 @@ fn measure_pair(runs: usize) -> (Measured, Measured) {
     )
 }
 
-/// Median hub-stage wall time with the recompute-path working-database
-/// cache on vs off (both compiled). The hub's rule set is uncompilable
-/// (remote body atoms), so every stage takes the recompute path; with the
-/// cache off that path pays the per-stage fixed costs from scratch —
-/// clone the store, re-inject every maintained remote contribution —
-/// while the cache rolls back last stage's derivations and replays only
-/// the base-fact delta. Samples interleave the two configurations so
-/// machine-load drift cancels out of the ratio.
-fn measure_hub_cache(runs: usize) -> (u128, u128) {
-    let (mut hub_cached, _atts) = build(true);
-    let (mut hub_scratch, _atts2) = build(true);
-    hub_scratch.set_recompute_cache(false);
-    let timed = |p: &mut Peer| -> u128 {
-        let t0 = std::time::Instant::now();
-        let out = p.run_stage().expect("stage");
-        let ns = t0.elapsed().as_nanos();
-        assert!(out.messages.is_empty(), "settled: no diffs");
-        black_box(out.stats.derivations);
-        ns
-    };
-    let mut cached = Vec::with_capacity(runs);
-    let mut scratch = Vec::with_capacity(runs);
-    for _ in 0..runs {
-        cached.push(timed(&mut hub_cached));
-        scratch.push(timed(&mut hub_scratch));
-    }
-    cached.sort();
-    scratch.sort();
-    (cached[cached.len() / 2], scratch[scratch.len() / 2])
-}
-
 fn main() {
     let mut c = wdl_bench::criterion();
     let runs = if quick() { 9 } else { 31 };
@@ -252,12 +221,9 @@ fn main() {
     // The headline: evaluating the *delegated* rule (instantiated
     // remainder, fully local join + filter + remote head) — exactly the
     // stage-layer matcher work this change compiles. The hub's fan-out
-    // stage is also recorded; its per-stage fixed costs (store clone +
-    // remote-contribution injection) are now amortized by the recompute
-    // working-database cache — measured separately below as
-    // `hub_cache_speedup` — but the remaining work is shared by both
-    // engines, so the engine ratio stays informational rather than
-    // pinned.
+    // stage is also recorded; its maintained view patches only the change,
+    // so a settled hub stage is dominated by work both engines share and
+    // the engine ratio stays informational rather than pinned.
     let delegated_stage_speedup = interpreted.att_ns as f64 / compiled.att_ns as f64;
     let fanout_stage_speedup = interpreted.hub_ns as f64 / compiled.hub_ns as f64;
     let pair_speedup = (interpreted.hub_ns + interpreted.att_ns) as f64
@@ -277,22 +243,9 @@ fn main() {
     );
     println!("pair speedup (hub + attendee): {pair_speedup:.2}x");
 
-    // ISSUE 6 satellite: the recompute path's fixed costs no longer
-    // recur every stage — the working database persists across stages
-    // and replays only the base-fact delta.
-    let (hub_cached_ns, hub_scratch_ns) = measure_hub_cache(runs);
-    let hub_cache_speedup = hub_scratch_ns as f64 / hub_cached_ns as f64;
-    println!(
-        "hub recompute cache: {:.1}us cached vs {:.1}us scratch \
-         ({hub_cache_speedup:.2}x)",
-        hub_cached_ns as f64 / 1e3,
-        hub_scratch_ns as f64 / 1e3,
-    );
-
     c.record_metric("delegated_stage_speedup", delegated_stage_speedup);
     c.record_metric("fanout_stage_speedup", fanout_stage_speedup);
     c.record_metric("pair_speedup", pair_speedup);
-    c.record_metric("hub_cache_speedup", hub_cache_speedup);
     c.record_metric("attendee_derivations", compiled.derivations as f64);
 
     if !quick() {

@@ -132,7 +132,8 @@ fn burst_pics(total: usize, tag: u32, sample: usize) -> Vec<(String, Vec<Value>)
 /// quiescence, and the pictures are deleted again (retraction quiesced).
 /// The cleanup keeps the publishers' local state — the timed round's
 /// input — **stationary** across samples: without it each sample leaves
-/// one more picture per publisher and the recompute-path stage cost
+/// one more picture per publisher and the publishers' stage cost (their
+/// remote-head rule is re-evaluated over every local picture each stage)
 /// creeps up by ~10% per sample, drowning any cross-sample comparison
 /// (tracing overhead, scale independence) in monotone drift. `sample`
 /// must be unique per (tag, call) for fresh photo ids.

@@ -41,10 +41,6 @@ const PINNED: &[(&str, &str)] = &[
     // Compiled stage-layer matcher vs the Subst interpreter on the
     // delegated Wepic workload (PR 5 claim, ISSUE 5 headline >= 1.3x).
     ("BENCH_e13_stage.json", "delegated_stage_speedup"),
-    // Recompute-path working-database cache: the uncompilable hub's
-    // stage no longer pays store-clone + remote-contribution injection
-    // from scratch every stage (ISSUE 6 satellite).
-    ("BENCH_e13_stage.json", "hub_cache_speedup"),
     // Sharded runtime scale-out (ISSUE 6 tentpole): burst-round latency
     // at 10^4 total peers over the same burst at 10^5 — near 1.0 when
     // round cost tracks the active set (inbox-driven scheduling), and

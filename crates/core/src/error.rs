@@ -30,10 +30,6 @@ pub enum WdlError {
     },
     /// A peer-name or relation-name variable was bound to a non-string value.
     BadNameBinding(String),
-    /// The maintained materialization disappeared between stage
-    /// classification and evaluation (e.g. a concurrent invalidation).
-    /// Recoverable: the stage loop falls back to full recomputation.
-    ViewInvalidated(String),
     /// The attached durability sink failed to persist state (I/O error,
     /// corrupt on-disk state). The in-memory peer is still consistent, but
     /// its changes since the last successful sync are not durable.
@@ -58,7 +54,6 @@ impl std::fmt::Display for WdlError {
                 write!(f, "runtime did not quiesce within {stages} stages")
             }
             WdlError::BadNameBinding(m) => write!(f, "bad name binding: {m}"),
-            WdlError::ViewInvalidated(m) => write!(f, "view invalidated: {m}"),
             WdlError::Durability(m) => write!(f, "durability: {m}"),
             WdlError::Rejected(diags) => {
                 let errors = diags.iter().filter(|d| d.is_error()).count();

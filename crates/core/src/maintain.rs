@@ -27,23 +27,31 @@
 //! (delegated rules are always dynamic), which matters because delegations
 //! are re-derived every stage.
 //!
+//! Every peer has a view — it is the one stage fixpoint. A peer with no
+//! compilable rule (a hub with no rules, a peer holding only delegations,
+//! a peer whose rules all name remote or variable atoms) gets a view over
+//! the empty program: it holds the peer's base, derives nothing, and all
+//! of the peer's rules run in the dynamic layer.
+//!
 //! **Semantics note.** The compiled layer evaluates negation with proper
-//! stratified semantics. The recompute fallback keeps the seed engine's
-//! naive monotone loop, which can over-derive when a rule negates an
-//! intensional relation that fills in later rounds (facts are never
-//! retracted within a stage). The two paths therefore agree on stratified
-//! rule sets — and when a rule set is unstratifiable, `Program::new`
-//! rejects it and the fallback's (only well-defined) semantics apply to
-//! the whole peer, so no peer mixes the two.
+//! stratified semantics. The dynamic layer is a naive monotone loop, which
+//! can over-derive when a rule negates an intensional relation that fills
+//! in later rounds (facts are never retracted within a stage). The two
+//! agree on stratified rule sets. When the compiled subset is
+//! unstratifiable (or unsafe under the kernel's check), `Program::new`
+//! rejects it and the peer gets the empty program, so the monotone loop's
+//! (only well-defined) semantics apply to the whole peer — no peer mixes
+//! the two.
 //!
 //! **Known cost bound.** The dynamic layer keeps the paper's soft-state
 //! semantics by retracting the previous stage's dynamic derivations and
-//! re-deriving them each stage, so a stage costs O(|change| +
-//! |dynamic-layer facts|): pay-for-the-change is exact only for peers
-//! whose rules all compile. That is still strictly cheaper than the
-//! pre-incremental loop (which paid O(|database|) every stage); making
-//! the dynamic share itself differential would need per-source support
-//! counting inside the view and is left for a future change.
+//! re-evaluating every dynamic rule each stage, so a stage costs
+//! O(|change| + |dynamic-layer work|): pay-for-the-change is exact only
+//! for peers whose rules all compile. The view itself only ever patches
+//! the change — base updates, dynamic facts and the intensional snapshot
+//! are applied differentially, never copied whole. Making the dynamic
+//! share differential too would need per-source support counting inside
+//! the view and is left for a future change.
 
 use crate::{qualify, Peer, RelationKind, RuleId, WBodyItem, WRule};
 use std::collections::HashSet;
@@ -81,7 +89,7 @@ pub(crate) struct IncrementalState {
     /// The ruleset epoch this state was compiled against.
     pub(crate) epoch: u64,
     /// Ids of the peer's own rules that the view maintains (the rest run
-    /// dynamically).
+    /// dynamically; empty when the program is).
     pub(crate) compiled: HashSet<RuleId>,
 }
 
@@ -127,10 +135,11 @@ pub(crate) fn compile_rule(rule: &WRule, me: Symbol, peer: &Peer) -> Option<DRul
 }
 
 /// Compiles the peer's own compilable rules into a stratified program.
-/// Returns `None` when nothing compiles or the compiled subset fails
-/// validation (unsafe under the kernel's check, or unstratifiable) — the
-/// caller then falls back to full per-stage recomputation.
-pub(crate) fn compile_local(peer: &Peer) -> Option<(Program, HashSet<RuleId>)> {
+/// When nothing compiles, or the compiled subset fails validation (unsafe
+/// under the kernel's check, or unstratifiable), the result is the empty
+/// program with an empty `compiled` set: every rule of the peer then runs
+/// in the dynamic layer.
+pub(crate) fn compile_local(peer: &Peer) -> crate::Result<(Program, HashSet<RuleId>)> {
     let mut rules = Vec::new();
     let mut compiled = HashSet::new();
     for entry in &peer.rules {
@@ -139,31 +148,30 @@ pub(crate) fn compile_local(peer: &Peer) -> Option<(Program, HashSet<RuleId>)> {
             compiled.insert(entry.id);
         }
     }
-    if rules.is_empty() {
-        return None;
-    }
     // Compiled bodies are fully local, so positive-atom joins commute and
     // the greedy join-order optimizer applies (WebdamLog body order only
     // carries meaning up to the delegation split, which these rules never
     // reach). Reorder against live cardinalities before validation.
     let rules = optimize::reorder_rules(&rules, &LiveStats { peer });
-    match Program::new(rules) {
-        // The peer's stage-level fixpoint cap bounds the compiled layer
-        // too — set_fixpoint_limit must keep meaning what it says. The
-        // peer-level engine toggle (`Peer::set_compiled_stage`) rides
-        // along: an interpreted peer runs its maintained view on the
-        // interpreter too, so the whole peer is one semantic reference.
-        Ok(program) => {
-            let config = wdl_datalog::EvalConfig::default().with_compiled(peer.compiled_stage);
-            Some((
-                program
-                    .with_iteration_limit(peer.fixpoint_limit)
-                    .with_eval_config(config),
-                compiled,
-            ))
+    let program = match Program::new(rules) {
+        Ok(program) => program,
+        Err(_) => {
+            compiled.clear();
+            Program::new(Vec::new())?
         }
-        Err(_) => None,
-    }
+    };
+    // The peer's stage-level fixpoint cap bounds the compiled layer too —
+    // set_fixpoint_limit must keep meaning what it says. The peer-level
+    // engine toggle (`Peer::set_compiled_stage`) rides along: an
+    // interpreted peer runs its maintained view on the interpreter too, so
+    // the whole peer is one semantic reference.
+    let config = wdl_datalog::EvalConfig::default().with_compiled(peer.compiled_stage);
+    Ok((
+        program
+            .with_iteration_limit(peer.fixpoint_limit)
+            .with_eval_config(config),
+        compiled,
+    ))
 }
 
 impl Peer {
@@ -183,76 +191,45 @@ impl Peer {
         Ok(base)
     }
 
-    /// Rebuilds the compiled layer if the ruleset epoch moved (or nothing
-    /// is materialized yet).
-    pub(crate) fn ensure_view(&mut self) -> ViewStatus {
-        if let Some(state) = &self.incr {
+    /// Takes the maintained view out of the peer for this stage's
+    /// fixpoint, rebuilding it first if the ruleset epoch moved (or nothing
+    /// is materialized yet). The flag is `true` for a rebuilt view. The
+    /// caller puts the state back when the stage succeeds; on an error it
+    /// is dropped and the next stage rebuilds it.
+    pub(crate) fn ensure_view(&mut self) -> crate::Result<(IncrementalState, bool)> {
+        if let Some(state) = self.incr.take() {
             if state.epoch == self.ruleset_epoch {
-                return ViewStatus::Current;
+                return Ok((state, false));
             }
         }
-        // Compilation already failed at this epoch: stay on the recompute
-        // path without re-attempting, and — crucially — without touching
-        // the base log, which the recompute cache replays.
-        if self.incr_failed_epoch == Some(self.ruleset_epoch) {
-            return ViewStatus::Unavailable;
-        }
-        // Rebuild path: everything below either consumes the base log or
-        // drops it, so a cached recompute working database can no longer
-        // catch up from the log.
-        self.working = None;
-        self.incr = None;
+        // Rebuild from the current base: the base log is subsumed.
         self.prev_dynamic.clear();
-        let Some((program, compiled)) = compile_local(self) else {
-            self.incr_failed_epoch = Some(self.ruleset_epoch);
-            self.base_log.clear();
-            return ViewStatus::Unavailable;
-        };
-        let Ok(base) = self.current_base() else {
-            self.base_log.clear();
-            return ViewStatus::Unavailable;
-        };
         self.base_log.clear();
+        let (program, compiled) = compile_local(self)?;
+        let base = self.current_base()?;
         // A rebuild is where a freshly added rule does its first (and in
         // one-shot flows, only) round of derivation, so the construction
         // fixpoint must feed the trace like any maintenance pass would.
-        let mut prof = self
-            .tracer
-            .is_some()
+        let mut prof = (self.tracer.is_some() && !program.rules().is_empty())
             .then(wdl_datalog::profile::RuleProfile::new);
-        match MaterializedView::new_profiled(program, base, prof.as_mut()) {
-            Ok(view) => {
-                if let (Some(mut p), Some(tr)) = (prof, self.tracer.as_mut()) {
-                    for (head, c) in p.drain() {
-                        tr.record(crate::TraceEvent::RuleEval {
-                            peer: self.name,
-                            stage: self.stage,
-                            rule: head,
-                            dur_ns: c.ns,
-                            delta_in: c.delta_in,
-                            derived: c.derived,
-                        });
-                    }
-                }
-                self.incr = Some(IncrementalState {
-                    view,
-                    epoch: self.ruleset_epoch,
-                    compiled,
+        let view = MaterializedView::new_profiled(program, base, prof.as_mut())?;
+        if let (Some(mut p), Some(tr)) = (prof, self.tracer.as_mut()) {
+            for (head, c) in p.drain() {
+                tr.record(crate::TraceEvent::RuleEval {
+                    peer: self.name,
+                    stage: self.stage,
+                    rule: head,
+                    dur_ns: c.ns,
+                    delta_in: c.delta_in,
+                    derived: c.derived,
                 });
-                ViewStatus::Rebuilt
             }
-            Err(_) => ViewStatus::Unavailable,
         }
+        let state = IncrementalState {
+            view,
+            epoch: self.ruleset_epoch,
+            compiled,
+        };
+        Ok((state, true))
     }
-}
-
-/// Outcome of [`Peer::ensure_view`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum ViewStatus {
-    /// A view from an earlier stage is still valid.
-    Current,
-    /// The view was (re)built this stage from the current base.
-    Rebuilt,
-    /// No compiled layer is available; run the full recompute loop.
-    Unavailable,
 }

@@ -70,16 +70,17 @@ pub struct Peer {
     pub(crate) prev_sent: HashMap<Symbol, HashSet<WFact>>,
     pub(crate) stage: u64,
     pub(crate) fixpoint_limit: usize,
-    /// Maintained materialization of the compilable (fully local) rules;
-    /// `None` until the first stage builds it, or when compilation is not
-    /// possible (see `maintain.rs`).
+    /// The maintained view every stage runs on: the materialization of the
+    /// compilable (fully local) rules — the empty program when none
+    /// compile — over the peer's base (see `maintain.rs`). `None` until the
+    /// first stage builds it, and while a stage holds it.
     pub(crate) incr: Option<crate::maintain::IncrementalState>,
     /// Bumped by every mutation that changes rule compilation (rule
     /// add/remove/replace, schema declarations); the view rebuilds when it
     /// trails this counter.
     pub(crate) ruleset_epoch: u64,
     /// Base-fact changes (qualified store + remote-contribution updates)
-    /// since the last stage, consumed by the incremental path.
+    /// since the last stage, consumed by the stage fixpoint.
     pub(crate) base_log: Vec<(wdl_datalog::Fact, bool)>,
     /// Local facts the dynamic rule layer derived at the previous stage
     /// (fed to the view as external support; retracted when re-derivation
@@ -94,21 +95,6 @@ pub struct Peer {
     pub(crate) grants_epoch: u64,
     /// Cached classified stage plans (see `stage_plan.rs`).
     pub(crate) stage_plans: crate::stage_plan::StagePlans,
-    /// Reusable working database for the recompute fixpoint (store +
-    /// contributions + derivations of the last recompute stage), rolled
-    /// back/forward via `base_log` instead of cloning the store every
-    /// stage. `None` whenever any other consumer drained or dropped the
-    /// base log (the incremental path, a view rebuild) — the next
-    /// recompute stage then rebuilds it from scratch.
-    pub(crate) working: Option<crate::stage::RecomputeCache>,
-    /// Knob for [`Peer::set_recompute_cache`]; `false` pins the seed
-    /// engine's clone-per-stage behaviour as the bench baseline.
-    pub(crate) recompute_cache: bool,
-    /// The ruleset epoch at which `compile_local` last came back empty, so
-    /// quiescent uncompilable peers (pure hubs, delegation-only peers)
-    /// skip re-attempting compilation — and keep their base log for the
-    /// recompute cache — every stage.
-    pub(crate) incr_failed_epoch: Option<u64>,
     /// Trace sink + label cache when tracing is enabled; `None` (the
     /// default) keeps every hook a single branch with zero allocations
     /// and no clock reads (see `trace.rs`).
@@ -162,9 +148,6 @@ impl Peer {
             compiled_stage: true,
             grants_epoch: 0,
             stage_plans: crate::stage_plan::StagePlans::default(),
-            working: None,
-            recompute_cache: true,
-            incr_failed_epoch: None,
             tracer: None,
             last_stats: StageStats::default(),
             cum_eval: wdl_datalog::EvalStats::default(),
@@ -240,28 +223,6 @@ impl Peer {
     /// [`Peer::set_compiled_stage`]).
     pub fn compiled_stage(&self) -> bool {
         self.compiled_stage
-    }
-
-    /// Enables (`true`, the default) or disables the recompute path's
-    /// working-database reuse. With the cache on, a recompute stage rolls
-    /// the previous stage's working database back (removing its recorded
-    /// derivations) and forward (replaying the base log) — O(|change| +
-    /// |derived|) — instead of paying `store.clone()` plus full
-    /// remote-contribution injection every stage. Both settings compute
-    /// identical stages; `false` pins the clone-per-stage baseline for
-    /// benchmarks (`e13_stage`). Like [`Peer::set_compiled_stage`], this is
-    /// a tuning knob, not durable state.
-    pub fn set_recompute_cache(&mut self, enabled: bool) {
-        self.recompute_cache = enabled;
-        if !enabled {
-            self.working = None;
-        }
-    }
-
-    /// Whether recompute stages reuse the working database (see
-    /// [`Peer::set_recompute_cache`]).
-    pub fn recompute_cache(&self) -> bool {
-        self.recompute_cache
     }
 
     /// Installs a trace sink: every subsequent stage records

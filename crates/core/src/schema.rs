@@ -12,10 +12,10 @@ pub enum RelationKind {
     /// targeting an extensional relation generate *insertions* applied at
     /// the following stage.
     Extensional,
-    /// Derived facts, recomputed at every stage from rules (a view). Facts
-    /// received from other peers for an intensional relation are maintained
-    /// contributions: they are retracted when the sender's derivations
-    /// retract.
+    /// Derived facts, brought up to date from rules at every stage (a
+    /// view). Facts received from other peers for an intensional relation
+    /// are maintained contributions: they are retracted when the sender's
+    /// derivations retract.
     Intensional,
 }
 

@@ -6,7 +6,9 @@
 //! > of its program. Third, the peer sends facts (updates) and rules
 //! > (delegations) to other peers."
 //!
-//! The fixpoint evaluates every rule — own and delegated — left to right.
+//! The fixpoint runs on the peer's maintained view (see `maintain.rs`):
+//! compiled fully local rules are maintained differentially, and every
+//! other rule — own and delegated — is evaluated left to right over it.
 //! When evaluation reaches the first non-local atom, the instantiated
 //! remainder becomes a [`Delegation`] to that atom's peer. Delegations and
 //! remote fact batches are *diffed* against the previous stage so that
@@ -60,16 +62,6 @@ pub struct StageOutput {
     pub changed: bool,
 }
 
-/// The recompute path's reusable working database: the saturated database
-/// of the last recompute stage plus the list of facts its fixpoint
-/// actually inserted (derivations over the base). The next recompute stage
-/// removes `derived`, replays the base log, and has exactly
-/// `store + contributions` again without cloning either.
-pub(crate) struct RecomputeCache {
-    pub(crate) db: Database,
-    pub(crate) derived: Vec<DFact>,
-}
-
 /// Everything a fixpoint pass emits besides local intensional facts.
 #[derive(Default)]
 struct Outcome {
@@ -78,9 +70,10 @@ struct Outcome {
     local_ext: HashSet<WFact>,
     derivations: usize,
     reads_blocked: usize,
-    /// Local facts the fixpoint actually inserted this stage (recompute
-    /// insertions + dynamic-layer fresh facts) — feeds the peer's
-    /// cumulative `facts_derived` counter.
+    /// Distinct local facts the dynamic layer derived this stage — feeds
+    /// the peer's cumulative `facts_derived` counter. A fact counts (and
+    /// costs one more round) even when a remote contribution already
+    /// holds it, since the dynamic layer must record its own support.
     local_new: usize,
 }
 
@@ -146,17 +139,11 @@ impl Peer {
             }
         }
 
-        // ---- Step 2: local fixpoint — incremental when a maintained view
-        // of the compiled (fully local) rules is available, full recompute
-        // otherwise. See `maintain.rs` for the split.
-        let (outcome, rounds, derived_changed) = match self.ensure_view() {
-            crate::maintain::ViewStatus::Current => self.fixpoint_maintained(false)?,
-            crate::maintain::ViewStatus::Rebuilt => self.fixpoint_maintained(true)?,
-            // The recompute path owns the base log: it either replays it
-            // into the cached working database or discards it with a fresh
-            // rebuild.
-            crate::maintain::ViewStatus::Unavailable => self.fixpoint_recompute()?,
-        };
+        // ---- Step 2: local fixpoint — the maintained view of the compiled
+        // (fully local) rules plus the dynamic layer over it. See
+        // `maintain.rs` for the split.
+        let (state, rebuilt) = self.ensure_view()?;
+        let (outcome, rounds, derived_changed) = self.fixpoint_incremental(state, rebuilt)?;
         stats.fixpoint_rounds = rounds;
         stats.derivations = outcome.derivations;
         stats.reads_blocked = outcome.reads_blocked;
@@ -310,168 +297,9 @@ impl Peer {
         })
     }
 
-    /// The pre-incremental stage fixpoint: run every rule — own and
-    /// delegated — over `store + contributions` to a local fixpoint. Kept
-    /// as the fallback for peers whose rule set does not compile (and as
-    /// the reference semantics for the incremental path).
-    ///
-    /// The working database is cached across stages: instead of cloning
-    /// the store and re-injecting every remote contribution each stage
-    /// (the dominant fixed cost for hub peers), the previous stage's
-    /// recorded derivations are removed and the base log is replayed —
-    /// the rollback must run *before* the replay so a fact that was both
-    /// derived last stage and base-inserted this stage survives.
-    fn fixpoint_recompute(&mut self) -> Result<(Outcome, usize, bool)> {
-        let mut cache = match self.working.take() {
-            Some(mut cache) => {
-                for fact in cache.derived.drain(..) {
-                    cache.db.remove(&fact);
-                }
-                // Compress to the last operation per fact: each log entry
-                // is a real store/contribution transition, so the last one
-                // decides final membership.
-                let mut last: HashMap<DFact, bool> = HashMap::new();
-                for (fact, added) in self.base_log.drain(..) {
-                    last.insert(fact, added);
-                }
-                for (fact, added) in last {
-                    if added {
-                        cache.db.insert(fact)?;
-                    } else {
-                        cache.db.remove(&fact);
-                    }
-                }
-                cache
-            }
-            None => {
-                self.base_log.clear();
-                RecomputeCache {
-                    db: self.current_base()?,
-                    derived: Vec::new(),
-                }
-            }
-        };
-
-        // Static relation-level provenance of this peer's views, for the
-        // default view read policy applied to delegated rules.
-        let view_bases = crate::grants::view_base_relations(
-            self.name,
-            self.rules.iter().map(|e| e.rule.clone()),
-        );
-
-        // Classified stage plans: taken out of the peer for the duration of
-        // the fixpoint (an error path drops the cache, which only costs a
-        // re-classification at the next stage).
-        let mut plans = std::mem::take(&mut self.stage_plans);
-        plans.ensure_epoch(self.ruleset_epoch, self.grants_epoch);
-        let use_plans = self.compiled_stage;
-
-        let mut outcome = Outcome::default();
-        let mut rounds = 0usize;
-        loop {
-            rounds += 1;
-            if rounds > self.fixpoint_limit {
-                return Err(WdlError::Datalog(
-                    wdl_datalog::DatalogError::IterationLimit(self.fixpoint_limit),
-                ));
-            }
-            let mut new_local: Vec<DFact> = Vec::new();
-            let own = self.rules.iter().map(|e| {
-                (
-                    &e.rule,
-                    None,
-                    use_plans.then_some(PlanKey::Own(e.id)),
-                    PlanKey::Own(e.id),
-                )
-            });
-            let delegated = self.delegated.iter().map(|d| {
-                (
-                    &d.rule,
-                    Some(d.origin),
-                    use_plans.then_some(PlanKey::Delegated(d.id)),
-                    PlanKey::Delegated(d.id),
-                )
-            });
-            for (rule, origin, key, trace_key) in own.chain(delegated) {
-                let ctx = EvalCtx {
-                    peer: self.name,
-                    schema: &self.schema,
-                    grants: &self.grants,
-                    view_bases: &view_bases,
-                    origin,
-                };
-                let t0 = self.tracer.as_ref().map(|_| std::time::Instant::now());
-                let d0 = outcome.derivations;
-                eval_rule(
-                    &ctx,
-                    &cache.db,
-                    rule,
-                    key,
-                    &mut plans,
-                    &mut outcome,
-                    &mut new_local,
-                )?;
-                if let (Some(tr), Some(t0)) = (self.tracer.as_mut(), t0) {
-                    let label = tr.rule_label(trace_key, self.name, rule);
-                    tr.record(TraceEvent::RuleEval {
-                        peer: self.name,
-                        stage: self.stage,
-                        rule: label,
-                        dur_ns: t0.elapsed().as_nanos() as u64,
-                        delta_in: 0,
-                        derived: (outcome.derivations - d0) as u64,
-                    });
-                }
-            }
-            let mut changed = false;
-            for fact in new_local {
-                // Record only actual insertions: facts already present are
-                // base facts (or earlier derivations) and must not be
-                // removed by the next stage's rollback.
-                if cache.db.insert(fact.clone())? {
-                    cache.derived.push(fact);
-                    outcome.local_new += 1;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        self.stage_plans = plans;
-
-        // Snapshot intensional relations (everything in the working
-        // database that is not extensional store content).
-        let derived = self.snapshot_intensional(&cache.db)?;
-        let derived_changed = !db_eq(&derived, &self.derived);
-        self.derived = derived;
-        if self.recompute_cache {
-            self.working = Some(cache);
-        }
-        Ok((outcome, rounds, derived_changed))
-    }
-
-    /// Runs the incremental fixpoint, recovering from a mid-stage view
-    /// invalidation ([`WdlError::ViewInvalidated`]) by falling back to a
-    /// full recompute — the stage completes either way.
-    fn fixpoint_maintained(&mut self, rebuilt: bool) -> Result<(Outcome, usize, bool)> {
-        match self.fixpoint_incremental(rebuilt) {
-            Err(WdlError::ViewInvalidated(_)) => {
-                // The incremental attempt may have consumed part of the
-                // base log; neither it nor the recompute cache can be
-                // trusted — rebuild the working database from scratch.
-                self.working = None;
-                self.base_log.clear();
-                self.fixpoint_recompute()
-            }
-            r => r,
-        }
-    }
-
     /// Copies the declared intensional relations out of a saturated
-    /// database — the per-stage snapshot that `relation_facts`/`query`
-    /// read. Shared by the recompute path and incremental rebuilds so the
-    /// two can never drift.
+    /// database — the snapshot that `relation_facts`/`query` read, taken
+    /// whole only when the view was rebuilt this stage.
     fn snapshot_intensional(&self, db: &Database) -> Result<Database> {
         let mut derived = Database::new();
         for decl in self.schema.iter() {
@@ -487,62 +315,63 @@ impl Peer {
         Ok(derived)
     }
 
-    /// The incremental stage fixpoint: the compiled rules' materialization
-    /// is *maintained* under the base changes logged since the previous
+    /// The stage fixpoint: the compiled rules' materialization is
+    /// *maintained* under the base changes logged since the previous
     /// stage, and only the dynamic rules (delegations, remote atoms,
-    /// variable names, extensional heads) are re-evaluated — their local
-    /// derivations feed the view as base facts with external support, and
-    /// derivations that stop holding are retracted through the view at the
-    /// start of the next stage (per-stage soft state, as in the paper).
-    fn fixpoint_incremental(&mut self, rebuilt: bool) -> Result<(Outcome, usize, bool)> {
+    /// variable names, extensional heads — every rule, for a peer whose
+    /// program is empty) are re-evaluated — their local derivations feed
+    /// the view as base facts with external support, and derivations that
+    /// stop holding are retracted through the view at the start of the
+    /// next stage (per-stage soft state, as in the paper).
+    ///
+    /// `state` is the view [`Peer::ensure_view`] took out of the peer; it
+    /// goes back only when the stage succeeds.
+    fn fixpoint_incremental(
+        &mut self,
+        mut state: crate::maintain::IncrementalState,
+        rebuilt: bool,
+    ) -> Result<(Outcome, usize, bool)> {
         use wdl_datalog::incremental::Delta;
 
-        // `ensure_view` normally guarantees a view here, but the guarantee
-        // is cross-method state: never panic on the stage hot path over it.
-        // A missing view is a recoverable error the caller
-        // (`fixpoint_maintained`) turns into a full recompute.
-        let Some(mut state) = self.incr.take() else {
-            return Err(WdlError::ViewInvalidated(format!(
-                "peer {} stage {}: maintained view missing at evaluation",
-                self.name, self.stage
-            )));
-        };
-
-        // Net membership changes of the materialization this stage:
-        // +1 appeared, -1 disappeared (never beyond ±1 after netting).
+        // Net membership changes of the intensional relations this stage:
+        // +1 appeared, -1 disappeared (never beyond ±1 after netting). A
+        // rebuilt view is snapshotted whole, so it tracks nothing here.
+        let intensional: HashSet<Symbol> = self
+            .schema
+            .iter()
+            .filter(|d| d.kind == RelationKind::Intensional)
+            .map(|d| qualify(d.rel, self.name))
+            .collect();
         let mut net: HashMap<DFact, i8> = HashMap::new();
         // When traced, the view's differential maintenance records
-        // per-rule costs here; they become `RuleEval` events below.
-        let mut view_prof: Option<wdl_datalog::profile::RuleProfile> = self
-            .tracer
-            .is_some()
+        // per-rule costs here; they become `RuleEval` events below. An
+        // empty program has no rules to profile.
+        let mut view_prof = (self.tracer.is_some() && !state.view.program().rules().is_empty())
             .then(wdl_datalog::profile::RuleProfile::new);
         let mut apply =
             |state: &mut crate::maintain::IncrementalState, delta: &Delta| -> Result<()> {
                 let out = state.view.apply_profiled(delta, view_prof.as_mut())?;
-                for f in out.inserts {
-                    match net.entry(f) {
-                        std::collections::hash_map::Entry::Occupied(mut e) => {
-                            *e.get_mut() += 1;
-                            if *e.get() == 0 {
-                                e.remove();
-                            }
-                        }
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert(1);
-                        }
-                    }
+                if rebuilt {
+                    return Ok(());
                 }
-                for f in out.deletes {
+                let signed = out
+                    .inserts
+                    .into_iter()
+                    .map(|f| (f, 1))
+                    .chain(out.deletes.into_iter().map(|f| (f, -1)));
+                for (f, sign) in signed {
+                    if !intensional.contains(&f.pred) {
+                        continue;
+                    }
                     match net.entry(f) {
                         std::collections::hash_map::Entry::Occupied(mut e) => {
-                            *e.get_mut() -= 1;
+                            *e.get_mut() += sign;
                             if *e.get() == 0 {
                                 e.remove();
                             }
                         }
                         std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert(-1);
+                            e.insert(sign);
                         }
                     }
                 }
@@ -554,8 +383,6 @@ impl Peer {
         // the last one decides final membership), plus retraction of the
         // previous stage's dynamic-layer derivations (soft state: what the
         // dynamic rules still support gets re-added below).
-        // This drain makes the recompute cache unable to catch up later.
-        self.working = None;
         let mut last: HashMap<DFact, bool> = HashMap::new();
         for (fact, added) in self.base_log.drain(..) {
             last.insert(fact, added);
@@ -705,23 +532,12 @@ impl Peer {
             self.derived = derived;
             changed
         } else {
-            let intensional: HashSet<Symbol> = self
-                .schema
-                .iter()
-                .filter(|d| d.kind == RelationKind::Intensional)
-                .map(|d| qualify(d.rel, self.name))
-                .collect();
-            let mut changed = false;
+            let changed = !net.is_empty();
             for (fact, sign) in net {
-                if !intensional.contains(&fact.pred) {
-                    continue;
-                }
                 if sign > 0 {
                     self.derived.insert(fact)?;
-                    changed = true;
-                } else if sign < 0 {
+                } else {
                     self.derived.remove(&fact);
-                    changed = true;
                 }
             }
             changed
@@ -1201,7 +1017,7 @@ fn fire_head(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{NameTerm, WAtom};
+    use crate::{NameTerm, RuleId, WAtom};
     use wdl_datalog::{Term, Value};
 
     fn peer(name: &str) -> Peer {
@@ -1567,20 +1383,21 @@ mod tests {
     fn compiled_view_maintains_deletions_across_stages() {
         let mut p = peer("inc");
         p.declare("visible", 1, RelationKind::Intensional).unwrap();
-        p.add_rule(WRule::new(
-            WAtom::at("visible", "inc", vec![Term::var("x")]),
-            vec![
-                WAtom::at("item", "inc", vec![Term::var("x")]).into(),
-                WBodyItem::not_atom(WAtom::at("hidden", "inc", vec![Term::var("x")])),
-            ],
-        ))
-        .unwrap();
+        let id = p
+            .add_rule(WRule::new(
+                WAtom::at("visible", "inc", vec![Term::var("x")]),
+                vec![
+                    WAtom::at("item", "inc", vec![Term::var("x")]).into(),
+                    WBodyItem::not_atom(WAtom::at("hidden", "inc", vec![Term::var("x")])),
+                ],
+            ))
+            .unwrap();
         for i in 0..10 {
             p.insert_local("item", vec![Value::from(i)]).unwrap();
         }
         p.insert_local("hidden", vec![Value::from(3)]).unwrap();
         p.run_stage().unwrap();
-        assert!(p.incr.is_some(), "fully local rule must compile");
+        assert_compiled_view(&p, &[id]);
         assert_eq!(p.relation_facts("visible").len(), 9);
 
         // A deletion is maintained, not recomputed: the view survives.
@@ -1588,7 +1405,7 @@ mod tests {
         let out = p.run_stage().unwrap();
         assert!(out.changed);
         assert_eq!(p.relation_facts("visible").len(), 8);
-        assert!(p.incr.is_some());
+        assert_compiled_view(&p, &[id]);
 
         // Un-hiding via deletion from a negated relation *adds* facts.
         p.delete_local("hidden", vec![Value::from(3)]).unwrap();
@@ -1610,21 +1427,23 @@ mod tests {
             p.insert_local("edge", vec![Value::from(a), Value::from(b)])
                 .unwrap();
         }
-        p.add_rule(WRule::new(
-            WAtom::at("path", "rec", vec![Term::var("x"), Term::var("y")]),
-            vec![WAtom::at("edge", "rec", vec![Term::var("x"), Term::var("y")]).into()],
-        ))
-        .unwrap();
-        p.add_rule(WRule::new(
-            WAtom::at("path", "rec", vec![Term::var("x"), Term::var("z")]),
-            vec![
-                WAtom::at("edge", "rec", vec![Term::var("x"), Term::var("y")]).into(),
-                WAtom::at("path", "rec", vec![Term::var("y"), Term::var("z")]).into(),
-            ],
-        ))
-        .unwrap();
+        let base = p
+            .add_rule(WRule::new(
+                WAtom::at("path", "rec", vec![Term::var("x"), Term::var("y")]),
+                vec![WAtom::at("edge", "rec", vec![Term::var("x"), Term::var("y")]).into()],
+            ))
+            .unwrap();
+        let step = p
+            .add_rule(WRule::new(
+                WAtom::at("path", "rec", vec![Term::var("x"), Term::var("z")]),
+                vec![
+                    WAtom::at("edge", "rec", vec![Term::var("x"), Term::var("y")]).into(),
+                    WAtom::at("path", "rec", vec![Term::var("y"), Term::var("z")]).into(),
+                ],
+            ))
+            .unwrap();
         p.run_stage().unwrap();
-        assert!(p.incr.is_some());
+        assert_compiled_view(&p, &[base, step]);
         assert_eq!(p.relation_facts("path").len(), 6);
 
         p.delete_local("edge", vec![Value::from(2), Value::from(3)])
@@ -1678,11 +1497,12 @@ mod tests {
         p.declare("feed", 1, RelationKind::Intensional).unwrap();
         p.declare("echo", 1, RelationKind::Intensional).unwrap();
         // Compiled: echo(x) :- feed(x).
-        p.add_rule(WRule::new(
-            WAtom::at("echo", "mix", vec![Term::var("x")]),
-            vec![WAtom::at("feed", "mix", vec![Term::var("x")]).into()],
-        ))
-        .unwrap();
+        let echo = p
+            .add_rule(WRule::new(
+                WAtom::at("echo", "mix", vec![Term::var("x")]),
+                vec![WAtom::at("feed", "mix", vec![Term::var("x")]).into()],
+            ))
+            .unwrap();
         // Dynamic (delegated): feed(x) :- src(x).
         let d = Delegation::new(
             Symbol::intern("origin"),
@@ -1695,7 +1515,8 @@ mod tests {
         p.install_delegation(d);
         p.insert_local("src", vec![Value::from(7)]).unwrap();
         p.run_stage().unwrap();
-        assert!(p.incr.is_some());
+        // Only the own rule compiled; the delegated one stays dynamic.
+        assert_compiled_view(&p, &[echo]);
         assert_eq!(p.relation_facts("feed").len(), 1);
         assert_eq!(p.relation_facts("echo").len(), 1);
 
@@ -1715,11 +1536,12 @@ mod tests {
         p.declare("feed", 1, RelationKind::Intensional).unwrap();
         p.declare("echo", 1, RelationKind::Intensional).unwrap();
         // Compiled consumer of feed.
-        p.add_rule(WRule::new(
-            WAtom::at("echo", "dual", vec![Term::var("x")]),
-            vec![WAtom::at("feed", "dual", vec![Term::var("x")]).into()],
-        ))
-        .unwrap();
+        let echo = p
+            .add_rule(WRule::new(
+                WAtom::at("echo", "dual", vec![Term::var("x")]),
+                vec![WAtom::at("feed", "dual", vec![Term::var("x")]).into()],
+            ))
+            .unwrap();
         // Dynamic (delegated) producer of feed.
         p.install_delegation(Delegation::new(
             Symbol::intern("origin"),
@@ -1741,7 +1563,7 @@ mod tests {
             },
         ));
         p.run_stage().unwrap();
-        assert!(p.incr.is_some());
+        assert_compiled_view(&p, &[echo]);
         assert_eq!(p.relation_facts("feed").len(), 1);
         assert_eq!(p.relation_facts("echo").len(), 1);
 
@@ -1932,48 +1754,6 @@ mod tests {
         assert_eq!(facts[0][0], Value::from(1));
     }
 
-    /// A mid-stage view invalidation (the maintained state vanishing
-    /// between `ensure_view` and evaluation) is a recoverable error, not a
-    /// panic: `fixpoint_incremental` reports `ViewInvalidated`, and the
-    /// `fixpoint_maintained` wrapper completes the stage through the full
-    /// recompute path with correct results.
-    #[test]
-    fn view_invalidation_mid_stage_recovers() {
-        let mut p = peer("inv");
-        p.declare("v", 1, RelationKind::Intensional).unwrap();
-        p.add_rule(WRule::new(
-            WAtom::at("v", "inv", vec![Term::var("x")]),
-            vec![WAtom::at("b", "inv", vec![Term::var("x")]).into()],
-        ))
-        .unwrap();
-        p.insert_local("b", vec![Value::from(1)]).unwrap();
-        p.run_stage().unwrap();
-        assert!(p.incr.is_some(), "rule compiles into a maintained view");
-        assert_eq!(p.relation_facts("v").len(), 1);
-
-        // Simulate the invalidation: the view is gone but the epoch says
-        // otherwise, so `ensure_view` would report `Current`.
-        p.insert_local("b", vec![Value::from(2)]).unwrap();
-        p.incr = None;
-        assert!(matches!(
-            p.fixpoint_incremental(false),
-            Err(WdlError::ViewInvalidated(_))
-        ));
-
-        // The recovery wrapper completes the (recomputed) fixpoint.
-        p.incr = None;
-        let (outcome, _, changed) = p.fixpoint_maintained(false).unwrap();
-        assert!(changed);
-        assert_eq!(outcome.derivations, 2 * 2, "2 facts x 2 naive rounds");
-        assert_eq!(p.relation_facts("v").len(), 2);
-
-        // And a fresh full stage afterwards rebuilds the view and agrees.
-        let out = p.run_stage().unwrap();
-        assert!(p.incr.is_some(), "next stage rebuilds the view");
-        assert!(!out.changed);
-        assert_eq!(p.relation_facts("v").len(), 2);
-    }
-
     /// The classified-plan cache follows grants changes: restricting a
     /// relation after a delegated rule compiled must re-hoist the ACL read
     /// gate (blocked reads appear), and the compiled path counts them like
@@ -2113,123 +1893,187 @@ mod tests {
         assert_eq!(facts[0][0], Value::from(1));
     }
 
-    /// The recompute path's working-database cache computes stages
-    /// identical to a scratch rebuild — driven through a delegated
-    /// (uncompilable) rule set with inserts, deletes, and contribution
-    /// churn across stages.
-    #[test]
-    fn recompute_cache_matches_scratch_rebuild() {
-        let build = || {
-            let mut p = peer("rcache");
-            p.declare("view", 1, RelationKind::Intensional).unwrap();
-            // Remote-head rule: uncompilable, forces the recompute path.
-            p.add_rule(WRule::new(
-                WAtom::at("mirror", "elsewhere", vec![Term::var("x")]),
-                vec![WAtom::at("item", "rcache", vec![Term::var("x")]).into()],
-            ))
-            .unwrap();
-            // Delegated rule deriving locally, also dynamic.
-            p.install_delegation(Delegation::new(
-                Symbol::intern("origin"),
-                Symbol::intern("rcache"),
-                WRule::new(
-                    WAtom::at("view", "rcache", vec![Term::var("x")]),
-                    vec![WAtom::at("item", "rcache", vec![Term::var("x")]).into()],
-                ),
-            ));
-            p
-        };
-        let mut cached = build();
-        let mut scratch = build();
-        scratch.set_recompute_cache(false);
-        assert!(cached.recompute_cache() && !scratch.recompute_cache());
+    /// Asserts the peer's view maintains exactly the own rules `ids`: they
+    /// compiled, and nothing else (no delegated rule) entered the program.
+    fn assert_compiled_view(p: &Peer, ids: &[RuleId]) {
+        let state = p.incr.as_ref().expect("every peer holds a view");
+        let want: HashSet<RuleId> = ids.iter().copied().collect();
+        assert_eq!(state.compiled, want, "exactly these rules compile");
+        assert_eq!(state.view.program().rules().len(), ids.len());
+    }
 
+    /// Asserts the peer runs a maintained view over the empty program:
+    /// nothing compiled, every rule in the dynamic layer.
+    fn assert_empty_program_view(p: &Peer) {
+        let state = p.incr.as_ref().expect("every peer holds a view");
+        assert!(state.compiled.is_empty());
+        assert!(state.view.program().rules().is_empty());
+    }
+
+    /// A peer with no compilable rule — a remote-head rule plus a
+    /// delegated local rule — runs the same maintained view as every other
+    /// peer, over the empty program. Per round: the `view` contents, the
+    /// `mirror@elsewhere` diff and the `changed` flag, through an
+    /// insert/delete of one fact in a single window, a base insert of a
+    /// fact already present, and a contribution added then retracted. A
+    /// hub with no rules holds the same kind of view.
+    #[test]
+    fn uncompilable_peer_runs_empty_program_view() {
+        let mut p = peer("uncomp");
+        p.declare("view", 1, RelationKind::Intensional).unwrap();
+        p.add_rule(WRule::new(
+            WAtom::at("mirror", "elsewhere", vec![Term::var("x")]),
+            vec![WAtom::at("item", "uncomp", vec![Term::var("x")]).into()],
+        ))
+        .unwrap();
+        p.install_delegation(Delegation::new(
+            Symbol::intern("origin"),
+            Symbol::intern("uncomp"),
+            WRule::new(
+                WAtom::at("view", "uncomp", vec![Term::var("x")]),
+                vec![WAtom::at("item", "uncomp", vec![Term::var("x")]).into()],
+            ),
+        ));
         let contrib = |v: i64, add: bool| {
+            let facts = vec![WFact::new("view", "uncomp", vec![Value::from(v)])];
+            let (additions, retractions) = if add {
+                (facts, vec![])
+            } else {
+                (vec![], facts)
+            };
             Message::new(
                 Symbol::intern("origin"),
-                Symbol::intern("rcache"),
+                Symbol::intern("uncomp"),
                 Payload::Facts {
                     kind: FactKind::Derived,
-                    additions: if add {
-                        vec![WFact::new("view", "rcache", vec![Value::from(v)])]
-                    } else {
-                        vec![]
-                    },
-                    retractions: if add {
-                        vec![]
-                    } else {
-                        vec![WFact::new("view", "rcache", vec![Value::from(v)])]
-                    },
+                    additions,
+                    retractions,
                 },
             )
         };
-        for round in 0..6 {
-            for p in [&mut cached, &mut scratch] {
-                match round {
-                    0 => {
-                        p.insert_local("item", vec![Value::from(1)]).unwrap();
-                        p.insert_local("item", vec![Value::from(2)]).unwrap();
-                    }
-                    1 => {
-                        p.delete_local("item", vec![Value::from(1)]).unwrap();
-                        p.enqueue(contrib(77, true));
-                    }
-                    2 => {
-                        // Insert and delete the same fact within a stage
-                        // window: last operation wins in the replay.
-                        p.insert_local("item", vec![Value::from(9)]).unwrap();
-                        p.delete_local("item", vec![Value::from(9)]).unwrap();
-                        // Base-insert a fact the rules also derive.
-                        p.insert_local("item", vec![Value::from(2)]).ok();
-                    }
-                    3 => {
-                        p.enqueue(contrib(77, false));
-                    }
-                    4 => {
-                        p.insert_local("item", vec![Value::from(1)]).unwrap();
-                    }
-                    _ => {}
+        // First column of unary integer rows, sorted.
+        let ints = |rows: &mut dyn Iterator<Item = &wdl_datalog::Tuple>| -> Vec<i64> {
+            let mut v: Vec<i64> = rows.map(|t| t[0].as_int().expect("int")).collect();
+            v.sort();
+            v
+        };
+        // (changed, view, mirror additions, mirror retractions)
+        type Round = (bool, &'static [i64], &'static [i64], &'static [i64]);
+        let expected: [Round; 6] = [
+            (true, &[1, 2], &[1, 2], &[]),
+            (true, &[2, 77], &[], &[1]),
+            (false, &[2, 77], &[], &[]),
+            (true, &[2], &[], &[]),
+            (true, &[1, 2], &[1], &[]),
+            (false, &[1, 2], &[], &[]),
+        ];
+        for (round, (changed, view, adds, rets)) in expected.into_iter().enumerate() {
+            match round {
+                0 => {
+                    p.insert_local("item", vec![Value::from(1)]).unwrap();
+                    p.insert_local("item", vec![Value::from(2)]).unwrap();
                 }
+                1 => {
+                    p.delete_local("item", vec![Value::from(1)]).unwrap();
+                    p.enqueue(contrib(77, true));
+                }
+                2 => {
+                    // Insert and delete the same fact within one window.
+                    p.insert_local("item", vec![Value::from(9)]).unwrap();
+                    p.delete_local("item", vec![Value::from(9)]).unwrap();
+                    // Base-insert a fact that is already present.
+                    assert!(!p.insert_local("item", vec![Value::from(2)]).unwrap());
+                }
+                3 => p.enqueue(contrib(77, false)),
+                4 => {
+                    p.insert_local("item", vec![Value::from(1)]).unwrap();
+                }
+                _ => {}
             }
-            let a = cached.run_stage().unwrap();
-            let b = scratch.run_stage().unwrap();
-            assert_eq!(a.changed, b.changed, "round {round}");
-            assert_eq!(a.stats, b.stats, "round {round}");
-            // Canonicalize within-payload fact order: additions /
-            // retractions are set-semantic (built from hash-set diffs), so
-            // their order varies per peer instance.
-            let canon = |msgs: &[Message]| -> Vec<String> {
-                msgs.iter()
-                    .map(|m| {
-                        let mut s = format!("{}->{} ", m.from, m.to);
-                        if let Payload::Facts {
-                            kind,
-                            additions,
-                            retractions,
-                        } = &m.payload
-                        {
-                            let mut adds: Vec<String> =
-                                additions.iter().map(|f| f.to_string()).collect();
-                            let mut rets: Vec<String> =
-                                retractions.iter().map(|f| f.to_string()).collect();
-                            adds.sort();
-                            rets.sort();
-                            s.push_str(&format!("{kind:?} +{adds:?} -{rets:?}"));
-                        } else {
-                            s.push_str(&format!("{:?}", m.payload));
-                        }
-                        s
-                    })
-                    .collect()
-            };
-            assert_eq!(canon(&a.messages), canon(&b.messages), "round {round}");
-            let mut va = cached.relation_facts("view");
-            let mut vb = scratch.relation_facts("view");
-            va.sort();
-            vb.sort();
-            assert_eq!(va, vb, "round {round}");
+            let out = p.run_stage().unwrap();
+            assert_empty_program_view(&p);
+            assert_eq!(out.changed, changed, "round {round}");
+            let got_view = ints(&mut p.relation_facts("view").iter());
+            assert_eq!(got_view, view, "round {round}");
+            let (mut got_adds, mut got_rets) = (Vec::new(), Vec::new());
+            for m in &out.messages {
+                assert_eq!(m.to.as_str(), "elsewhere", "round {round}");
+                let Payload::Facts {
+                    additions,
+                    retractions,
+                    ..
+                } = &m.payload
+                else {
+                    panic!("round {round}: unexpected payload {:?}", m.payload);
+                };
+                got_adds.extend(ints(&mut additions.iter().map(|f| &f.tuple)));
+                got_rets.extend(ints(&mut retractions.iter().map(|f| &f.tuple)));
+            }
+            assert_eq!(got_adds, adds, "round {round}");
+            assert_eq!(got_rets, rets, "round {round}");
         }
-        assert!(cached.working.is_some(), "cache retained across stages");
-        assert!(scratch.working.is_none(), "knob keeps the baseline clean");
+
+        let mut hub = peer("hub");
+        hub.declare("attendeePictures", 1, RelationKind::Intensional)
+            .unwrap();
+        hub.insert_local("x", vec![Value::from(1)]).unwrap();
+        for _ in 0..2 {
+            let out = hub.run_stage().unwrap();
+            assert!(!out.changed);
+            assert_eq!(out.stats.fixpoint_rounds, 1);
+            assert_empty_program_view(&hub);
+        }
+    }
+
+    /// Own rules the kernel cannot stratify (`p :- b, not q` and
+    /// `q :- b, not p`) make `Program::new` reject the compiled subset, so
+    /// the whole peer runs the naive monotone loop in the dynamic layer:
+    /// both heads fire in round one and nothing is retracted within a
+    /// stage.
+    #[test]
+    fn unstratifiable_own_rules_run_the_monotone_loop() {
+        let mut p = peer("unstrat");
+        p.declare("p", 1, RelationKind::Intensional).unwrap();
+        p.declare("q", 1, RelationKind::Intensional).unwrap();
+        p.insert_local("b", vec![Value::from(1)]).unwrap();
+        for (head, negated) in [("p", "q"), ("q", "p")] {
+            p.add_rule(WRule::new(
+                WAtom::at(head, "unstrat", vec![Term::var("x")]),
+                vec![
+                    WAtom::at("b", "unstrat", vec![Term::var("x")]).into(),
+                    WBodyItem::not_atom(WAtom::at(negated, "unstrat", vec![Term::var("x")])),
+                ],
+            ))
+            .unwrap();
+        }
+        let tuples = |xs: &[i64]| -> Vec<wdl_datalog::Tuple> {
+            xs.iter().map(|&x| vec![Value::from(x)].into()).collect()
+        };
+        // (stage, derivations, p = q)
+        let expected: [(u64, usize, &[i64]); 3] = [(1, 2, &[1]), (2, 4, &[1, 2]), (3, 2, &[2])];
+        for (stage, derivations, facts) in expected {
+            match stage {
+                2 => assert!(p.insert_local("b", vec![Value::from(2)]).unwrap()),
+                3 => assert!(p.delete_local("b", vec![Value::from(1)]).unwrap()),
+                _ => {}
+            }
+            let out = p.run_stage().unwrap();
+            assert_empty_program_view(&p);
+            assert!(out.changed, "stage {stage}");
+            assert_eq!(
+                out.stats,
+                StageStats {
+                    stage,
+                    fixpoint_rounds: 2,
+                    derivations,
+                    ..StageStats::default()
+                }
+            );
+            for rel in ["p", "q"] {
+                let mut got = p.relation_facts(rel);
+                got.sort();
+                assert_eq!(got, tuples(facts), "stage {stage} {rel}");
+            }
+        }
     }
 }

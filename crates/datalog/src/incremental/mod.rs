@@ -247,9 +247,11 @@ struct StratumInfo {
 /// membership changed.
 pub struct MaterializedView {
     program: Program,
-    /// Current base (extensional) facts — the inputs under the program.
+    /// External support: the base facts of *derived* predicates (those a
+    /// rule head defines). Base facts of predicates no rule derives live
+    /// only in `db`, where their membership is exactly base membership.
     base: Database,
-    /// The saturated database: base plus everything derivable.
+    /// The saturated database: every base fact plus everything derivable.
     db: Database,
     /// Derivation counts for facts of counting strata (excluding external
     /// support, which lives in `base`), keyed in the interned id plane.
@@ -276,7 +278,13 @@ impl MaterializedView {
         profile: Option<&mut crate::profile::RuleProfile>,
     ) -> Result<MaterializedView> {
         let strata = classify(&program);
-        let mut db = base.clone();
+        let mut external = Database::new();
+        for &pred in program.strata().pred_stratum.keys() {
+            if let Some(rel) = base.relation(pred) {
+                external.copy_relation(pred, rel)?;
+            }
+        }
+        let mut db = base;
         let mut stats = crate::EvalStats::default();
         program.eval_in_place_profiled(
             &mut db,
@@ -286,7 +294,7 @@ impl MaterializedView {
         )?;
         let mut view = MaterializedView {
             program,
-            base,
+            base: external,
             db,
             counts: HashMap::new(),
             strata,
@@ -298,11 +306,6 @@ impl MaterializedView {
     /// The maintained materialization (base plus derived facts).
     pub fn database(&self) -> &Database {
         &self.db
-    }
-
-    /// The current base facts.
-    pub fn base(&self) -> &Database {
-        &self.base
     }
 
     /// The program being maintained.
@@ -363,30 +366,35 @@ impl MaterializedView {
         // to their stratum's maintenance pass.
         let mut ext: Vec<(usize, Fact, bool)> = Vec::new();
 
+        // Absent deletions and present insertions are no-ops: for a pure
+        // EDB predicate `db` membership is base membership, for a derived
+        // one `base` records the external support.
         for fact in &delta.deletes {
-            if !self.base.remove(fact) {
-                continue; // not a base fact: nothing to retract
-            }
             match self.stratum_of(fact.pred) {
                 None => {
-                    // Pure EDB predicate: the change is immediate.
-                    self.db.remove(fact);
-                    changes.record_delete(fact)?;
+                    if self.db.remove(fact) {
+                        changes.record_delete(fact)?;
+                    }
                 }
-                Some(s) => ext.push((s, fact.clone(), false)),
+                Some(s) => {
+                    if self.base.remove(fact) {
+                        ext.push((s, fact.clone(), false));
+                    }
+                }
             }
         }
         for fact in &delta.inserts {
-            if !self.base.insert(fact.clone())? {
-                continue; // already a base fact
-            }
             match self.stratum_of(fact.pred) {
                 None => {
                     if self.db.insert(fact.clone())? {
                         changes.record_insert(fact)?;
                     }
                 }
-                Some(s) => ext.push((s, fact.clone(), true)),
+                Some(s) => {
+                    if self.base.insert(fact.clone())? {
+                        ext.push((s, fact.clone(), true));
+                    }
+                }
             }
         }
 
@@ -452,9 +460,16 @@ impl MaterializedView {
     }
 
     /// Recomputes the materialization from scratch (reference semantics;
-    /// used by tests and as a consistency oracle).
+    /// used by tests and as a consistency oracle). The full base is the
+    /// non-derived relations of `db` plus the external support in `base`.
     pub fn recompute(&self) -> Result<Database> {
-        self.program.eval(&self.base)
+        let mut full = self.base.clone();
+        for (pred, rel) in self.db.relations() {
+            if self.stratum_of(pred).is_none() {
+                full.copy_relation(pred, rel)?;
+            }
+        }
+        self.program.eval(&full)
     }
 
     fn stratum_of(&self, pred: Symbol) -> Option<usize> {
@@ -510,7 +525,7 @@ impl MaterializedView {
 impl std::fmt::Debug for MaterializedView {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MaterializedView")
-            .field("base_facts", &self.base.fact_count())
+            .field("external_facts", &self.base.fact_count())
             .field("total_facts", &self.db.fact_count())
             .field("strata", &self.strata.len())
             .field("counted_facts", &self.counts.len())
