@@ -8,6 +8,7 @@ use crate::{
     WFact, WRule, WdlError,
 };
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use wdl_datalog::{Database, Symbol, Tuple, Value};
@@ -670,43 +671,7 @@ impl Peer {
     /// relations requires a rule (and hence delegation) — queries are
     /// read-only and instantaneous by design.
     pub fn query(&self, body: &[crate::WBodyItem]) -> Result<Vec<wdl_datalog::Subst>> {
-        use wdl_datalog::BodyItem as DItem;
-        let mut compiled: Vec<DItem> = Vec::with_capacity(body.len());
-        for item in body {
-            match item {
-                crate::WBodyItem::Literal(l) => {
-                    let (Some(rel), Some(peer)) = (l.atom.rel.as_name(), l.atom.peer.as_name())
-                    else {
-                        return Err(WdlError::UnsafeDistribution(format!(
-                            "query atoms must have constant names: {}",
-                            l.atom
-                        )));
-                    };
-                    if peer != self.name {
-                        return Err(WdlError::UnsafeDistribution(format!(
-                            "query atom {} is not local to {} — use a rule for remote data",
-                            l.atom, self.name
-                        )));
-                    }
-                    let datom =
-                        wdl_datalog::Atom::new(qualify(rel, self.name), l.atom.args.clone());
-                    compiled.push(if l.negated {
-                        DItem::not_atom(datom)
-                    } else {
-                        DItem::atom(datom)
-                    });
-                }
-                crate::WBodyItem::Cmp { op, lhs, rhs } => {
-                    compiled.push(DItem::cmp(*op, lhs.clone(), rhs.clone()));
-                }
-                crate::WBodyItem::Assign { var, expr } => {
-                    compiled.push(DItem::assign(*var, expr.clone()));
-                }
-            }
-        }
-        // Query view: store plus the latest derivation snapshot.
-        let mut db = self.store.clone();
-        db.absorb(&self.derived)?;
+        let (compiled, db) = self.local_query(body, "query")?;
         // Ad-hoc queries ride the same engine selection as the stage loop:
         // a compiled prefix plan when possible, the interpreter otherwise
         // (or when a body the plan compiler rejects must keep its
@@ -743,44 +708,7 @@ impl Peer {
         func: wdl_datalog::aggregate::AggFunc,
         over: Option<Symbol>,
     ) -> Result<Vec<wdl_datalog::aggregate::AggRow>> {
-        use wdl_datalog::BodyItem as DItem;
-        // Reuse query's compilation by round-tripping through it would lose
-        // the body; compile the same way here.
-        let mut compiled: Vec<DItem> = Vec::with_capacity(body.len());
-        for item in body {
-            match item {
-                crate::WBodyItem::Literal(l) => {
-                    let (Some(rel), Some(peer)) = (l.atom.rel.as_name(), l.atom.peer.as_name())
-                    else {
-                        return Err(WdlError::UnsafeDistribution(format!(
-                            "aggregate atoms must have constant names: {}",
-                            l.atom
-                        )));
-                    };
-                    if peer != self.name {
-                        return Err(WdlError::UnsafeDistribution(format!(
-                            "aggregate atom {} is not local to {}",
-                            l.atom, self.name
-                        )));
-                    }
-                    let datom =
-                        wdl_datalog::Atom::new(qualify(rel, self.name), l.atom.args.clone());
-                    compiled.push(if l.negated {
-                        DItem::not_atom(datom)
-                    } else {
-                        DItem::atom(datom)
-                    });
-                }
-                crate::WBodyItem::Cmp { op, lhs, rhs } => {
-                    compiled.push(DItem::cmp(*op, lhs.clone(), rhs.clone()));
-                }
-                crate::WBodyItem::Assign { var, expr } => {
-                    compiled.push(DItem::assign(*var, expr.clone()));
-                }
-            }
-        }
-        let mut db = self.store.clone();
-        db.absorb(&self.derived)?;
+        let (compiled, db) = self.local_query(body, "aggregate")?;
         let q = wdl_datalog::aggregate::AggQuery {
             body: compiled,
             group_by: group_by.to_vec(),
@@ -788,6 +716,65 @@ impl Peer {
             over,
         };
         Ok(q.eval(&db)?)
+    }
+
+    /// Translates a local query body (`what` names the caller in errors)
+    /// into a kernel body over qualified predicates, and picks the
+    /// database it reads: the store plus the last stage's derivation
+    /// snapshot. The two hold disjoint relations (extensional and
+    /// intensional), so a body whose atoms find tuples on one side only
+    /// reads that database in place — a query costs its matches, not a
+    /// copy of the peer — and only a body joining both sides reads a
+    /// merged copy.
+    fn local_query(
+        &self,
+        body: &[crate::WBodyItem],
+        what: &str,
+    ) -> Result<(Vec<wdl_datalog::BodyItem>, Cow<'_, Database>)> {
+        use wdl_datalog::BodyItem as DItem;
+        let mut compiled: Vec<DItem> = Vec::with_capacity(body.len());
+        let (mut in_store, mut in_derived) = (false, false);
+        for item in body {
+            compiled.push(match item {
+                crate::WBodyItem::Literal(l) => {
+                    let (Some(rel), Some(peer)) = (l.atom.rel.as_name(), l.atom.peer.as_name())
+                    else {
+                        return Err(WdlError::UnsafeDistribution(format!(
+                            "{what} atoms must have constant names: {}",
+                            l.atom
+                        )));
+                    };
+                    if peer != self.name {
+                        return Err(WdlError::UnsafeDistribution(format!(
+                            "{what} atom {} is not local to {} — use a rule for remote data",
+                            l.atom, self.name
+                        )));
+                    }
+                    let q = qualify(rel, self.name);
+                    let holds = |db: &Database| db.relation(q).is_some_and(|r| !r.is_empty());
+                    in_store |= holds(&self.store);
+                    in_derived |= holds(&self.derived);
+                    let datom = wdl_datalog::Atom::new(q, l.atom.args.clone());
+                    if l.negated {
+                        DItem::not_atom(datom)
+                    } else {
+                        DItem::atom(datom)
+                    }
+                }
+                crate::WBodyItem::Cmp { op, lhs, rhs } => DItem::cmp(*op, lhs.clone(), rhs.clone()),
+                crate::WBodyItem::Assign { var, expr } => DItem::assign(*var, expr.clone()),
+            });
+        }
+        let db = match (in_store, in_derived) {
+            (false, _) => Cow::Borrowed(&self.derived),
+            (true, false) => Cow::Borrowed(&self.store),
+            (true, true) => {
+                let mut db = self.store.clone();
+                db.absorb(&self.derived)?;
+                Cow::Owned(db)
+            }
+        };
+        Ok((compiled, db))
     }
 
     /// Like [`Peer::relation_facts`] but as printable [`WFact`]s.
@@ -990,22 +977,39 @@ mod tests {
         assert!(p.insert_local("r", vec![Value::from(1)]).is_err());
     }
 
+    /// A body over the store alone or the derivation snapshot alone reads
+    /// that side in place; one joining both reads a merged copy.
     #[test]
     fn query_reads_store_and_derived() {
-        use crate::{WAtom, WBodyItem};
+        use crate::{WAtom, WBodyItem, WLiteral};
         use wdl_datalog::{CmpOp, Term};
         let mut p = Peer::new("query-peer");
-        p.insert_local("rate", vec![Value::from(1), Value::from(5)])
+        p.declare("good", 1, RelationKind::Intensional).unwrap();
+        for (id, r) in [(1, 5), (2, 2), (3, 4)] {
+            p.insert_local("rate", vec![Value::from(id), Value::from(r)])
+                .unwrap();
+        }
+        let rate: WBodyItem =
+            WAtom::at("rate", "query-peer", vec![Term::var("id"), Term::var("r")]).into();
+        let high = WBodyItem::cmp(CmpOp::Ge, Term::var("r"), Term::cst(4));
+        let good = WAtom::at("good", "query-peer", vec![Term::var("id")]);
+        p.add_rule(WRule::new(good.clone(), vec![rate.clone(), high.clone()]))
             .unwrap();
-        p.insert_local("rate", vec![Value::from(2), Value::from(2)])
-            .unwrap();
-        let body = vec![
-            WAtom::at("rate", "query-peer", vec![Term::var("id"), Term::var("r")]).into(),
-            WBodyItem::cmp(CmpOp::Ge, Term::var("r"), Term::cst(4)),
-        ];
-        let rows = p.query(&body).unwrap();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].get(Symbol::intern("id")), Some(&Value::from(1)));
+        p.run_stage().unwrap();
+        let ids = |body: &[WBodyItem]| {
+            let rows = p.query(body).unwrap();
+            let mut ids: Vec<Value> = rows
+                .iter()
+                .map(|s| s.get(Symbol::intern("id")).unwrap().clone())
+                .collect();
+            ids.sort();
+            ids
+        };
+        let (one_three, two) = (vec![Value::from(1), Value::from(3)], vec![Value::from(2)]);
+        assert_eq!(ids(&[rate.clone(), high]), one_three);
+        assert_eq!(ids(&[good.clone().into()]), one_three);
+        assert_eq!(ids(&[good.clone().into(), rate.clone()]), one_three);
+        assert_eq!(ids(&[rate, WBodyItem::Literal(WLiteral::neg(good))]), two);
     }
 
     #[test]
