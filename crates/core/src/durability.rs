@@ -3,9 +3,9 @@
 //!
 //! A [`DurabilitySink`] is the write side of a write-ahead log. The peer
 //! calls [`DurabilitySink::record_fact`] for every *extensional base fact*
-//! change, in commit order, at the moment the in-memory store changes —
-//! transient state (remote contributions for intensional relations, derived
-//! snapshots) is deliberately not recorded, because it is re-derived or
+//! change, in commit order, at the moment the write enters the peer's
+//! maintained view — transient state (remote contributions for intensional
+//! relations, derived facts) is deliberately not recorded, because it is re-derived or
 //! re-sent by the protocol after a restart and persisting it would turn
 //! admissible post-crash divergence into silent staleness. At the end of
 //! every stage the peer calls [`DurabilitySink::sync`], which is the group
@@ -27,8 +27,8 @@ use wdl_datalog::{Symbol, Tuple};
 pub trait DurabilitySink: Send {
     /// An extensional base fact changed. `rel` is the qualified predicate
     /// (`rel@peer`); `added` is `true` for an insertion, `false` for a
-    /// deletion. Called after the in-memory store mutated, so this must
-    /// only buffer — durability is decided at [`DurabilitySink::sync`].
+    /// deletion. Called after the write entered the peer's view, so this
+    /// must only buffer — durability is decided at [`DurabilitySink::sync`].
     fn record_fact(&mut self, rel: Symbol, tuple: &Tuple, added: bool);
 
     /// A session-layer delivery watermark advanced (see
@@ -99,7 +99,7 @@ impl Peer {
                 continue;
             }
             let q = crate::qualify(decl.rel, self.name);
-            let dump = match self.store.relation(q) {
+            let dump = match self.incr.view.base_relation(q) {
                 Some(rel) => rel.export_columns(),
                 None => wdl_datalog::ColumnExport {
                     arity: decl.arity,
@@ -114,9 +114,10 @@ impl Peer {
         out
     }
 
-    /// Installs a recovered extensional relation from a column dump,
-    /// bypassing the durability sink and the base-change log (recovery
-    /// must not re-log what it replays). The relation must already be
+    /// Installs a recovered extensional relation from a column dump into
+    /// the view, in the id plane and bypassing the durability sink
+    /// (recovery must not re-log what it replays); the next stage
+    /// maintains what the rows imply. The relation must already be
     /// declared extensional with a matching arity — checkpoints carry the
     /// schema, so a segment for an undeclared relation is corruption.
     pub fn import_extensional(
@@ -138,8 +139,8 @@ impl Peer {
             )));
         }
         let rebuilt = dump.into_relation()?;
-        self.store
-            .copy_relation(crate::qualify(rel, self.name), &rebuilt)?;
+        let q = crate::qualify(rel, self.name);
+        self.incr.view.write_base_relation(q, &rebuilt)?;
         Ok(())
     }
 }

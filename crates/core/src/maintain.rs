@@ -4,7 +4,7 @@
 //!
 //! * **Compiled** rules — fully local, constant-name rules with an
 //!   intensional local head. These translate directly into datalog rules
-//!   over the peer's qualified store and are *maintained* across stages by
+//!   over the peer's qualified base and are *maintained* across stages by
 //!   a [`MaterializedView`] (counting + DRed, see
 //!   `wdl_datalog::incremental`): a stage that ingests a deletion pays for
 //!   the change, not for re-deriving the whole database.
@@ -20,10 +20,18 @@
 //!   dynamic fact that is also derivable by a compiled rule simply carries
 //!   support from both sides.
 //!
+//! The view's database is the peer's only database: base writes (local
+//! inserts and deletes, ingested facts, remote contributions, buffered
+//! self-updates, recovery) enter it at once through
+//! `MaterializedView::write_base`, and the next stage maintains what they
+//! imply.
+//!
 //! The compiled layer is invalidated by anything that changes the
 //! translation — rule add/remove/replace or a schema declaration — which
-//! bumps [`crate::Peer::ruleset_epoch`]; the view is then rebuilt from
-//! scratch at the next stage. Delegation churn does *not* invalidate it
+//! bumps `Peer::ruleset_epoch`; the view is then rebuilt from scratch at
+//! the next stage, over the replaced view's extensional rows plus the
+//! maintained remote contributions. A stage that fails also bumps the
+//! epoch, since it may leave the view part-maintained. Delegation churn does *not* invalidate it
 //! (delegated rules are always dynamic), which matters because delegations
 //! are re-derived every stage.
 //!
@@ -48,41 +56,24 @@
 //! re-evaluating every dynamic rule each stage, so a stage costs
 //! O(|change| + |dynamic-layer work|): pay-for-the-change is exact only
 //! for peers whose rules all compile. The view itself only ever patches
-//! the change — base updates, dynamic facts and the intensional snapshot
-//! are applied differentially, never copied whole. Making the dynamic
-//! share differential too would need per-source support counting inside
-//! the view and is left for a future change.
+//! the change — base writes and dynamic facts are maintained
+//! differentially, and reads use the view in place. Only a rebuild
+//! touches every row: it copies the extensional rows into the new view
+//! and compares the intensional ones. Making the dynamic share
+//! differential too would need per-source support counting inside the
+//! view and is left for a future change.
 
 use crate::{qualify, Peer, RelationKind, RuleId, WBodyItem, WRule};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use wdl_datalog::incremental::MaterializedView;
-use wdl_datalog::optimize::{self, Cardinality};
-use wdl_datalog::{Atom as DAtom, BodyItem as DItem, Database, Program, Rule as DRule, Symbol};
+use wdl_datalog::optimize;
+use wdl_datalog::{
+    Atom as DAtom, BodyItem as DItem, Database, Fact, Program, Rule as DRule, Symbol,
+};
 
-/// Live cardinality estimates for the join-order optimizer, read straight
-/// off the peer: a qualified predicate counts its extensional store tuples,
-/// the previous stage's derivation snapshot (intensional relations), and
-/// maintained remote contributions. No clone — compilation happens only on
-/// ruleset-epoch bumps, but the peer may be large.
-struct LiveStats<'a> {
-    peer: &'a Peer,
-}
-
-impl Cardinality for LiveStats<'_> {
-    fn cardinality(&self, rel: Symbol) -> usize {
-        let peer = self.peer;
-        let mut n = peer.store.relation(rel).map_or(0, |r| r.len());
-        n += peer.derived.relation(rel).map_or(0, |r| r.len());
-        for (r, origins) in &peer.remote_contrib {
-            if qualify(*r, peer.name) == rel {
-                n += origins.values().map(|s| s.len()).sum::<usize>();
-            }
-        }
-        n
-    }
-}
-
-/// The maintained state of the compiled layer.
+/// The maintained state of the compiled layer. The default is a fresh
+/// peer's: the empty program over the empty base, current at epoch 0.
+#[derive(Default)]
 pub(crate) struct IncrementalState {
     /// The materialized view over the compiled program.
     pub(crate) view: MaterializedView,
@@ -151,8 +142,10 @@ pub(crate) fn compile_local(peer: &Peer) -> crate::Result<(Program, HashSet<Rule
     // Compiled bodies are fully local, so positive-atom joins commute and
     // the greedy join-order optimizer applies (WebdamLog body order only
     // carries meaning up to the delegation split, which these rules never
-    // reach). Reorder against live cardinalities before validation.
-    let rules = optimize::reorder_rules(&rules, &LiveStats { peer });
+    // reach). Reorder against live cardinalities before validation: the
+    // row counts in the current view (extensional facts, remote
+    // contributions and the last stage's derivations), read in place.
+    let rules = optimize::reorder_rules(&rules, peer.incr.view.database());
     let program = match Program::new(rules) {
         Ok(program) => program,
         Err(_) => {
@@ -175,11 +168,33 @@ pub(crate) fn compile_local(peer: &Peer) -> crate::Result<(Program, HashSet<Rule
 }
 
 impl Peer {
-    /// The view's base: the extensional store plus maintained remote
-    /// contributions (dynamic-layer derivations are added as they are
-    /// produced, stage by stage).
-    pub(crate) fn current_base(&self) -> crate::Result<Database> {
-        let mut base = self.store.clone();
+    /// Rebuilds the maintained view if the ruleset epoch moved, and
+    /// returns the stage's net change map seeded with what the rebuild
+    /// changed in the declared intensional relations `intensional`: −1
+    /// for a row only the replaced view holds, +1 for a row only the new
+    /// one holds (empty when nothing was rebuilt). The new view's base is
+    /// the replaced view's extensional rows plus the maintained remote
+    /// contributions; the stage re-adds dynamic-layer derivations. A
+    /// failed rebuild keeps the replaced view.
+    pub(crate) fn ensure_view(
+        &mut self,
+        intensional: &HashSet<Symbol>,
+    ) -> crate::Result<HashMap<Fact, i8>> {
+        let mut net = HashMap::new();
+        if self.incr.epoch == self.ruleset_epoch {
+            return Ok(net);
+        }
+        let (program, compiled) = compile_local(self)?;
+        let old = &self.incr.view;
+        let mut base = Database::new();
+        for decl in self.schema.iter() {
+            if decl.kind == RelationKind::Extensional {
+                let q = qualify(decl.rel, self.name);
+                if let Some(rel) = old.base_relation(q) {
+                    base.copy_relation(q, rel)?;
+                }
+            }
+        }
         for (rel, origins) in &self.remote_contrib {
             let q = qualify(*rel, self.name);
             for tuples in origins.values() {
@@ -188,25 +203,6 @@ impl Peer {
                 }
             }
         }
-        Ok(base)
-    }
-
-    /// Takes the maintained view out of the peer for this stage's
-    /// fixpoint, rebuilding it first if the ruleset epoch moved (or nothing
-    /// is materialized yet). The flag is `true` for a rebuilt view. The
-    /// caller puts the state back when the stage succeeds; on an error it
-    /// is dropped and the next stage rebuilds it.
-    pub(crate) fn ensure_view(&mut self) -> crate::Result<(IncrementalState, bool)> {
-        if let Some(state) = self.incr.take() {
-            if state.epoch == self.ruleset_epoch {
-                return Ok((state, false));
-            }
-        }
-        // Rebuild from the current base: the base log is subsumed.
-        self.prev_dynamic.clear();
-        self.base_log.clear();
-        let (program, compiled) = compile_local(self)?;
-        let base = self.current_base()?;
         // A rebuild is where a freshly added rule does its first (and in
         // one-shot flows, only) round of derivation, so the construction
         // fixpoint must feed the trace like any maintenance pass would.
@@ -225,11 +221,23 @@ impl Peer {
                 });
             }
         }
-        let state = IncrementalState {
+        for &q in intensional {
+            let (before, after) = (old.database().relation(q), view.database().relation(q));
+            for (from, to, sign) in [(before, after, -1), (after, before, 1)] {
+                for tuple in from.iter().flat_map(|r| r.iter()) {
+                    if !to.is_some_and(|r| r.contains(&tuple)) {
+                        net.insert(Fact { pred: q, tuple }, sign);
+                    }
+                }
+            }
+        }
+        // The new base holds no dynamic-layer derivation to retract.
+        self.prev_dynamic.clear();
+        self.incr = IncrementalState {
             view,
             epoch: self.ruleset_epoch,
             compiled,
         };
-        Ok((state, true))
+        Ok(net)
     }
 }

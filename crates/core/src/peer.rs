@@ -8,7 +8,6 @@ use crate::{
     WFact, WRule, WdlError,
 };
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use wdl_datalog::{Database, Symbol, Tuple, Value};
@@ -47,10 +46,6 @@ pub struct RuleEntry {
 pub struct Peer {
     pub(crate) name: Symbol,
     pub(crate) schema: Schema,
-    /// Extensional facts, stored under qualified predicates `rel@peer`.
-    pub(crate) store: Database,
-    /// Intensional snapshot of the last completed stage.
-    pub(crate) derived: Database,
     /// Maintained contributions received from other peers for intensional
     /// relations: `rel -> origin -> tuples`.
     pub(crate) remote_contrib: HashMap<Symbol, HashMap<Symbol, HashSet<Tuple>>>,
@@ -71,18 +66,17 @@ pub struct Peer {
     pub(crate) prev_sent: HashMap<Symbol, HashSet<WFact>>,
     pub(crate) stage: u64,
     pub(crate) fixpoint_limit: usize,
-    /// The maintained view every stage runs on: the materialization of the
-    /// compilable (fully local) rules — the empty program when none
-    /// compile — over the peer's base (see `maintain.rs`). `None` until the
-    /// first stage builds it, and while a stage holds it.
-    pub(crate) incr: Option<crate::maintain::IncrementalState>,
+    /// The maintained view every stage runs on, and the peer's only
+    /// database: the materialization of the compilable (fully local)
+    /// rules — the empty program when none compile — over every base fact
+    /// the peer holds, stored under qualified predicates `rel@peer` (see
+    /// `maintain.rs`). Base writes enter it at once; intensional rows are
+    /// as of the last completed stage.
+    pub(crate) incr: crate::maintain::IncrementalState,
     /// Bumped by every mutation that changes rule compilation (rule
     /// add/remove/replace, schema declarations); the view rebuilds when it
     /// trails this counter.
     pub(crate) ruleset_epoch: u64,
-    /// Base-fact changes (qualified store + remote-contribution updates)
-    /// since the last stage, consumed by the stage fixpoint.
-    pub(crate) base_log: Vec<(wdl_datalog::Fact, bool)>,
     /// Local facts the dynamic rule layer derived at the previous stage
     /// (fed to the view as external support; retracted when re-derivation
     /// stops producing them).
@@ -127,8 +121,6 @@ impl Peer {
         Peer {
             name: name.into(),
             schema: Schema::new(),
-            store: Database::new(),
-            derived: Database::new(),
             remote_contrib: HashMap::new(),
             rules: Vec::new(),
             next_rule_idx: 0,
@@ -142,9 +134,8 @@ impl Peer {
             prev_sent: HashMap::new(),
             stage: 0,
             fixpoint_limit: 10_000,
-            incr: None,
+            incr: Default::default(),
             ruleset_epoch: 0,
-            base_log: Vec::new(),
             prev_dynamic: HashSet::new(),
             compiled_stage: true,
             grants_epoch: 0,
@@ -337,7 +328,12 @@ impl Peer {
         let rel = rel.into();
         self.schema.declare(rel, arity, kind)?;
         if kind == RelationKind::Extensional {
-            self.store.declare(qualify(rel, self.name), arity)?;
+            // Rows a rule derived into the formerly undeclared relation
+            // are soft state, not extensional facts: retract them.
+            let q = qualify(rel, self.name);
+            for fact in self.prev_dynamic.extract_if(|f| f.pred == q) {
+                self.incr.view.write_base(&fact, false)?;
+            }
         }
         self.ruleset_epoch += 1;
         self.meta_dirty = true;
@@ -561,13 +557,7 @@ impl Peer {
     pub fn insert_local(&mut self, rel: impl Into<Symbol>, values: Vec<Value>) -> Result<bool> {
         let rel = rel.into();
         self.ensure_extensional(rel, values.len())?;
-        let q = qualify(rel, self.name);
-        let tuple: wdl_datalog::Tuple = values.into();
-        let added = self.store.insert_tuple(q, tuple.clone())?;
-        if added {
-            self.log_base_change(wdl_datalog::Fact { pred: q, tuple }, true);
-        }
-        Ok(added)
+        self.write_base(rel, values.into(), true)
     }
 
     /// Deletes a fact from a local extensional relation.
@@ -578,16 +568,7 @@ impl Peer {
                 "cannot delete from non-extensional relation {rel}"
             )));
         }
-        let fact = WFact::new(rel, self.name, values);
-        let dfact = wdl_datalog::Fact {
-            pred: fact.qualified(),
-            tuple: fact.tuple,
-        };
-        let removed = self.store.remove(&dfact);
-        if removed {
-            self.log_base_change(dfact, false);
-        }
-        Ok(removed)
+        self.write_base(rel, values.into(), false)
     }
 
     /// Sends an explicit insertion to another peer's extensional relation
@@ -645,27 +626,27 @@ impl Peer {
     // Inspection
     // ------------------------------------------------------------------
 
-    /// Current tuples of a local relation: extensional relations read the
-    /// store, intensional relations read the last stage's derivation
-    /// snapshot.
+    /// Current tuples of a declared local relation, read from the view:
+    /// an extensional relation as of its last write, an intensional one
+    /// as of the last completed stage. An undeclared relation reads
+    /// nothing.
     pub fn relation_facts(&self, rel: impl Into<Symbol>) -> Vec<Tuple> {
         let rel = rel.into();
         let q = qualify(rel, self.name);
-        let db = match self.schema.kind_of(rel) {
-            Some(RelationKind::Extensional) => &self.store,
-            Some(RelationKind::Intensional) => &self.derived,
-            None => return Vec::new(),
+        let view = &self.incr.view;
+        let rows = match self.schema.kind_of(rel) {
+            Some(RelationKind::Extensional) => view.base_relation(q),
+            Some(RelationKind::Intensional) => view.database().relation(q),
+            None => None,
         };
-        db.relation(q)
-            .map(|r| r.iter().collect())
-            .unwrap_or_default()
+        rows.map(|r| r.iter().collect()).unwrap_or_default()
     }
 
     /// Runs an ad-hoc query — a rule body — against the peer's current
-    /// state (extensional store plus the last stage's derivations), and
-    /// returns every satisfying substitution. This is the demo's *Query
-    /// tab* ("launch one of the pre-defined queries, or write their own
-    /// WebdamLog queries", §4).
+    /// state (the view: extensional facts as of their last write, the
+    /// last stage's derivations), and returns every satisfying
+    /// substitution. This is the demo's *Query tab* ("launch one of the
+    /// pre-defined queries, or write their own WebdamLog queries", §4).
     ///
     /// Queries are local: every atom must name this peer. Querying remote
     /// relations requires a rule (and hence delegation) — queries are
@@ -680,7 +661,7 @@ impl Peer {
             if let Ok(plan) = wdl_datalog::eval::BodyPlan::compile(&compiled, &[]) {
                 let mut out = Vec::new();
                 let mut scratch = wdl_datalog::eval::BodyScratch::new();
-                plan.run(&db, &mut scratch, &[], &mut |regs| {
+                plan.run(db, &mut scratch, &[], &mut |regs| {
                     let mut s = wdl_datalog::Subst::new();
                     for &(v, r) in plan.bindings() {
                         s.bind(v, regs[r as usize].value());
@@ -692,7 +673,7 @@ impl Peer {
             }
         }
         Ok(wdl_datalog::eval::evaluate_body(
-            &db,
+            db,
             &compiled,
             wdl_datalog::Subst::new(),
         )?)
@@ -715,25 +696,22 @@ impl Peer {
             func,
             over,
         };
-        Ok(q.eval(&db)?)
+        Ok(q.eval(db)?)
     }
 
     /// Translates a local query body (`what` names the caller in errors)
-    /// into a kernel body over qualified predicates, and picks the
-    /// database it reads: the store plus the last stage's derivation
-    /// snapshot. The two hold disjoint relations (extensional and
-    /// intensional), so a body whose atoms find tuples on one side only
-    /// reads that database in place — a query costs its matches, not a
-    /// copy of the peer — and only a body joining both sides reads a
-    /// merged copy.
+    /// into a kernel body over qualified predicates, read in place from
+    /// the view's database: a query costs its matches, not a copy of the
+    /// peer. An atom naming an undeclared relation keeps its bare name,
+    /// which no view predicate has (they are all qualified), so it reads
+    /// nothing even where a rule derived rows into the relation.
     fn local_query(
         &self,
         body: &[crate::WBodyItem],
         what: &str,
-    ) -> Result<(Vec<wdl_datalog::BodyItem>, Cow<'_, Database>)> {
+    ) -> Result<(Vec<wdl_datalog::BodyItem>, &Database)> {
         use wdl_datalog::BodyItem as DItem;
         let mut compiled: Vec<DItem> = Vec::with_capacity(body.len());
-        let (mut in_store, mut in_derived) = (false, false);
         for item in body {
             compiled.push(match item {
                 crate::WBodyItem::Literal(l) => {
@@ -750,10 +728,11 @@ impl Peer {
                             l.atom, self.name
                         )));
                     }
-                    let q = qualify(rel, self.name);
-                    let holds = |db: &Database| db.relation(q).is_some_and(|r| !r.is_empty());
-                    in_store |= holds(&self.store);
-                    in_derived |= holds(&self.derived);
+                    let q = if self.schema.is_declared(rel) {
+                        qualify(rel, self.name)
+                    } else {
+                        rel
+                    };
                     let datom = wdl_datalog::Atom::new(q, l.atom.args.clone());
                     if l.negated {
                         DItem::not_atom(datom)
@@ -765,16 +744,7 @@ impl Peer {
                 crate::WBodyItem::Assign { var, expr } => DItem::assign(*var, expr.clone()),
             });
         }
-        let db = match (in_store, in_derived) {
-            (false, _) => Cow::Borrowed(&self.derived),
-            (true, false) => Cow::Borrowed(&self.store),
-            (true, true) => {
-                let mut db = self.store.clone();
-                db.absorb(&self.derived)?;
-                Cow::Owned(db)
-            }
-        };
-        Ok((compiled, db))
+        Ok((compiled, self.incr.view.database()))
     }
 
     /// Like [`Peer::relation_facts`] but as printable [`WFact`]s.
@@ -790,23 +760,37 @@ impl Peer {
             .collect()
     }
 
-    /// Records a store/contribution change for the incremental path. Cheap
-    /// and unconditional; the log is drained (or discarded) every stage.
+    /// Adds (`added`) or removes one base fact of local relation `rel` in
+    /// the view, and returns whether the base changed. Every base write
+    /// goes through here — local inserts and deletes, ingested facts and
+    /// contributions, buffered self-updates — and the next stage maintains
+    /// what it implies.
     ///
-    /// This is also the single durability tap: every extensional-store
-    /// mutation flows through here, so an attached sink sees exactly the
-    /// durable changes. Transient remote contributions for *intensional*
-    /// relations also pass through (the incremental path needs them) but
-    /// are filtered out by store membership — only extensional qualified
-    /// predicates are declared in `store`, and the qualified flattening is
-    /// injective, so the test is exact.
-    pub(crate) fn log_base_change(&mut self, fact: wdl_datalog::Fact, added: bool) {
-        if let Some(sink) = &mut self.durability {
-            if self.store.relation(fact.pred).is_some() {
+    /// This is also the single durability tap: an attached sink sees each
+    /// change of an extensional relation, in order. Remote contributions
+    /// to intensional relations pass through too but are transient, so
+    /// the sink never sees them.
+    pub(crate) fn write_base(&mut self, rel: Symbol, tuple: Tuple, added: bool) -> Result<bool> {
+        let decl = self.schema.get(rel).copied();
+        let fact = wdl_datalog::Fact {
+            pred: qualify(rel, self.name),
+            tuple,
+        };
+        if let Some(d) = decl.filter(|d| added && d.arity != fact.tuple.len()) {
+            return Err(wdl_datalog::DatalogError::ArityMismatch {
+                relation: fact.pred.to_string(),
+                expected: d.arity,
+                found: fact.tuple.len(),
+            }
+            .into());
+        }
+        let changed = self.incr.view.write_base(&fact, added)?;
+        if changed && decl.is_some_and(|d| d.kind == RelationKind::Extensional) {
+            if let Some(sink) = &mut self.durability {
                 sink.record_fact(fact.pred, &fact.tuple, added);
             }
         }
-        self.base_log.push((fact, added));
+        Ok(changed)
     }
 
     // ------------------------------------------------------------------
@@ -889,7 +873,7 @@ impl fmt::Debug for Peer {
             .field("stage", &self.stage)
             .field("rules", &self.rules.len())
             .field("delegated", &self.delegated.len())
-            .field("store_facts", &self.store.fact_count())
+            .field("facts", &self.incr.view.database().fact_count())
             .finish()
     }
 }
@@ -977,8 +961,31 @@ mod tests {
         assert!(p.insert_local("r", vec![Value::from(1)]).is_err());
     }
 
-    /// A body over the store alone or the derivation snapshot alone reads
-    /// that side in place; one joining both reads a merged copy.
+    /// Ids bound by `body` on `p`, sorted.
+    fn query_ids(p: &Peer, body: &[crate::WBodyItem]) -> Vec<Value> {
+        let mut ids: Vec<Value> = p
+            .query(body)
+            .unwrap()
+            .iter()
+            .map(|s| s.get(Symbol::intern("id")).unwrap().clone())
+            .collect();
+        ids.sort();
+        ids
+    }
+
+    fn sorted_facts(p: &Peer, rel: &str) -> Vec<Tuple> {
+        let mut rows = p.relation_facts(rel);
+        rows.sort();
+        rows
+    }
+
+    fn ints(vs: &[i64]) -> Vec<Value> {
+        vs.iter().map(|&v| Value::from(v)).collect()
+    }
+
+    /// Queries read extensional and intensional atoms, alone or joined,
+    /// from the one database. Extensional writes show at once;
+    /// intensional rows stay at the last stage until the next one.
     #[test]
     fn query_reads_store_and_derived() {
         use crate::{WAtom, WBodyItem, WLiteral};
@@ -986,8 +993,7 @@ mod tests {
         let mut p = Peer::new("query-peer");
         p.declare("good", 1, RelationKind::Intensional).unwrap();
         for (id, r) in [(1, 5), (2, 2), (3, 4)] {
-            p.insert_local("rate", vec![Value::from(id), Value::from(r)])
-                .unwrap();
+            p.insert_local("rate", ints(&[id, r])).unwrap();
         }
         let rate: WBodyItem =
             WAtom::at("rate", "query-peer", vec![Term::var("id"), Term::var("r")]).into();
@@ -996,20 +1002,203 @@ mod tests {
         p.add_rule(WRule::new(good.clone(), vec![rate.clone(), high.clone()]))
             .unwrap();
         p.run_stage().unwrap();
-        let ids = |body: &[WBodyItem]| {
-            let rows = p.query(body).unwrap();
-            let mut ids: Vec<Value> = rows
-                .iter()
-                .map(|s| s.get(Symbol::intern("id")).unwrap().clone())
-                .collect();
-            ids.sort();
-            ids
+        let joined = [good.clone().into(), rate.clone()];
+        assert_eq!(query_ids(&p, &[rate.clone(), high.clone()]), ints(&[1, 3]));
+        assert_eq!(query_ids(&p, &[good.clone().into()]), ints(&[1, 3]));
+        assert_eq!(query_ids(&p, &joined), ints(&[1, 3]));
+        let not_good = [rate.clone(), WBodyItem::Literal(WLiteral::neg(good))];
+        assert_eq!(query_ids(&p, &not_good), ints(&[2]));
+
+        // Writes since the last stage: visible at once, alone and joined.
+        p.insert_local("rate", ints(&[4, 5])).unwrap();
+        p.delete_local("rate", ints(&[1, 5])).unwrap();
+        assert_eq!(
+            sorted_facts(&p, "rate"),
+            vec![
+                ints(&[2, 2]).into(),
+                ints(&[3, 4]).into(),
+                ints(&[4, 5]).into()
+            ]
+        );
+        assert_eq!(query_ids(&p, &[rate.clone(), high]), ints(&[3, 4]));
+        assert_eq!(query_ids(&p, &joined), ints(&[3]));
+        // ... while the intensional rows are the last stage's.
+        assert_eq!(
+            sorted_facts(&p, "good"),
+            vec![ints(&[1]).into(), ints(&[3]).into()]
+        );
+        assert_eq!(query_ids(&p, &not_good), ints(&[2, 4]));
+
+        p.run_stage().unwrap();
+        assert_eq!(
+            sorted_facts(&p, "good"),
+            vec![ints(&[3]).into(), ints(&[4]).into()]
+        );
+        assert_eq!(query_ids(&p, &joined), ints(&[3, 4]));
+        assert_eq!(query_ids(&p, &not_good), ints(&[2]));
+    }
+
+    /// A rule may derive into a relation nobody declared; the rows live in
+    /// the view, but reads of the undeclared relation see nothing.
+    #[test]
+    fn undeclared_relation_reads_nothing() {
+        use crate::WAtom;
+        use wdl_datalog::aggregate::AggFunc;
+        use wdl_datalog::Term;
+        let mut p = Peer::new("undeclared-peer");
+        p.insert_local("rate", ints(&[1, 5])).unwrap();
+        let shadow = WAtom::at("shadow", "undeclared-peer", vec![Term::var("id")]);
+        let rate = WAtom::at(
+            "rate",
+            "undeclared-peer",
+            vec![Term::var("id"), Term::var("r")],
+        );
+        p.add_rule(WRule::new(shadow.clone(), vec![rate.into()]))
+            .unwrap();
+        p.run_stage().unwrap();
+        assert!(p.relation_facts("shadow").is_empty());
+        assert!(p.query(&[shadow.clone().into()]).unwrap().is_empty());
+        let rows = p
+            .aggregate(
+                &[shadow.into()],
+                &[Symbol::intern("id")],
+                AggFunc::Count,
+                None,
+            )
+            .unwrap();
+        assert!(rows.is_empty());
+    }
+
+    /// A stage that fails mid-fixpoint loses no extensional fact, and the
+    /// next good stage computes what a fresh peer computes.
+    #[test]
+    fn failed_stage_keeps_facts_and_recovers() {
+        use crate::{NameTerm, WAtom, WBodyItem};
+        use wdl_datalog::{CmpOp, Term};
+        let build = |name: &str| {
+            let mut p = Peer::new(name);
+            p.declare("good", 1, RelationKind::Intensional).unwrap();
+            p.declare("mirror", 1, RelationKind::Intensional).unwrap();
+            for id in [1, 2, 3] {
+                p.insert_local("rate", ints(&[id, id + 2])).unwrap();
+            }
+            let rate = WAtom::at("rate", name, vec![Term::var("id"), Term::var("r")]);
+            let good = WAtom::at("good", name, vec![Term::var("id")]);
+            let high = WBodyItem::cmp(CmpOp::Ge, Term::var("r"), Term::cst(4));
+            p.add_rule(WRule::new(good, vec![rate.into(), high]))
+                .unwrap();
+            // `$rel@name($x) :- pick@name($rel, $x)` fills `mirror` in the
+            // dynamic layer's first round; `$x@name(1) :- mirror@name($x)`
+            // reads it in the second, and an integer in `mirror` fails the
+            // stage there with `BadNameBinding`.
+            let var_rel =
+                |rel: &str, args| WAtom::new(NameTerm::var(rel), NameTerm::name(name), args);
+            let pick = WAtom::at("pick", name, vec![Term::var("rel"), Term::var("x")]);
+            p.add_rule(WRule::new(
+                var_rel("rel", vec![Term::var("x")]),
+                vec![pick.into()],
+            ))
+            .unwrap();
+            let mirror = WAtom::at("mirror", name, vec![Term::var("x")]);
+            p.add_rule(WRule::new(
+                var_rel("x", vec![Term::cst(1)]),
+                vec![mirror.into()],
+            ))
+            .unwrap();
+            p.insert_local("pick", vec![Value::from("mirror"), Value::from("seen")])
+                .unwrap();
+            p
         };
-        let (one_three, two) = (vec![Value::from(1), Value::from(3)], vec![Value::from(2)]);
-        assert_eq!(ids(&[rate.clone(), high]), one_three);
-        assert_eq!(ids(&[good.clone().into()]), one_three);
-        assert_eq!(ids(&[good.clone().into(), rate.clone()]), one_three);
-        assert_eq!(ids(&[rate, WBodyItem::Literal(WLiteral::neg(good))]), two);
+        let mut p = build("failing-peer");
+        p.run_stage().unwrap();
+        p.insert_local("rate", ints(&[4, 9])).unwrap();
+        p.delete_local("rate", ints(&[1, 3])).unwrap();
+        let bad = vec![Value::from("mirror"), Value::from(7)];
+        p.insert_local("pick", bad.clone()).unwrap();
+        assert!(matches!(p.run_stage(), Err(WdlError::BadNameBinding(_))));
+        let rate = vec![
+            ints(&[2, 4]).into(),
+            ints(&[3, 5]).into(),
+            ints(&[4, 9]).into(),
+        ];
+        assert_eq!(sorted_facts(&p, "rate"), rate);
+        assert_eq!(sorted_facts(&p, "pick").len(), 2);
+
+        p.delete_local("pick", bad).unwrap();
+        p.run_stage().unwrap();
+        let mut fresh = build("failing-peer");
+        fresh.delete_local("rate", ints(&[1, 3])).unwrap();
+        fresh.insert_local("rate", ints(&[4, 9])).unwrap();
+        fresh.run_stage().unwrap();
+        for rel in ["rate", "pick", "good", "mirror"] {
+            assert_eq!(sorted_facts(&p, rel), sorted_facts(&fresh, rel), "{rel}");
+        }
+        assert_eq!(sorted_facts(&p, "good").len(), 3);
+        assert_eq!(
+            sorted_facts(&p, "mirror"),
+            vec![vec![Value::from("seen")].into()]
+        );
+    }
+
+    /// Declaring a relation extensional turns rows a rule derived into it
+    /// while it was undeclared back into soft state: they are not facts.
+    #[test]
+    fn declaring_extensional_drops_derived_rows() {
+        use crate::{NameTerm, WAtom};
+        use wdl_datalog::Term;
+        let mut p = Peer::new("declare-peer");
+        let head = WAtom::new(
+            NameTerm::var("rel"),
+            NameTerm::name("declare-peer"),
+            vec![Term::var("x")],
+        );
+        let pick = WAtom::at(
+            "pick",
+            "declare-peer",
+            vec![Term::var("rel"), Term::var("x")],
+        );
+        p.add_rule(WRule::new(head, vec![pick.into()])).unwrap();
+        p.insert_local("pick", vec![Value::from("shadow"), Value::from(1)])
+            .unwrap();
+        p.run_stage().unwrap();
+        assert!(p.insert_local("shadow", ints(&[2])).unwrap());
+        assert_eq!(sorted_facts(&p, "shadow"), vec![ints(&[2]).into()]);
+        let exported = p.export_state().facts;
+        assert_eq!(
+            exported
+                .iter()
+                .filter(|f| f.rel.as_str() == "shadow")
+                .count(),
+            1
+        );
+    }
+
+    /// An ingested fact whose arity differs from the declaration fails
+    /// the stage and leaves the relation as it was.
+    #[test]
+    fn ingested_arity_mismatch_is_rejected() {
+        let mut p = Peer::new("arity-peer");
+        p.declare("r", 2, RelationKind::Extensional).unwrap();
+        p.enqueue(Message::new(
+            Symbol::intern("other"),
+            Symbol::intern("arity-peer"),
+            Payload::Facts {
+                kind: FactKind::Persistent,
+                additions: vec![WFact::new("r", "arity-peer", ints(&[1]))],
+                retractions: vec![],
+            },
+        ));
+        let err = p.run_stage().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                WdlError::Datalog(wdl_datalog::DatalogError::ArityMismatch { .. })
+            ),
+            "{err}"
+        );
+        assert!(p.relation_facts("r").is_empty());
+        p.insert_local("r", ints(&[1, 2])).unwrap();
+        assert_eq!(p.relation_facts("r").len(), 1);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! restarts. [`PeerState`] captures everything durable about a peer:
 //! schema, extensional facts, own rules, installed delegations, trust
 //! settings and relation grants. Transient state (in-flight messages,
-//! per-stage diffs, the intensional snapshot) is deliberately *not*
-//! captured: a restarted peer re-derives its views at its first stage and
+//! per-stage diffs, remote contributions and derived facts) is
+//! deliberately *not* captured: a restarted peer re-derives its views at its first stage and
 //! its correspondents' diff protocols resynchronize from their side.
 //!
 //! Serialization to bytes/files lives in `wdl-net::snapshot` (which owns
@@ -59,7 +59,7 @@ impl Peer {
         let mut facts = Vec::new();
         for d in &decls {
             if d.kind == RelationKind::Extensional {
-                if let Some(rel) = self.store.relation(qualify(d.rel, self.name)) {
+                if let Some(rel) = self.incr.view.base_relation(qualify(d.rel, self.name)) {
                     for tuple in rel.iter() {
                         facts.push(WFact {
                             rel: d.rel,

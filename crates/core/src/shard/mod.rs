@@ -8,7 +8,7 @@
 //! that cost:
 //!
 //! * **Sharding** — peers are partitioned round-robin across a fixed set
-//!   of long-lived worker threads ([`self::worker`]), each owning its
+//!   of long-lived worker threads (`worker`), each owning its
 //!   peers' full state. No locks: the coordinator talks to shards over
 //!   channels, and a peer lives on exactly one shard for its lifetime.
 //! * **Inbox-driven scheduling** — a shard runs a peer's stage only when

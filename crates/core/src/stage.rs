@@ -112,7 +112,7 @@ impl Peer {
         // ---- Step 1: load inputs received since the previous stage.
         let inbox = std::mem::take(&mut self.inbox);
         stats.ingested_messages = inbox.len();
-        let mut store_changed = false;
+        let mut base_changed = false;
         for msg in inbox {
             if let Some(tr) = self.tracer.as_mut() {
                 tr.record(TraceEvent::MsgDeliver {
@@ -122,7 +122,7 @@ impl Peer {
                     items: msg.payload.item_count() as u64,
                 });
             }
-            self.ingest(msg, &mut stats, &mut store_changed)?;
+            self.ingest(msg, &mut stats, &mut base_changed)?;
         }
 
         // Apply extensional self-updates buffered by the previous stage's
@@ -130,20 +130,20 @@ impl Peer {
         let pending = std::mem::take(&mut self.pending_updates);
         for fact in pending {
             self.ensure_extensional(fact.rel, fact.arity())?;
-            let q = fact.qualified();
-            let tuple = fact.tuple;
-            if self.store.insert_tuple(q, tuple.clone())? {
+            if self.write_base(fact.rel, fact.tuple, true)? {
                 stats.applied_updates += 1;
-                store_changed = true;
-                self.log_base_change(DFact { pred: q, tuple }, true);
+                base_changed = true;
             }
         }
 
         // ---- Step 2: local fixpoint — the maintained view of the compiled
         // (fully local) rules plus the dynamic layer over it. See
-        // `maintain.rs` for the split.
-        let (state, rebuilt) = self.ensure_view()?;
-        let (outcome, rounds, derived_changed) = self.fixpoint_incremental(state, rebuilt)?;
+        // `maintain.rs` for the split. A failure may leave the view
+        // part-maintained, so it moves the ruleset epoch: the next stage
+        // rebuilds the view from its base.
+        let (outcome, rounds, derived_changed) = self
+            .fixpoint_incremental()
+            .inspect_err(|_| self.ruleset_epoch += 1)?;
         stats.fixpoint_rounds = rounds;
         stats.derivations = outcome.derivations;
         stats.reads_blocked = outcome.reads_blocked;
@@ -158,10 +158,10 @@ impl Peer {
         // Buffer extensional self-updates for the next stage.
         let mut self_updates = 0usize;
         for fact in &outcome.local_ext {
-            let q = fact.qualified();
             if !self
-                .store
-                .relation(q)
+                .incr
+                .view
+                .base_relation(fact.qualified())
                 .is_some_and(|r| r.contains(&fact.tuple))
             {
                 self.pending_updates.push(fact.clone());
@@ -248,7 +248,7 @@ impl Peer {
 
         let changed = stats.ingested_messages > 0
             || stats.applied_updates > 0
-            || store_changed
+            || base_changed
             || derived_changed
             || self_updates > 0
             || !messages.is_empty();
@@ -297,110 +297,72 @@ impl Peer {
         })
     }
 
-    /// Copies the declared intensional relations out of a saturated
-    /// database — the snapshot that `relation_facts`/`query` read, taken
-    /// whole only when the view was rebuilt this stage.
-    fn snapshot_intensional(&self, db: &Database) -> Result<Database> {
-        let mut derived = Database::new();
-        for decl in self.schema.iter() {
-            if decl.kind == RelationKind::Intensional {
-                let q = qualify(decl.rel, self.name);
-                derived.declare(q, decl.arity)?;
-                if let Some(rel) = db.relation(q) {
-                    // Id-plane copy: no per-row value resolution/re-intern.
-                    derived.copy_relation(q, rel)?;
-                }
-            }
-        }
-        Ok(derived)
-    }
-
     /// The stage fixpoint: the compiled rules' materialization is
-    /// *maintained* under the base changes logged since the previous
-    /// stage, and only the dynamic rules (delegations, remote atoms,
-    /// variable names, extensional heads — every rule, for a peer whose
-    /// program is empty) are re-evaluated — their local derivations feed
-    /// the view as base facts with external support, and derivations that
-    /// stop holding are retracted through the view at the start of the
-    /// next stage (per-stage soft state, as in the paper).
+    /// *maintained* under the base writes made since the previous stage,
+    /// and only the dynamic rules (delegations, remote atoms, variable
+    /// names, extensional heads — every rule, for a peer whose program is
+    /// empty) are re-evaluated — their local derivations feed the view as
+    /// base facts with external support, and derivations that stop
+    /// holding are retracted through the view at the start of the next
+    /// stage (per-stage soft state, as in the paper).
     ///
-    /// `state` is the view [`Peer::ensure_view`] took out of the peer; it
-    /// goes back only when the stage succeeds.
-    fn fixpoint_incremental(
-        &mut self,
-        mut state: crate::maintain::IncrementalState,
-        rebuilt: bool,
-    ) -> Result<(Outcome, usize, bool)> {
-        use wdl_datalog::incremental::Delta;
+    /// The flag is whether a declared intensional relation changed.
+    fn fixpoint_incremental(&mut self) -> Result<(Outcome, usize, bool)> {
+        use wdl_datalog::incremental::{Delta, MaterializedView};
 
         // Net membership changes of the intensional relations this stage:
         // +1 appeared, -1 disappeared (never beyond ±1 after netting). A
-        // rebuilt view is snapshotted whole, so it tracks nothing here.
+        // rebuild seeds it with what the rebuild changed.
         let intensional: HashSet<Symbol> = self
             .schema
             .iter()
             .filter(|d| d.kind == RelationKind::Intensional)
             .map(|d| qualify(d.rel, self.name))
             .collect();
-        let mut net: HashMap<DFact, i8> = HashMap::new();
+        let mut net = self.ensure_view(&intensional)?;
         // When traced, the view's differential maintenance records
         // per-rule costs here; they become `RuleEval` events below. An
         // empty program has no rules to profile.
-        let mut view_prof = (self.tracer.is_some() && !state.view.program().rules().is_empty())
+        let mut view_prof = (self.tracer.is_some() && !self.incr.view.program().rules().is_empty())
             .then(wdl_datalog::profile::RuleProfile::new);
-        let mut apply =
-            |state: &mut crate::maintain::IncrementalState, delta: &Delta| -> Result<()> {
-                let out = state.view.apply_profiled(delta, view_prof.as_mut())?;
-                if rebuilt {
-                    return Ok(());
+        let mut apply = |view: &mut MaterializedView, delta: &Delta| -> Result<()> {
+            let out = view.apply_profiled(delta, view_prof.as_mut())?;
+            let signed = out
+                .inserts
+                .into_iter()
+                .map(|f| (f, 1))
+                .chain(out.deletes.into_iter().map(|f| (f, -1)));
+            for (f, sign) in signed {
+                if !intensional.contains(&f.pred) {
+                    continue;
                 }
-                let signed = out
-                    .inserts
-                    .into_iter()
-                    .map(|f| (f, 1))
-                    .chain(out.deletes.into_iter().map(|f| (f, -1)));
-                for (f, sign) in signed {
-                    if !intensional.contains(&f.pred) {
-                        continue;
-                    }
-                    match net.entry(f) {
-                        std::collections::hash_map::Entry::Occupied(mut e) => {
-                            *e.get_mut() += sign;
-                            if *e.get() == 0 {
-                                e.remove();
-                            }
-                        }
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert(sign);
+                match net.entry(f) {
+                    std::collections::hash_map::Entry::Occupied(mut e) => {
+                        *e.get_mut() += sign;
+                        if *e.get() == 0 {
+                            e.remove();
                         }
                     }
+                    std::collections::hash_map::Entry::Vacant(e) => {
+                        e.insert(sign);
+                    }
                 }
-                Ok(())
-            };
-
-        // Base changes since the last stage, compressed to the last
-        // operation per fact (each log entry is a real store transition, so
-        // the last one decides final membership), plus retraction of the
-        // previous stage's dynamic-layer derivations (soft state: what the
-        // dynamic rules still support gets re-added below).
-        let mut last: HashMap<DFact, bool> = HashMap::new();
-        for (fact, added) in self.base_log.drain(..) {
-            last.insert(fact, added);
-        }
-        let mut delta = Delta::new();
-        for (fact, added) in last {
-            if added {
-                delta.insert(fact);
-            } else {
-                delta.delete(fact);
             }
-        }
+            Ok(())
+        };
+
+        // The base writes since the last stage are pending in the view;
+        // maintain them together with the retraction of the previous
+        // stage's dynamic-layer derivations (soft state: what the dynamic
+        // rules still support gets re-added below).
+        //
         // The view's base is a set, so a fact can carry external support
         // from *two* sources at once: the dynamic layer and a maintained
         // remote contribution. Retract the dynamic share only when no
         // contribution still stands, otherwise the fact (and everything
         // compiled on top of it) would vanish while a remote peer still
         // asserts it.
+        let mut delta = Delta::new();
         let prev_dynamic = std::mem::take(&mut self.prev_dynamic);
         let contrib_by_pred: HashMap<Symbol, _> = self
             .remote_contrib
@@ -415,9 +377,7 @@ impl Peer {
                 delta.delete(fact);
             }
         }
-        if !delta.is_empty() {
-            apply(&mut state, &delta)?;
-        }
+        apply(&mut self.incr.view, &delta)?;
 
         // Dynamic layer: evaluate non-compiled rules against the
         // materialization until no new local facts appear; each round's
@@ -445,7 +405,7 @@ impl Peer {
             let own = self
                 .rules
                 .iter()
-                .filter(|e| !state.compiled.contains(&e.id))
+                .filter(|e| !self.incr.compiled.contains(&e.id))
                 .map(|e| {
                     (
                         &e.rule,
@@ -474,7 +434,7 @@ impl Peer {
                 let d0 = outcome.derivations;
                 eval_rule(
                     &ctx,
-                    state.view.database(),
+                    self.incr.view.database(),
                     rule,
                     key,
                     &mut plans,
@@ -505,7 +465,7 @@ impl Peer {
             for f in fresh {
                 d.insert(f);
             }
-            apply(&mut state, &d)?;
+            apply(&mut self.incr.view, &d)?;
         }
         self.stage_plans = plans;
         self.prev_dynamic = dyn_cur;
@@ -524,34 +484,14 @@ impl Peer {
             }
         }
 
-        // Refresh the intensional snapshot: full copy after a rebuild,
-        // O(|change|) patching otherwise.
-        let derived_changed = if rebuilt {
-            let derived = self.snapshot_intensional(state.view.database())?;
-            let changed = !db_eq(&derived, &self.derived);
-            self.derived = derived;
-            changed
-        } else {
-            let changed = !net.is_empty();
-            for (fact, sign) in net {
-                if sign > 0 {
-                    self.derived.insert(fact)?;
-                } else {
-                    self.derived.remove(&fact);
-                }
-            }
-            changed
-        };
-
-        self.incr = Some(state);
-        Ok((outcome, rounds, derived_changed))
+        Ok((outcome, rounds, !net.is_empty()))
     }
 
     fn ingest(
         &mut self,
         msg: Message,
         stats: &mut StageStats,
-        store_changed: &mut bool,
+        base_changed: &mut bool,
     ) -> Result<()> {
         match msg.payload {
             Payload::Facts {
@@ -570,25 +510,20 @@ impl Peer {
                     }
                     match (kind, self.local_kind_or_declare(&fact)?) {
                         (_, RelationKind::Extensional) => {
-                            let q = fact.qualified();
-                            let tuple = fact.tuple;
-                            if self.store.insert_tuple(q, tuple.clone())? {
-                                *store_changed = true;
-                                self.log_base_change(DFact { pred: q, tuple }, true);
+                            if self.write_base(fact.rel, fact.tuple, true)? {
+                                *base_changed = true;
                             }
                         }
                         (FactKind::Derived, RelationKind::Intensional) => {
-                            let q = fact.qualified();
-                            let tuple = fact.tuple;
                             let entry = self
                                 .remote_contrib
                                 .entry(fact.rel)
                                 .or_default()
                                 .entry(msg.from)
                                 .or_default();
-                            if entry.insert(tuple.clone()) {
-                                *store_changed = true;
-                                self.log_base_change(DFact { pred: q, tuple }, true);
+                            if entry.insert(fact.tuple.clone()) {
+                                *base_changed = true;
+                                self.write_base(fact.rel, fact.tuple, true)?;
                             }
                         }
                         (FactKind::Persistent, RelationKind::Intensional) => {
@@ -609,37 +544,25 @@ impl Peer {
                     #[allow(clippy::collapsible_match)]
                     match (kind, self.schema.kind_of(fact.rel)) {
                         (FactKind::Persistent, Some(RelationKind::Extensional)) => {
-                            let dfact = DFact {
-                                pred: fact.qualified(),
-                                tuple: fact.tuple,
-                            };
-                            let removed = self.store.remove(&dfact);
-                            if removed {
-                                *store_changed = true;
-                                self.log_base_change(dfact, false);
+                            if self.write_base(fact.rel, fact.tuple, false)? {
+                                *base_changed = true;
                             }
                         }
                         (FactKind::Derived, Some(RelationKind::Intensional)) => {
-                            let q = fact.qualified();
-                            if let Some(origins) = self.remote_contrib.get_mut(&fact.rel) {
-                                if let Some(set) = origins.get_mut(&msg.from) {
-                                    if set.remove(&fact.tuple) {
-                                        *store_changed = true;
-                                        // The base fact stands while *any*
-                                        // origin still contributes it.
-                                        let still =
-                                            origins.values().any(|s| s.contains(&fact.tuple));
-                                        if !still {
-                                            self.log_base_change(
-                                                DFact {
-                                                    pred: q,
-                                                    tuple: fact.tuple,
-                                                },
-                                                false,
-                                            );
-                                        }
-                                    }
-                                }
+                            let Some(origins) = self.remote_contrib.get_mut(&fact.rel) else {
+                                continue;
+                            };
+                            if !origins
+                                .get_mut(&msg.from)
+                                .is_some_and(|set| set.remove(&fact.tuple))
+                            {
+                                continue;
+                            }
+                            *base_changed = true;
+                            // The base fact stands while *any* origin still
+                            // contributes it.
+                            if !origins.values().any(|s| s.contains(&fact.tuple)) {
+                                self.write_base(fact.rel, fact.tuple, false)?;
                             }
                         }
                         // Derived retractions against extensional relations
@@ -698,13 +621,6 @@ impl Peer {
             }
         }
     }
-}
-
-fn db_eq(a: &Database, b: &Database) -> bool {
-    if a.fact_count() != b.fact_count() {
-        return false;
-    }
-    a.facts().all(|f| b.contains(&f))
 }
 
 /// Evaluates one rule over `working`.
@@ -1739,7 +1655,7 @@ mod tests {
 
         // The compiled body leads with the *small* relation even though the
         // rule was written big-first.
-        let state = p.incr.as_ref().expect("fully local rule compiles");
+        let state = &p.incr;
         let first = state.view.program().rules()[0].body[0]
             .as_positive_atom()
             .expect("positive atom leads");
@@ -1896,7 +1812,7 @@ mod tests {
     /// Asserts the peer's view maintains exactly the own rules `ids`: they
     /// compiled, and nothing else (no delegated rule) entered the program.
     fn assert_compiled_view(p: &Peer, ids: &[RuleId]) {
-        let state = p.incr.as_ref().expect("every peer holds a view");
+        let state = &p.incr;
         let want: HashSet<RuleId> = ids.iter().copied().collect();
         assert_eq!(state.compiled, want, "exactly these rules compile");
         assert_eq!(state.view.program().rules().len(), ids.len());
@@ -1905,7 +1821,7 @@ mod tests {
     /// Asserts the peer runs a maintained view over the empty program:
     /// nothing compiled, every rule in the dynamic layer.
     fn assert_empty_program_view(p: &Peer) {
-        let state = p.incr.as_ref().expect("every peer holds a view");
+        let state = &p.incr;
         assert!(state.compiled.is_empty());
         assert!(state.view.program().rules().is_empty());
     }

@@ -159,16 +159,6 @@ impl Database {
         }
     }
 
-    /// Merges every fact of `other` into `self`. Returns the number of facts
-    /// that were new.
-    pub fn absorb(&mut self, other: &Database) -> Result<usize> {
-        let mut added = 0;
-        for (pred, rel) in other.relations() {
-            added += self.copy_relation(pred, rel)?;
-        }
-        Ok(added)
-    }
-
     /// Copies every tuple of `rel` into this database's `pred` relation,
     /// staying in the interned id plane (no resolution to values and no
     /// re-interning — the fast path for snapshotting/merging whole
@@ -226,18 +216,6 @@ mod tests {
         assert!(!db.remove(&fact("r", &[1])));
         assert!(!db.remove(&fact("absent", &[1])));
         assert_eq!(db.fact_count(), 0);
-    }
-
-    #[test]
-    fn absorb_counts_new_facts() {
-        let mut a = Database::new();
-        let mut b = Database::new();
-        a.insert(fact("r", &[1])).unwrap();
-        b.insert(fact("r", &[1])).unwrap();
-        b.insert(fact("r", &[2])).unwrap();
-        b.insert(fact("q", &[9])).unwrap();
-        assert_eq!(a.absorb(&b).unwrap(), 2);
-        assert_eq!(a.fact_count(), 3);
     }
 
     #[test]

@@ -790,7 +790,7 @@ pub(crate) fn derive_plan(
 // ---------------------------------------------------------------------
 
 /// A compiled **prefix plan**: a body-item sequence compiled to the same
-/// register-file steps as a [`RulePlan`], but instead of always firing a
+/// register-file steps as a `RulePlan`, but instead of always firing a
 /// rule head, execution *suspends* at the end of the sequence and yields
 /// the full register file to the caller.
 ///

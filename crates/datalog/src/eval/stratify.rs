@@ -14,7 +14,7 @@ use crate::{DatalogError, Result, Rule, Symbol};
 use std::collections::HashMap;
 
 /// The output of stratification: rule indices grouped by stratum, bottom-up.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Strata {
     /// `strata[i]` lists indices (into the program's rule vector) of the
     /// rules whose heads live in stratum `i`.

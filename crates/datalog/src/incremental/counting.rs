@@ -40,7 +40,7 @@ pub(super) fn maintain(
     base: &Database,
     counts: &mut HashMap<IdFact, u64>,
     changes: &mut Changes,
-    ext: &[(&crate::Fact, bool)],
+    ext: &[(&IdFact, bool)],
     mut profile: Option<&mut crate::profile::RuleProfile>,
 ) -> Result<()> {
     let compiled = program.eval_config().compiled;
@@ -126,10 +126,9 @@ pub(super) fn maintain(
     // is the source of truth); `ext_flip` remembers which facts flipped so
     // the old total can be reconstructed.
     let mut ext_flip: HashMap<IdFact, bool> = HashMap::new();
-    for (fact, added) in ext {
-        let idf = IdFact::of_fact(fact);
-        deriv_delta.entry(idf.clone()).or_insert(0);
-        ext_flip.insert(idf, *added);
+    for &(fact, added) in ext {
+        deriv_delta.entry(fact.clone()).or_insert(0);
+        ext_flip.insert(fact.clone(), added);
     }
 
     for (fact, d) in deriv_delta {
@@ -161,10 +160,10 @@ pub(super) fn maintain(
 
         if total_before == 0 && total_now > 0 {
             if db.insert_ids(fact.pred, fact.row.len(), &fact.row)? {
-                changes.record_insert_ids(&fact)?;
+                changes.record_insert(fact.pred, &fact.row)?;
             }
         } else if total_before > 0 && total_now == 0 && db.remove_ids(fact.pred, &fact.row) {
-            changes.record_delete_ids(&fact)?;
+            changes.record_delete(fact.pred, &fact.row)?;
         }
     }
     Ok(())

@@ -45,7 +45,7 @@ pub(super) fn maintain(
     db: &mut Database,
     base: &Database,
     changes: &mut Changes,
-    ext: &[(&Fact, bool)],
+    ext: &[(&IdFact, bool)],
 ) -> Result<()> {
     let compiled = program.eval_config().compiled;
     let limit = program.iteration_limit();
@@ -102,12 +102,9 @@ pub(super) fn maintain(
     let mut frontier = Database::new();
 
     // Base deletions of this stratum's own predicates start the frontier.
-    for (fact, added) in ext {
-        if !added {
-            let idf = IdFact::of_fact(fact);
-            if db.contains_ids(idf.pred, &idf.row) && over.insert(idf.clone()) {
-                frontier.insert_ids(idf.pred, idf.row.len(), &idf.row)?;
-            }
+    for &(fact, added) in ext {
+        if !added && db.contains_ids(fact.pred, &fact.row) && over.insert(fact.clone()) {
+            frontier.insert_ids(fact.pred, fact.row.len(), &fact.row)?;
         }
     }
     // Derivations destroyed by input changes: deleted positive inputs,
@@ -239,9 +236,9 @@ pub(super) fn maintain(
         Ok(())
     };
     // Base insertions of this stratum's own predicates.
-    for (fact, added_flag) in ext {
-        if *added_flag {
-            insert_fact(IdFact::of_fact(fact), db, &mut seed)?;
+    for &(fact, added) in ext {
+        if added {
+            insert_fact(fact.clone(), db, &mut seed)?;
         }
     }
     // Derivations gained through input changes: inserted positive inputs,
@@ -339,11 +336,11 @@ pub(super) fn maintain(
     // ---- Net effect of this stratum.
     for fact in &over {
         if !restored.contains(fact) {
-            changes.record_delete_ids(fact)?;
+            changes.record_delete(fact.pred, &fact.row)?;
         }
     }
     for fact in &added {
-        changes.record_insert_ids(fact)?;
+        changes.record_insert(fact.pred, &fact.row)?;
     }
     Ok(())
 }

@@ -11,15 +11,15 @@
 //!
 //! Two maintenance algorithms cooperate, chosen per stratum:
 //!
-//! * **Counting** ([`counting`]) for strata whose rules read only lower
+//! * **Counting** (`counting`) for strata whose rules read only lower
 //!   strata and base relations (no intra-stratum dependency). Each derived
 //!   fact carries its number of distinct derivations; exact differential
-//!   matching ([`crate::eval::match_body_at_slot`] with the
+//!   matching (`eval::match_body_at_slot` with the
 //!   prefix-new/suffix-old split) adjusts the counts, and a fact appears or
 //!   disappears exactly when its count crosses zero. Base facts carry one
 //!   unit of *external* support, which is how a base fact and a derivation
 //!   for the same tuple coexist.
-//! * **DRed** ([`dred`]) — delete and rederive — for recursive strata,
+//! * **DRed** (`dred`) — delete and rederive — for recursive strata,
 //!   where counting is unsound (a fact could count itself among its own
 //!   support). Overdeletion removes everything whose support *might* be
 //!   gone, rederivation re-proves what still holds from the remainder, and
@@ -64,7 +64,7 @@ mod dred;
 
 use crate::eval::NetChange;
 use crate::intern::{self, ValueId};
-use crate::{Database, Fact, Program, Result, Symbol};
+use crate::{Database, Fact, Program, Relation, Result, Symbol};
 use std::collections::{HashMap, HashSet};
 
 /// A ground fact in the interned id plane: the representation the
@@ -160,9 +160,9 @@ impl Delta {
     }
 }
 
-/// Net signed changes accumulated during one [`MaterializedView::apply`]
-/// pass: `ins`/`del` are disjoint and relate the current database to the
-/// pre-apply state (`old = db ∖ ins ∪ del`).
+/// Net signed changes since the last [`MaterializedView::apply`]: `ins`/`del`
+/// are disjoint and relate the current database to the state the last
+/// apply left (`old = db ∖ ins ∪ del`).
 #[derive(Default)]
 pub(crate) struct Changes {
     pub(crate) ins: Database,
@@ -170,38 +170,26 @@ pub(crate) struct Changes {
 }
 
 impl Changes {
-    /// Records that `fact` is now present (netting against an earlier
+    /// Records that a fact is now present (netting against an earlier
     /// recorded deletion).
-    fn record_insert(&mut self, fact: &Fact) -> Result<()> {
-        if !self.del.remove(fact) {
-            self.ins.insert(fact.clone())?;
+    fn record_insert(&mut self, pred: Symbol, row: &[ValueId]) -> Result<()> {
+        if !self.del.remove_ids(pred, row) {
+            self.ins.insert_ids(pred, row.len(), row)?;
         }
         Ok(())
     }
 
-    /// Records that `fact` is now absent (netting against an earlier
+    /// Records that a fact is now absent (netting against an earlier
     /// recorded insertion).
-    fn record_delete(&mut self, fact: &Fact) -> Result<()> {
-        if !self.ins.remove(fact) {
-            self.del.insert(fact.clone())?;
+    fn record_delete(&mut self, pred: Symbol, row: &[ValueId]) -> Result<()> {
+        if !self.ins.remove_ids(pred, row) {
+            self.del.insert_ids(pred, row.len(), row)?;
         }
         Ok(())
     }
 
-    /// Id-plane variant of [`Changes::record_insert`].
-    fn record_insert_ids(&mut self, fact: &IdFact) -> Result<()> {
-        if !self.del.remove_ids(fact.pred, &fact.row) {
-            self.ins.insert_ids(fact.pred, fact.row.len(), &fact.row)?;
-        }
-        Ok(())
-    }
-
-    /// Id-plane variant of [`Changes::record_delete`].
-    fn record_delete_ids(&mut self, fact: &IdFact) -> Result<()> {
-        if !self.ins.remove_ids(fact.pred, &fact.row) {
-            self.del.insert_ids(fact.pred, fact.row.len(), &fact.row)?;
-        }
-        Ok(())
+    fn is_empty(&self) -> bool {
+        self.ins.fact_count() == 0 && self.del.fact_count() == 0
     }
 
     /// The changed predicates among `preds`… (empty = nothing to do).
@@ -244,7 +232,11 @@ struct StratumInfo {
 /// after `apply(delta)`, [`MaterializedView::database`] equals what
 /// [`Program::eval`] would compute from scratch over the updated base, and
 /// the returned [`Delta`] lists exactly the facts (base and derived) whose
-/// membership changed.
+/// membership changed since the previous apply — including the writes
+/// [`MaterializedView::write_base`] made in between.
+///
+/// The default view maintains the empty program over the empty base.
+#[derive(Default)]
 pub struct MaterializedView {
     program: Program,
     /// External support: the base facts of *derived* predicates (those a
@@ -257,6 +249,13 @@ pub struct MaterializedView {
     /// support, which lives in `base`), keyed in the interned id plane.
     counts: HashMap<IdFact, u64>,
     strata: Vec<StratumInfo>,
+    /// Base writes to underived predicates since the last apply: already
+    /// in `db`, maintained through at the next apply.
+    pending: Changes,
+    /// External-support writes since the last apply, netted per fact
+    /// (`true` = added): already in `base`, handed to their strata at the
+    /// next apply.
+    pending_ext: HashMap<IdFact, bool>,
 }
 
 impl MaterializedView {
@@ -296,8 +295,8 @@ impl MaterializedView {
             program,
             base: external,
             db,
-            counts: HashMap::new(),
             strata,
+            ..MaterializedView::default()
         };
         view.init_counts()?;
         Ok(view)
@@ -311,6 +310,72 @@ impl MaterializedView {
     /// The program being maintained.
     pub fn program(&self) -> &Program {
         &self.program
+    }
+
+    /// The base rows of `pred`: the database's rows for a predicate no
+    /// rule derives, the external support otherwise.
+    pub fn base_relation(&self, pred: Symbol) -> Option<&Relation> {
+        match self.stratum_of(pred) {
+            Some(_) => self.base.relation(pred),
+            None => self.db.relation(pred),
+        }
+    }
+
+    /// Adds (`added`) or removes one base fact ahead of maintenance and
+    /// returns whether base membership changed. A fact of a predicate no
+    /// rule derives enters or leaves [`MaterializedView::database`] at
+    /// once; external support of a derived predicate is recorded. Either
+    /// way, the next [`MaterializedView::apply`] maintains what the write
+    /// implies, so derived facts trail the write until then.
+    pub fn write_base(&mut self, fact: &Fact, added: bool) -> Result<bool> {
+        let mut row = Vec::with_capacity(fact.tuple.len());
+        if added {
+            intern::intern_row(&fact.tuple, &mut row);
+        } else if !intern::lookup_row(&fact.tuple, &mut row) {
+            // A value never interned cannot be stored.
+            return Ok(false);
+        }
+        self.write_ids(fact.pred, &row, added)
+    }
+
+    /// Adds every row of `rel` to the base of `pred`, as
+    /// [`MaterializedView::write_base`] would, without leaving the id
+    /// plane.
+    pub fn write_base_relation(&mut self, pred: Symbol, rel: &Relation) -> Result<()> {
+        for row in rel.iter_ids() {
+            self.write_ids(pred, row, true)?;
+        }
+        Ok(())
+    }
+
+    fn write_ids(&mut self, pred: Symbol, row: &[ValueId], added: bool) -> Result<bool> {
+        let derived = self.stratum_of(pred).is_some();
+        let target = if derived {
+            &mut self.base
+        } else {
+            &mut self.db
+        };
+        let changed = if added {
+            target.insert_ids(pred, row.len(), row)?
+        } else {
+            target.remove_ids(pred, row)
+        };
+        if !changed {
+            return Ok(false);
+        }
+        if derived {
+            // Membership alternates, so an earlier pending write of the
+            // same fact is its opposite: the two cancel.
+            let fact = IdFact::new(pred, row);
+            if self.pending_ext.remove(&fact).is_none() {
+                self.pending_ext.insert(fact, added);
+            }
+        } else if added {
+            self.pending.record_insert(pred, row)?;
+        } else {
+            self.pending.record_delete(pred, row)?;
+        }
+        Ok(true)
     }
 
     /// Number of derivations currently supporting `fact` (counting strata
@@ -339,9 +404,10 @@ impl MaterializedView {
         Some(derived + external)
     }
 
-    /// Applies a batch of base changes and returns the net observable
-    /// change: every fact — base or derived — that appeared or disappeared
-    /// from the materialization.
+    /// Applies a batch of base changes on top of the pending
+    /// [`MaterializedView::write_base`] writes and returns the net
+    /// observable change since the previous apply: every fact — base or
+    /// derived — that appeared or disappeared from the materialization.
     ///
     /// Deletions of absent facts and insertions of present facts are
     /// ignored (idempotent batches).
@@ -361,45 +427,27 @@ impl MaterializedView {
         delta: &Delta,
         mut profile: Option<&mut crate::profile::RuleProfile>,
     ) -> Result<Delta> {
-        let mut changes = Changes::default();
-        // Pending external-support adjustments for IDB predicates, routed
-        // to their stratum's maintenance pass.
-        let mut ext: Vec<(usize, Fact, bool)> = Vec::new();
-
-        // Absent deletions and present insertions are no-ops: for a pure
-        // EDB predicate `db` membership is base membership, for a derived
-        // one `base` records the external support.
+        // Deletions first, so insert-after-delete leaves the fact present.
         for fact in &delta.deletes {
-            match self.stratum_of(fact.pred) {
-                None => {
-                    if self.db.remove(fact) {
-                        changes.record_delete(fact)?;
-                    }
-                }
-                Some(s) => {
-                    if self.base.remove(fact) {
-                        ext.push((s, fact.clone(), false));
-                    }
-                }
-            }
+            self.write_base(fact, false)?;
         }
         for fact in &delta.inserts {
-            match self.stratum_of(fact.pred) {
-                None => {
-                    if self.db.insert(fact.clone())? {
-                        changes.record_insert(fact)?;
-                    }
-                }
-                Some(s) => {
-                    if self.base.insert(fact.clone())? {
-                        ext.push((s, fact.clone(), true));
-                    }
-                }
-            }
+            self.write_base(fact, true)?;
         }
+        let mut changes = std::mem::take(&mut self.pending);
+        let pending_ext = std::mem::take(&mut self.pending_ext);
+        if changes.is_empty() && pending_ext.is_empty() {
+            return Ok(Delta::new());
+        }
+        // External-support flips of derived predicates, routed to their
+        // stratum's maintenance pass.
+        let ext: Vec<(usize, IdFact, bool)> = pending_ext
+            .into_iter()
+            .filter_map(|(f, added)| Some((self.stratum_of(f.pred)?, f, added)))
+            .collect();
 
         for (idx, info) in self.strata.iter().enumerate() {
-            let stratum_ext: Vec<(&Fact, bool)> = ext
+            let stratum_ext: Vec<(&IdFact, bool)> = ext
                 .iter()
                 .filter(|(s, _, _)| *s == idx)
                 .map(|(_, f, add)| (f, *add))
@@ -461,7 +509,8 @@ impl MaterializedView {
 
     /// Recomputes the materialization from scratch (reference semantics;
     /// used by tests and as a consistency oracle). The full base is the
-    /// non-derived relations of `db` plus the external support in `base`.
+    /// non-derived relations of `db` plus the external support in `base`,
+    /// pending writes included.
     pub fn recompute(&self) -> Result<Database> {
         let mut full = self.base.clone();
         for (pred, rel) in self.db.relations() {

@@ -48,6 +48,21 @@ pub struct Program {
     rederive_plans: Vec<RulePlan>,
 }
 
+/// The empty program: no rules, so it derives nothing.
+impl Default for Program {
+    fn default() -> Program {
+        Program {
+            rules: Vec::new(),
+            strata: Strata::default(),
+            iteration_limit: 1_000_000,
+            eval_config: EvalConfig::default(),
+            plans: Vec::new(),
+            diff_plans: Vec::new(),
+            rederive_plans: Vec::new(),
+        }
+    }
+}
+
 impl Program {
     /// Validates rules (left-to-right safety, stratifiability), compiles
     /// their execution plans and builds a program.
@@ -77,11 +92,10 @@ impl Program {
         Ok(Program {
             rules,
             strata,
-            iteration_limit: 1_000_000,
-            eval_config: EvalConfig::default(),
             plans,
             diff_plans,
             rederive_plans,
+            ..Program::default()
         })
     }
 

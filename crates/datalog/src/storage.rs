@@ -334,7 +334,7 @@ impl Relation {
         }
     }
 
-    /// Value-facing variant of [`Relation::for_each_match_ids`]: the key is
+    /// Value-facing variant of `Relation::for_each_match_ids`: the key is
     /// looked up in the interner (a never-interned value cannot match) and
     /// each matching row is resolved for the callback.
     pub fn for_each_match(&self, mask: ColMask, key: &[Value], mut f: impl FnMut(&[Value])) {

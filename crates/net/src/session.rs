@@ -113,13 +113,6 @@ pub struct SessionConfig {
     /// Per-link bound on unacknowledged frames; sends beyond it return
     /// [`crate::NetError::PeerUnreachable`] until acks free space.
     pub max_unacked: usize,
-    /// Send periodic `Hello` heartbeats on idle established links (off by
-    /// default: the simulator probes only while work is outstanding so
-    /// quiescence detection stays meaningful; real TCP deployments can
-    /// enable it to detect silent peer loss early).
-    pub idle_heartbeats: bool,
-    /// Heartbeat period when `idle_heartbeats` is on.
-    pub heartbeat_every_micros: u64,
     /// Mixed into the jitter RNG seed (together with the peer name) so
     /// simulation runs are a pure function of their seed.
     pub seed: u64,
@@ -133,8 +126,6 @@ impl Default for SessionConfig {
             suspect_after_micros: 8_000,
             down_after_micros: 30_000,
             max_unacked: 1024,
-            idle_heartbeats: false,
-            heartbeat_every_micros: 50_000,
             seed: 0,
         }
     }

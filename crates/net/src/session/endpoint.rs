@@ -400,12 +400,6 @@ impl<T: Transport> SessionEndpoint<T> {
                     probes.push(remote);
                     link.last_tx = now;
                 }
-            } else if self.cfg.idle_heartbeats
-                && link.remote_inc.is_some()
-                && now.saturating_sub(link.last_tx) >= self.cfg.heartbeat_every_micros
-            {
-                probes.push(remote);
-                link.last_tx = now;
             }
         }
         if probes.is_empty() {

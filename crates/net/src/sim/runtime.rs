@@ -366,7 +366,7 @@ impl SimRuntime {
     }
 
     /// Runs the event loop until the system is quiescent (every live peer
-    /// strung together [`QUIET_STEPS`] quiet steps with no deliveries or
+    /// strung together `QUIET_STEPS` quiet steps with no deliveries or
     /// control events outstanding) or `max_events` is exhausted.
     ///
     /// The loop may be re-entered: schedule more ops/crashes, change the

@@ -85,7 +85,7 @@ impl ActivityGraph {
         self.nodes.len()
     }
 
-    /// Stage executions discarded after [`NODE_CAP`] was hit.
+    /// Stage executions discarded after `NODE_CAP` was hit.
     pub fn dropped(&self) -> u64 {
         self.dropped
     }

@@ -403,24 +403,21 @@ impl<'a> Lexer<'a> {
         }
     }
 
+    /// Decodes the digits after `0x` straight into bytes, two nibbles per
+    /// byte, consuming every hex digit before checking the count.
     fn lex_hex(&mut self) -> Result<Vec<u8>, ParseError> {
-        let mut digits = String::new();
-        while let Some(c) = self.peek() {
-            if c.is_ascii_hexdigit() {
-                digits.push(c as char);
-                self.bump();
-            } else {
-                break;
+        let mut out = Vec::new();
+        let mut high: Option<u8> = None;
+        while let Some(nibble) = self.peek().and_then(|c| char::from(c).to_digit(16)) {
+            self.bump();
+            let nibble = nibble as u8;
+            match high.take() {
+                Some(h) => out.push(h << 4 | nibble),
+                None => high = Some(nibble),
             }
         }
-        if !digits.len().is_multiple_of(2) {
+        if high.is_some() {
             return Err(self.error("hex blob must have an even number of digits"));
-        }
-        let mut out = Vec::with_capacity(digits.len() / 2);
-        let bytes = digits.as_bytes();
-        for pair in bytes.chunks(2) {
-            let s = std::str::from_utf8(pair).expect("ascii hex");
-            out.push(u8::from_str_radix(s, 16).expect("checked hex digits"));
         }
         Ok(out)
     }
@@ -493,7 +490,10 @@ mod tests {
     fn hex_blob() {
         let ks = kinds("0xdeadBEEF");
         assert_eq!(ks[0], TokenKind::Bytes(vec![0xde, 0xad, 0xbe, 0xef]));
-        assert!(Lexer::new("0xabc").tokenize().is_err(), "odd digit count");
+        assert_eq!(kinds("0x")[0], TokenKind::Bytes(vec![]));
+        assert_eq!(kinds("0x0aF9")[0], TokenKind::Bytes(vec![0x0a, 0xf9]));
+        let err = Lexer::new("0xabc").tokenize().unwrap_err();
+        assert_eq!((err.line, err.col), (1, 6), "odd digit count at the end");
     }
 
     #[test]

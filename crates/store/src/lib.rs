@@ -5,13 +5,13 @@
 //! clean restarts and crashes. This crate is the storage engine behind the
 //! [`wdl_core::DurabilitySink`] seam:
 //!
-//! * **Segment files** ([`segment`]) — per-relation checkpoint files: a
+//! * **Segment files** (`segment`) — per-relation checkpoint files: a
 //!   versioned header, the slice of the value interner the relation
 //!   references (so segments are process-independent; `ValueId`s are
 //!   remapped on load), the raw columns as fixed-width little-endian
 //!   cells, and a CRC32 trailer. Written whole, fsynced, and committed
 //!   atomically by a manifest rename.
-//! * **Delta WAL** ([`wal`]) — between checkpoints, extensional base
+//! * **Delta WAL** (`wal`) — between checkpoints, extensional base
 //!   changes append to a write-ahead log as length-prefixed, CRC'd
 //!   records. Appends are group-committed at stage boundaries: a peer
 //!   never tells the network about state it could still lose.

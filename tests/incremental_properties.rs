@@ -1,9 +1,10 @@
-//! Property test for the incremental maintenance engine (ISSUE 1): for
-//! random interleaved insert/delete sequences, `MaterializedView::apply`
-//! must leave the materialization equal to a from-scratch seminaive
-//! recomputation over the final base — including across strata with
-//! negation — and the returned deltas must be exactly the membership
-//! changes.
+//! Property test for the incremental maintenance engine: for random
+//! interleaved insert/delete sequences — part written ahead of maintenance
+//! through `MaterializedView::write_base`, the rest passed to
+//! `MaterializedView::apply` — the materialization must equal a
+//! from-scratch seminaive recomputation over the final base, including
+//! across strata with negation and base facts of derived predicates, and
+//! the returned deltas must be exactly the membership changes.
 //!
 //! Hand-rolled generators over a seeded PRNG (no `proptest` offline);
 //! failures name the case seed for replay.
@@ -72,14 +73,19 @@ fn reach_program() -> Program {
 }
 
 /// The candidate base-fact pool for a program (small domains make
-/// collisions — repeated insert/delete of the same fact — likely).
+/// collisions — repeated insert/delete of the same fact — likely). Base
+/// facts of derived predicates (`path`, `reach`) carry external support.
 fn pool(program: usize, rng: &mut StdRng) -> Fact {
     match program {
-        0 => fact("edge", &[rng.gen_range(0..8), rng.gen_range(0..8)]),
-        _ => match rng.gen_range(0..4u32) {
+        0 => match rng.gen_range(0..4u32) {
+            0 => fact("path", &[rng.gen_range(0..8), rng.gen_range(0..8)]),
+            _ => fact("edge", &[rng.gen_range(0..8), rng.gen_range(0..8)]),
+        },
+        _ => match rng.gen_range(0..5u32) {
             0 => fact("edge", &[rng.gen_range(0..6), rng.gen_range(0..6)]),
             1 => fact("src", &[rng.gen_range(0..6)]),
             2 => fact("node", &[rng.gen_range(0..6)]),
+            3 => fact("reach", &[rng.gen_range(0..6)]),
             _ => fact("watch", &[rng.gen_range(0..6), rng.gen_range(0..10)]),
         },
     }
@@ -105,18 +111,29 @@ fn check_interleavings(program_id: usize, make_program: fn() -> Program, cases: 
         let batches = rng.gen_range(1..8usize);
         for batch_no in 0..batches {
             // Random interleaved batch: inserts and deletes, possibly of
-            // the same fact, possibly no-ops.
+            // the same fact, possibly no-ops. Each change is either
+            // written ahead of maintenance or queued in the delta.
+            let before: HashSet<Fact> = view.database().facts().collect();
             let mut delta = Delta::new();
             for _ in 0..rng.gen_range(1..10usize) {
                 let f = pool(program_id, &mut rng);
+                let added = rng.gen_bool(0.5);
                 if rng.gen_bool(0.5) {
+                    let held = view
+                        .base_relation(f.pred)
+                        .is_some_and(|r| r.contains(&f.tuple));
+                    assert_eq!(
+                        view.write_base(&f, added).unwrap(),
+                        held != added,
+                        "program {program_id} case {case} batch {batch_no}: \
+                         write_base reports a base membership change"
+                    );
+                } else if added {
                     delta.insert(f);
                 } else {
                     delta.delete(f);
                 }
             }
-
-            let before: HashSet<Fact> = view.database().facts().collect();
             let out = view.apply(&delta).unwrap();
             let after: HashSet<Fact> = view.database().facts().collect();
 
