@@ -10,8 +10,9 @@
 //! admissible post-crash divergence into silent staleness. At the end of
 //! every stage the peer calls [`DurabilitySink::sync`], which is the group
 //! commit point: buffered records become durable there, and structural
-//! changes (schema, rules, delegations, trust, grants — everything
-//! [`crate::PeerState`] carries besides facts) force a full checkpoint.
+//! changes (schema, rules, delegations, trust, grants — everything the
+//! peer image's meta part, `wdl_net::snapshot::write_meta`, carries)
+//! force a full checkpoint.
 //!
 //! The engine that implements this trait lives in `wdl-store`; keeping the
 //! trait here keeps the dependency arrow pointing outward (core knows

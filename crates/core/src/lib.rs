@@ -91,7 +91,6 @@ pub mod grants;
 mod maintain;
 mod message;
 mod peer;
-mod persist;
 mod rule;
 pub mod runtime;
 mod schema;
@@ -112,7 +111,6 @@ pub use fact::{qualify, unqualify, WFact};
 pub use grants::{AccessSet, RelationGrants};
 pub use message::{FactKind, Message, Payload};
 pub use peer::{Peer, RuleEntry, RuleId};
-pub use persist::PeerState;
 pub use rule::WRule;
 pub use schema::{RelationDecl, RelationKind, Schema};
 pub use shard::{ShardReport, ShardedRuntime};

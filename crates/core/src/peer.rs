@@ -198,7 +198,7 @@ impl Peer {
     /// whole peer runs one engine.
     ///
     /// Like [`Peer::set_fixpoint_limit`], this is a runtime tuning knob,
-    /// **not durable state**: snapshots ([`crate::PeerState`]) carry
+    /// **not durable state**: the peer image (`wdl_net::snapshot`) carries
     /// semantic state only, so a restored peer starts back on the default
     /// (compiled) engine — re-apply the toggle after restore when pinning
     /// the interpreter matters.
@@ -223,8 +223,8 @@ impl Peer {
     /// any previously installed sink.
     ///
     /// Like [`Peer::set_compiled_stage`], this is a runtime tuning
-    /// knob, **not durable state**: snapshots ([`crate::PeerState`])
-    /// carry semantic state only, so a restored peer comes up untraced.
+    /// knob, **not durable state**: the peer image (`wdl_net::snapshot`)
+    /// carries semantic state only, so a restored peer comes up untraced.
     /// Tracing never changes what a stage computes (pinned by the
     /// `trace_parity` suite); with no sink installed every hook is one
     /// branch, zero allocations and no clock reads (pinned by
@@ -1163,13 +1163,13 @@ mod tests {
         p.run_stage().unwrap();
         assert!(p.insert_local("shadow", ints(&[2])).unwrap());
         assert_eq!(sorted_facts(&p, "shadow"), vec![ints(&[2]).into()]);
-        let exported = p.export_state().facts;
+        let exported = p.export_extensional();
         assert_eq!(
             exported
                 .iter()
-                .filter(|f| f.rel.as_str() == "shadow")
-                .count(),
-            1
+                .find(|(rel, _)| rel.as_str() == "shadow")
+                .map(|(_, dump)| dump.rows),
+            Some(1)
         );
     }
 

@@ -5,8 +5,8 @@
 //! the stage loop exactly as fast as before tracing existed: one
 //! `is_some` branch per hook site, zero allocations, no clock reads
 //! (pinned by the workspace `trace_alloc` test). Installing a sink is a
-//! runtime tuning knob, **not** durable state: snapshots
-//! ([`crate::PeerState`]) carry semantic state only, and a restored
+//! runtime tuning knob, **not** durable state: the peer image
+//! (`wdl_net::snapshot`) carries semantic state only, and a restored
 //! peer comes up untraced.
 
 use std::collections::HashMap;

@@ -59,6 +59,12 @@ impl BytesMut {
     }
 }
 
+impl From<BytesMut> for Vec<u8> {
+    fn from(b: BytesMut) -> Vec<u8> {
+        b.0
+    }
+}
+
 impl Deref for BytesMut {
     type Target = [u8];
     fn deref(&self) -> &[u8] {

@@ -9,11 +9,15 @@
 //!   It either appends the buffered batch to the WAL (one write + fsync)
 //!   or, when structural state changed or the checkpoint policy fires,
 //!   folds everything into a fresh checkpoint.
-//! * [`Engine::checkpoint`] writes meta + segments + a fresh WAL under
-//!   the next epoch and commits them with an atomic manifest rename.
-//! * [`Engine::recover`] rebuilds a peer: manifest → meta → segments →
-//!   WAL tail replayed through `insert_local`/`delete_local` (the
-//!   incremental-maintenance path), truncating at the first torn record.
+//! * [`Engine::checkpoint`] writes the peer image of
+//!   [`wdl_net::snapshot`] — the meta image and one segment image per
+//!   extensional relation, one file each — plus a fresh WAL under the
+//!   next epoch, and commits them with an atomic manifest rename.
+//! * [`Engine::recover`] rebuilds a peer: manifest → meta → segments
+//!   (the same `read_meta` / `read_segment` / `import_extensional` calls
+//!   as `snapshot::load`) → WAL tail replayed through
+//!   `insert_local`/`delete_local` (the incremental-maintenance path),
+//!   truncating at the first torn record.
 //!
 //! Crash injection comes in two flavors: [`IoFaults`] fails the engine
 //! after a budgeted number of file operations (so a sweep can kill a
@@ -24,7 +28,6 @@
 
 use crate::error::{Result, StoreError};
 use crate::manifest::{Manifest, MANIFEST_FILE};
-use crate::segment::{read_meta, read_segment, write_meta_bytes, write_segment_bytes};
 use crate::wal::{self, WalEntry, WalRecord};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -33,6 +36,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use wdl_core::Peer;
 use wdl_datalog::{Symbol, Tuple, Value};
+use wdl_net::snapshot::{read_meta, read_segment, write_meta, write_segment_bytes};
 
 /// A buffered-but-not-yet-durable entry (alias of the WAL entry — the
 /// buffer is exactly the unwritten WAL suffix).
@@ -213,34 +217,20 @@ impl Engine {
     /// structural changes (`meta_dirty`), a missing WAL (first sync, or
     /// post-crash), or the checkpoint policy thresholds force the latter.
     pub fn sync(&mut self, peer: &Peer, meta_dirty: bool) -> Result<()> {
-        let need_checkpoint = meta_dirty
-            || self.wal.is_none()
+        let policy_due = meta_dirty
             || self.wal_records + self.buffer.len() >= self.checkpoint_records
             || self.wal_bytes >= self.checkpoint_bytes;
-        if need_checkpoint {
-            self.checkpoint(peer)
-        } else if self.buffer.is_empty() {
-            Ok(())
-        } else {
-            self.flush_wal()
+        match self.wal.as_mut() {
+            Some(wal) if !policy_due => {
+                if !self.buffer.is_empty() {
+                    self.wal_bytes += flush_wal(wal, &self.buffer, &mut self.faults)?;
+                    self.wal_records += self.buffer.len();
+                    self.buffer.clear();
+                }
+                Ok(())
+            }
+            _ => self.checkpoint(peer),
         }
-    }
-
-    /// Appends the buffered batch to the WAL as one write + fsync.
-    fn flush_wal(&mut self) -> Result<()> {
-        let mut batch = Vec::new();
-        for rec in &self.buffer {
-            batch.extend_from_slice(&wal::encode_record(rec));
-        }
-        self.faults.tick()?;
-        let wal = self.wal.as_mut().expect("flush_wal requires an open WAL");
-        wal.write_all(&batch)?;
-        self.faults.tick()?;
-        wal.sync_all()?;
-        self.wal_records += self.buffer.len();
-        self.wal_bytes += batch.len() as u64;
-        self.buffer.clear();
-        Ok(())
     }
 
     /// Writes a full checkpoint of `peer` under the next epoch and
@@ -249,16 +239,14 @@ impl Engine {
     pub fn checkpoint(&mut self, peer: &Peer) -> Result<()> {
         let epoch = self.epoch + 1;
 
-        let mut state = peer.export_state();
-        state.facts.clear();
         let meta_file = format!("meta-{epoch:016x}.ck");
-        self.write_file(&meta_file, &write_meta_bytes(&state))?;
+        self.write_file(&meta_file, &write_meta(peer))?;
 
         let mut segments = Vec::new();
-        for (i, (rel, dump)) in peer.export_extensional().iter().enumerate() {
+        for (i, (rel, dump)) in peer.export_extensional().into_iter().enumerate() {
             let file = format!("rel-{epoch:016x}-{i}.seg");
-            self.write_file(&file, &write_segment_bytes(*rel, dump))?;
-            segments.push((*rel, file));
+            self.write_file(&file, &write_segment_bytes(rel, &dump))?;
+            segments.push((rel, file));
         }
 
         let wal_file = format!("wal-{epoch:016x}.log");
@@ -301,22 +289,23 @@ impl Engine {
 
         let manifest = self.manifest()?;
         let meta_bytes = self.read_ref(&manifest.meta_file)?;
-        let mut state = read_meta(&meta_bytes, &manifest.meta_file)?;
-        if state.name != self.peer {
+        let mut peer = read_meta(&meta_bytes, "meta image")
+            .map_err(StoreError::decoding(&manifest.meta_file))?;
+        if peer.name() != self.peer {
             return Err(StoreError::corrupt(
                 &manifest.meta_file,
                 format!(
                     "meta checkpoint is for peer {}, this directory belongs to {}",
-                    state.name, self.peer
+                    peer.name(),
+                    self.peer
                 ),
             ));
         }
-        state.facts.clear();
-        let mut peer = Peer::import_state(state)?;
 
         for (rel, file) in &manifest.segments {
             let bytes = self.read_ref(file)?;
-            let (seg_rel, dump) = read_segment(&bytes, file)?;
+            let (seg_rel, dump) =
+                read_segment(&bytes, "segment").map_err(StoreError::decoding(file))?;
             if seg_rel != *rel {
                 return Err(StoreError::corrupt(
                     file,
@@ -495,6 +484,20 @@ impl Engine {
     }
 }
 
+/// Appends `batch` to the open WAL as one write + fsync; returns the
+/// bytes written.
+fn flush_wal(wal: &mut File, batch: &[WalEntry], faults: &mut IoFaults) -> Result<u64> {
+    let mut bytes = Vec::new();
+    for rec in batch {
+        bytes.extend_from_slice(&wal::encode_record(rec));
+    }
+    faults.tick()?;
+    wal.write_all(&bytes)?;
+    faults.tick()?;
+    wal.sync_all()?;
+    Ok(bytes.len() as u64)
+}
+
 /// Extracts the epoch from `meta-<hex>.ck` / `rel-<hex>-<i>.seg` /
 /// `wal-<hex>.log` file names.
 fn parse_epoch(name: &str) -> Option<u64> {
@@ -552,6 +555,75 @@ mod tests {
         let mut eng2 = Engine::open(&cfg, name).unwrap();
         let q = eng2.recover().unwrap();
         assert_eq!(q.relation_facts("pictures"), p.relation_facts("pictures"));
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// Splits a `snapshot::save` buffer into its length-prefixed images.
+    fn snapshot_images(mut buf: &[u8]) -> Vec<Vec<u8>> {
+        let mut images = Vec::new();
+        while !buf.is_empty() {
+            let (len, rest) = buf.split_at(4);
+            let len = u32::from_le_bytes(len.try_into().unwrap()) as usize;
+            images.push(rest[..len].to_vec());
+            buf = &rest[len..];
+        }
+        images
+    }
+
+    /// One format: the committed checkpoint files are byte-equal to the
+    /// images inside `snapshot::save`, and recovering from disk restores
+    /// the same peer as loading the snapshot.
+    #[test]
+    fn checkpoint_files_are_the_snapshot_images() {
+        use wdl_core::acl::UntrustedPolicy;
+        use wdl_core::{Delegation, WAtom, WRule};
+        use wdl_datalog::Term;
+        use wdl_net::snapshot;
+
+        let root = tmp_root("pin");
+        let cfg = DurabilityConfig::new(&root);
+        let name = Symbol::intern("engp7");
+        let mut p = sample_peer("engp7");
+        p.declare("album", 1, RelationKind::Extensional).unwrap();
+        p.declare("view", 2, RelationKind::Intensional).unwrap();
+        let xy = || vec![Term::var("x"), Term::var("y")];
+        let rule = WRule::new(
+            WAtom::at("view", "engp7", xy()),
+            vec![WAtom::at("pictures", "engp7", xy()).into()],
+        );
+        p.add_rule(rule.clone()).unwrap();
+        p.install_delegation(Delegation::new(Symbol::intern("engp7origin"), name, rule));
+        p.acl_mut().trust("engp7friend");
+        p.acl_mut().set_untrusted_policy(UntrustedPolicy::Reject);
+        p.grants_mut().restrict_read("pictures");
+        p.grants_mut().grant_read("pictures", "engp7friend");
+        p.grants_mut().declassify("view");
+        p.note_session_watermark(Symbol::intern("engp7friend"), 0, 2, 9);
+
+        let mut eng = Engine::open(&cfg, name).unwrap();
+        eng.checkpoint(&p).unwrap();
+        let saved = snapshot::save(&p);
+        let images = snapshot_images(&saved);
+        let manifest = eng.manifest().unwrap();
+        let on_disk = |file: &str| fs::read(eng.dir().join(file)).unwrap();
+        assert_eq!(on_disk(&manifest.meta_file), images[0]);
+        assert_eq!(manifest.segments.len(), images.len() - 1);
+        for ((_, file), image) in manifest.segments.iter().zip(&images[1..]) {
+            assert_eq!(&on_disk(file), image, "{file}");
+        }
+
+        let recovered = Engine::open(&cfg, name).unwrap().recover().unwrap();
+        let loaded = snapshot::load(&saved).unwrap();
+        let rules = |q: &Peer| q.rules().iter().map(|e| e.rule.clone()).collect::<Vec<_>>();
+        for q in [&recovered, &loaded] {
+            assert_eq!(q.export_extensional(), p.export_extensional());
+            assert_eq!(rules(q), rules(&p));
+            assert_eq!(q.installed_delegations(), p.installed_delegations());
+            assert_eq!(q.acl().trusted_peers(), p.acl().trusted_peers());
+            assert_eq!(q.acl().untrusted_policy(), p.acl().untrusted_policy());
+            assert_eq!(q.grants().export(), p.grants().export());
+            assert_eq!(q.session_watermarks(), p.session_watermarks());
+        }
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -38,6 +38,11 @@ impl StoreError {
         }
     }
 
+    /// Maps a failure to decode `file`'s bytes to a corruption error.
+    pub(crate) fn decoding(file: &str) -> impl Fn(wdl_net::NetError) -> StoreError + Copy + '_ {
+        move |e| StoreError::corrupt(file, e.to_string())
+    }
+
     /// Whether this is a corruption (as opposed to I/O or engine) error.
     pub fn is_corrupt(&self) -> bool {
         matches!(self, StoreError::Corrupt { .. })

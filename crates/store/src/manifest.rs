@@ -16,10 +16,10 @@
 //! ```
 
 use crate::error::{Result, StoreError};
-use crate::segment::check_envelope;
-use bytes::{BufMut, BytesMut};
+use bytes::BufMut;
 use wdl_datalog::Symbol;
 use wdl_net::codec::{put_str, Reader};
+use wdl_net::snapshot::{begin_envelope, check_envelope, seal_envelope};
 
 /// Name of the committed manifest inside a peer's storage directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
@@ -43,9 +43,7 @@ pub struct Manifest {
 impl Manifest {
     /// Encodes the manifest as a file image.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(128);
-        buf.put_u32_le(MANIFEST_MAGIC);
-        buf.put_u8(1);
+        let mut buf = begin_envelope(MANIFEST_MAGIC, 128);
         buf.put_u64_le(self.epoch);
         put_str(&mut buf, &self.meta_file);
         buf.put_u32_le(self.segments.len() as u32);
@@ -54,19 +52,13 @@ impl Manifest {
             put_str(&mut buf, file);
         }
         put_str(&mut buf, &self.wal_file);
-        let body = buf.freeze().to_vec();
-        let mut out = body.clone();
-        out.extend_from_slice(&crate::crc32(&body).to_le_bytes());
-        out
+        seal_envelope(buf)
     }
 
     /// Decodes and validates a manifest file image.
     pub fn decode(bytes: &[u8], file: &str) -> Result<Manifest> {
-        let body = check_envelope(bytes, MANIFEST_MAGIC, "manifest", file)?;
-        let mut r = Reader::new(body);
-        let err = |e: wdl_net::NetError| StoreError::corrupt(file, e.to_string());
-        r.u32().map_err(err)?;
-        r.u8().map_err(err)?;
+        let err = StoreError::decoding(file);
+        let mut r = Reader::new(check_envelope(bytes, MANIFEST_MAGIC, "manifest").map_err(err)?);
         let epoch = r.u64().map_err(err)?;
         let meta_file = r.str().map_err(err)?.to_string();
         let n = r.len().map_err(err)?;

@@ -25,11 +25,11 @@
 //! as segments: replay re-interns into whatever the recovering process's
 //! interner looks like.
 
-use crate::crc::crc32;
 use crate::error::{Result, StoreError};
 use bytes::{BufMut, BytesMut};
 use wdl_datalog::{Symbol, Tuple, Value};
 use wdl_net::codec::{put_str, put_value, Reader};
+use wdl_net::snapshot::crc32;
 
 /// WAL file magic ("WWAL", little-endian).
 const WAL_MAGIC: u32 = u32::from_le_bytes(*b"WWAL");

@@ -350,7 +350,7 @@ fn interning_is_invisible_in_snapshots() {
 #[test]
 fn segments_survive_a_skewed_interner() {
     use webdamlog::core::RelationKind;
-    use webdamlog::store::{read_segment, write_segment_bytes};
+    use webdamlog::net::snapshot::{read_segment, write_segment_bytes};
 
     let mut writer = Peer::new("segwriter");
     writer
