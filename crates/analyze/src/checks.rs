@@ -403,7 +403,7 @@ pub fn schema_conformance(models: &[PeerModel]) -> Vec<Diagnostic> {
                     if is_head
                         && peer != writer
                         && decl.kind == RelationKind::Extensional
-                        && !target.grants.can_write(rel, writer)
+                        && !target.acl.can_write(rel, writer)
                     {
                         out.push(
                             Diagnostic::new(
@@ -416,7 +416,7 @@ pub fn schema_conformance(models: &[PeerModel]) -> Vec<Diagnostic> {
                             .with_span(info.span)
                             .note(format!(
                                 "the update would be dropped at {peer}'s write gate; grant with \
-                                 `grants_mut().grant_write(\"{rel}\", \"{writer}\")`"
+                                 `acl_mut().grant_write(\"{rel}\", \"{writer}\")`"
                             )),
                         );
                     }

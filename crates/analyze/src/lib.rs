@@ -43,7 +43,7 @@ pub use graph::{DepGraph, Edge, EdgeKind, InstallEdge, Node};
 
 use std::collections::HashMap;
 use wdl_core::{
-    Diagnostic, Peer, ProgramBatch, ProgramCheck, RelationGrants, RelationKind, Schema, Span, WRule,
+    AccessControl, Diagnostic, Peer, ProgramBatch, ProgramCheck, RelationKind, Schema, Span, WRule,
 };
 use wdl_datalog::Symbol;
 use wdl_parser::{SpannedStatement, Statement};
@@ -71,37 +71,37 @@ pub struct RuleInfo {
     pub delegated_from: Option<Symbol>,
 }
 
-/// The analyzer's view of one peer: its name, declared schema, grants and
-/// rule set (own rules plus installed delegations).
+/// The analyzer's view of one peer: its name, declared schema, access
+/// policy and rule set (own rules plus installed delegations).
 #[derive(Clone, Debug)]
 pub struct PeerModel {
     /// Peer name.
     pub name: Symbol,
     /// Declared relations.
     pub schema: Schema,
-    /// Relation-level access grants.
-    pub grants: RelationGrants,
+    /// Access policy (the analyzer reads its write grants).
+    pub acl: AccessControl,
     /// Rules, in installation order.
     pub rules: Vec<RuleInfo>,
 }
 
 impl PeerModel {
-    /// An empty model for `name` (open grants, no declarations, no rules).
+    /// An empty model for `name` (open policy, no declarations, no rules).
     pub fn new(name: impl Into<Symbol>) -> PeerModel {
         PeerModel {
             name: name.into(),
             schema: Schema::new(),
-            grants: RelationGrants::new(),
+            acl: AccessControl::new(),
             rules: Vec::new(),
         }
     }
 
-    /// Snapshots a live peer: schema, grants, own rules (no source spans)
+    /// Snapshots a live peer: schema, access policy, own rules (no source spans)
     /// and installed delegations (tagged with their origin).
     pub fn from_peer(peer: &Peer) -> PeerModel {
         let mut model = PeerModel::new(peer.name());
         model.schema = peer.schema().clone();
-        model.grants = peer.grants().clone();
+        model.acl = peer.acl().clone();
         for entry in peer.rules() {
             model.rules.push(RuleInfo {
                 rule: entry.rule.clone(),

@@ -26,6 +26,8 @@
 //!   peers are parked in a pending queue until the user approves them, the
 //!   exact policy the demo shows ("each delegation sent by an untrusted peer
 //!   will be pending in a queue until the user explicitly accepts it").
+//!   The same per-peer policy carries relation read/write grants and
+//!   declassified views (§2, "Access control").
 //!
 //! ## A taste (the paper's `attendeePictures` rule)
 //!
@@ -87,7 +89,6 @@ pub mod diag;
 mod durability;
 mod error;
 mod fact;
-pub mod grants;
 mod maintain;
 mod message;
 mod peer;
@@ -99,7 +100,7 @@ mod stage;
 mod stage_plan;
 mod trace;
 
-pub use acl::{AccessControl, DelegationDecision, PendingDelegation};
+pub use acl::{AccessControl, PendingDelegation};
 pub use atom::{NameTerm, WAtom, WBodyItem, WLiteral};
 pub use delegation::{Delegation, DelegationId};
 pub use diag::{
@@ -108,7 +109,6 @@ pub use diag::{
 pub use durability::DurabilitySink;
 pub use error::{Result, WdlError};
 pub use fact::{qualify, unqualify, WFact};
-pub use grants::{AccessSet, RelationGrants};
 pub use message::{FactKind, Message, Payload};
 pub use peer::{Peer, RuleEntry, RuleId};
 pub use rule::WRule;

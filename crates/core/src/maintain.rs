@@ -12,7 +12,7 @@
 //!   statically: rules with remote atoms (they delegate), variable
 //!   relation/peer names, extensional heads (buffered self-updates),
 //!   remote heads (fact shipping), and all delegated rules (their reads
-//!   are gated per-origin by the grants policy, which can change without
+//!   are gated per-origin by the access policy, which can change without
 //!   notice). These are re-evaluated every stage by the classic walker in
 //!   `stage.rs`, and their local derivations feed the view as *base facts
 //!   with external support*, so the two layers can read each other's

@@ -1,7 +1,6 @@
 //! A WebdamLog peer: schema, storage, rules, delegations, ACL state.
 
 use crate::acl::AccessControl;
-use crate::grants::RelationGrants;
 use crate::stage::StageStats;
 use crate::{
     qualify, Delegation, DelegationId, FactKind, Message, Payload, RelationKind, Result, Schema,
@@ -54,7 +53,6 @@ pub struct Peer {
     /// Delegations installed here by other peers.
     pub(crate) delegated: Vec<Delegation>,
     pub(crate) acl: AccessControl,
-    pub(crate) grants: RelationGrants,
     pub(crate) inbox: Vec<Message>,
     /// Extensional self-updates derived by rules, applied at next stage.
     pub(crate) pending_updates: Vec<WFact>,
@@ -84,10 +82,10 @@ pub struct Peer {
     /// Whether stage-layer rules run as compiled register-file prefix
     /// plans (default) or on the `Subst` reference interpreter.
     pub(crate) compiled_stage: bool,
-    /// Bumped on every access to the mutable grants handle: the hoisted
-    /// per-origin ACL read gates of cached stage plans must be re-derived
-    /// when grants may have changed.
-    pub(crate) grants_epoch: u64,
+    /// Bumped on every access to the mutable policy handle: the hoisted
+    /// per-origin read gates of cached stage plans must be re-derived
+    /// when the policy may have changed.
+    pub(crate) policy_epoch: u64,
     /// Cached classified stage plans (see `stage_plan.rs`).
     pub(crate) stage_plans: crate::stage_plan::StagePlans,
     /// Trace sink + label cache when tracing is enabled; `None` (the
@@ -126,7 +124,6 @@ impl Peer {
             next_rule_idx: 0,
             delegated: Vec::new(),
             acl: AccessControl::new(),
-            grants: RelationGrants::new(),
             inbox: Vec::new(),
             pending_updates: Vec::new(),
             outbox_explicit: Vec::new(),
@@ -138,7 +135,7 @@ impl Peer {
             ruleset_epoch: 0,
             prev_dynamic: HashSet::new(),
             compiled_stage: true,
-            grants_epoch: 0,
+            policy_epoch: 0,
             stage_plans: crate::stage_plan::StagePlans::default(),
             tracer: None,
             last_stats: StageStats::default(),
@@ -159,32 +156,24 @@ impl Peer {
         self.stage
     }
 
-    /// Immutable access control state.
+    /// The peer's access policy: trust, the approval queue, relation
+    /// grants and declassified views.
     pub fn acl(&self) -> &AccessControl {
         &self.acl
     }
 
-    /// Mutable access control state (trust peers, change policy).
-    pub fn acl_mut(&mut self) -> &mut AccessControl {
-        self.meta_dirty = true;
-        &mut self.acl
-    }
-
-    /// Relation-level grants (the paper's sketched discretionary model).
-    pub fn grants(&self) -> &RelationGrants {
-        &self.grants
-    }
-
-    /// Relation-level grants, mutably (restrict/grant/declassify).
+    /// The peer's access policy, mutably (trust peers, change the
+    /// untrusted policy, restrict/grant/declassify relations).
     ///
     /// Any access through this handle may change what delegated rules can
-    /// read, so it conservatively bumps the grants epoch — cached stage
-    /// plans (whose per-literal ACL read gates are hoisted to compile
-    /// time) re-classify at the next stage.
-    pub fn grants_mut(&mut self) -> &mut RelationGrants {
-        self.grants_epoch += 1;
+    /// read, so it conservatively bumps the policy epoch — cached stage
+    /// plans (whose per-literal read gates are hoisted to compile time)
+    /// re-classify at the next stage — and marks the peer structurally
+    /// dirty, so the next group commit checkpoints the policy.
+    pub fn acl_mut(&mut self) -> &mut AccessControl {
+        self.policy_epoch += 1;
         self.meta_dirty = true;
-        &mut self.grants
+        &mut self.acl
     }
 
     /// Selects compiled register-file evaluation for this peer's stage
@@ -512,6 +501,7 @@ impl Peer {
             .acl
             .take_pending(id)
             .ok_or_else(|| WdlError::UnknownRule(format!("pending delegation {id}")))?;
+        self.meta_dirty = true;
         self.install_delegation(d);
         Ok(())
     }
@@ -519,6 +509,7 @@ impl Peer {
     /// Rejects (drops) a pending delegation.
     pub fn reject_delegation(&mut self, id: DelegationId) -> Result<()> {
         if self.acl.drop_pending(id) {
+            self.meta_dirty = true;
             Ok(())
         } else {
             Err(WdlError::UnknownRule(format!("pending delegation {id}")))
@@ -1171,6 +1162,129 @@ mod tests {
                 .map(|(_, dump)| dump.rows),
             Some(1)
         );
+    }
+
+    /// Pin: a failed stage leaves the view part-maintained, so until the
+    /// next stage intensional reads show what the interrupted stage had
+    /// derived — the compiled layer's maintenance and the dynamic layer's
+    /// completed rounds. The next good stage rebuilds and drops them.
+    #[test]
+    fn intensional_reads_after_failed_stage_show_interrupted_stage() {
+        use crate::{NameTerm, WAtom, WBodyItem};
+        use wdl_datalog::{CmpOp, Term};
+        let me = "interrupted-peer";
+        let mut p = Peer::new(me);
+        p.declare("good", 1, RelationKind::Intensional).unwrap();
+        p.declare("mirror", 1, RelationKind::Intensional).unwrap();
+        let rate = WAtom::at("rate", me, vec![Term::var("id"), Term::var("r")]);
+        let high = WBodyItem::cmp(CmpOp::Ge, Term::var("r"), Term::cst(4));
+        let good = WAtom::at("good", me, vec![Term::var("id")]);
+        p.add_rule(WRule::new(good, vec![rate.into(), high]))
+            .unwrap();
+        // Round 1 copies `pick` rows into the relation they name; round 2
+        // uses `mirror` rows as relation names, and an integer fails it.
+        let var_rel = |rel: &str, args| WAtom::new(NameTerm::var(rel), NameTerm::name(me), args);
+        let pick = WAtom::at("pick", me, vec![Term::var("rel"), Term::var("x")]);
+        p.add_rule(WRule::new(
+            var_rel("rel", vec![Term::var("x")]),
+            vec![pick.into()],
+        ))
+        .unwrap();
+        let mirror = WAtom::at("mirror", me, vec![Term::var("x")]);
+        p.add_rule(WRule::new(
+            var_rel("x", vec![Term::cst(1)]),
+            vec![mirror.into()],
+        ))
+        .unwrap();
+        p.insert_local("rate", ints(&[1, 5])).unwrap();
+        p.run_stage().unwrap();
+        assert_eq!(sorted_facts(&p, "good"), vec![ints(&[1]).into()]);
+        assert!(sorted_facts(&p, "mirror").is_empty());
+
+        p.insert_local("rate", ints(&[2, 9])).unwrap();
+        let bad = vec![Value::from("mirror"), Value::from(7)];
+        p.insert_local("pick", bad.clone()).unwrap();
+        assert!(matches!(p.run_stage(), Err(WdlError::BadNameBinding(_))));
+        assert_eq!(
+            sorted_facts(&p, "good"),
+            vec![ints(&[1]).into(), ints(&[2]).into()]
+        );
+        assert_eq!(sorted_facts(&p, "mirror"), vec![ints(&[7]).into()]);
+
+        p.delete_local("pick", bad).unwrap();
+        p.run_stage().unwrap();
+        assert_eq!(
+            sorted_facts(&p, "good"),
+            vec![ints(&[1]).into(), ints(&[2]).into()]
+        );
+        assert!(sorted_facts(&p, "mirror").is_empty());
+    }
+
+    /// Pin: declaring a relation intensional exposes, until the next
+    /// stage, rows the dynamic layer derived into it while it was
+    /// undeclared — even when their support is already gone.
+    #[test]
+    fn newly_intensional_relation_shows_rows_derived_while_undeclared() {
+        use crate::{NameTerm, WAtom};
+        use wdl_datalog::Term;
+        let me = "late-intensional";
+        let mut p = Peer::new(me);
+        let head = WAtom::new(
+            NameTerm::var("rel"),
+            NameTerm::name(me),
+            vec![Term::var("x")],
+        );
+        let pick = WAtom::at("pick", me, vec![Term::var("rel"), Term::var("x")]);
+        p.add_rule(WRule::new(head, vec![pick.into()])).unwrap();
+        let row = vec![Value::from("shadow"), Value::from(1)];
+        p.insert_local("pick", row.clone()).unwrap();
+        p.run_stage().unwrap();
+        assert!(p.relation_facts("shadow").is_empty());
+
+        p.delete_local("pick", row).unwrap();
+        p.declare("shadow", 1, RelationKind::Intensional).unwrap();
+        assert_eq!(sorted_facts(&p, "shadow"), vec![ints(&[1]).into()]);
+        p.run_stage().unwrap();
+        assert!(p.relation_facts("shadow").is_empty());
+    }
+
+    /// Pin: declaring a relation extensional does not retract what the
+    /// compiled program derived into it. Until the next stage rebuilds
+    /// the program, a query body over the relation sees those derived
+    /// rows, while `relation_facts` and exports read its (empty) base.
+    #[test]
+    fn query_over_newly_extensional_relation_sees_derived_rows_until_next_stage() {
+        use crate::WAtom;
+        use wdl_datalog::Term;
+        let me = "late-extensional";
+        let mut p = Peer::new(me);
+        let v = WAtom::at("v", me, vec![Term::var("id")]);
+        let item = WAtom::at("item", me, vec![Term::var("id")]);
+        p.add_rule(WRule::new(v.clone(), vec![item.into()]))
+            .unwrap();
+        p.insert_local("item", ints(&[1])).unwrap();
+        p.run_stage().unwrap();
+
+        p.declare("v", 1, RelationKind::Extensional).unwrap();
+        let body = [v.into()];
+        assert_eq!(query_ids(&p, &body), ints(&[1]));
+        assert!(p.relation_facts("v").is_empty());
+        let exported = p.export_extensional();
+        let (_, dump) = exported
+            .iter()
+            .find(|(rel, _)| rel.as_str() == "v")
+            .unwrap();
+        assert_eq!(dump.rows, 0);
+
+        // The rebuilt program no longer derives `v`: the rule's head is
+        // extensional now, so it buffers `v(1)` as a self-update, which
+        // the stage after applies as a fact.
+        p.run_stage().unwrap();
+        assert!(query_ids(&p, &body).is_empty());
+        assert!(p.relation_facts("v").is_empty());
+        p.run_stage().unwrap();
+        assert_eq!(query_ids(&p, &body), ints(&[1]));
+        assert_eq!(sorted_facts(&p, "v"), vec![ints(&[1]).into()]);
     }
 
     /// An ingested fact whose arity differs from the declaration fails

@@ -16,7 +16,7 @@
 
 use crate::stage_plan::{classify, CompiledRule, Cut, HeadPlan, NameSrc, PlanKey, StagePlans};
 use crate::{
-    qualify, Delegation, DelegationDecision, DelegationId, FactKind, Message, Payload, Peer,
+    acl::UntrustedPolicy, qualify, Delegation, DelegationId, FactKind, Message, Payload, Peer,
     RelationKind, Result, WBodyItem, WFact, WRule, WdlError,
 };
 use std::collections::{HashMap, HashSet};
@@ -82,7 +82,7 @@ struct Outcome {
 struct EvalCtx<'a> {
     peer: Symbol,
     schema: &'a crate::Schema,
-    grants: &'a crate::RelationGrants,
+    acl: &'a crate::AccessControl,
     /// Static relation-level provenance of local views (for the default
     /// view read policy).
     view_bases: &'a HashMap<Symbol, HashSet<Symbol>>,
@@ -383,12 +383,10 @@ impl Peer {
         // materialization until no new local facts appear; each round's
         // fresh facts are folded into the view (so compiled rules react to
         // them) before the next round.
-        let view_bases = crate::grants::view_base_relations(
-            self.name,
-            self.rules.iter().map(|e| e.rule.clone()),
-        );
+        let view_bases =
+            crate::acl::view_base_relations(self.name, self.rules.iter().map(|e| &e.rule));
         let mut plans = std::mem::take(&mut self.stage_plans);
-        plans.ensure_epoch(self.ruleset_epoch, self.grants_epoch);
+        plans.ensure_epoch(self.ruleset_epoch, self.policy_epoch);
         let use_plans = self.compiled_stage;
 
         let mut outcome = Outcome::default();
@@ -426,7 +424,7 @@ impl Peer {
                 let ctx = EvalCtx {
                     peer: self.name,
                     schema: &self.schema,
-                    grants: &self.grants,
+                    acl: &self.acl,
                     view_bases: &view_bases,
                     origin,
                 };
@@ -504,7 +502,7 @@ impl Peer {
                         stats.rejected += 1;
                         continue;
                     }
-                    if !self.grants.can_write(fact.rel, msg.from) {
+                    if !self.acl.can_write(fact.rel, msg.from) {
                         stats.rejected += 1;
                         continue;
                     }
@@ -537,7 +535,7 @@ impl Peer {
                         stats.rejected += 1;
                         continue;
                     }
-                    if !self.grants.can_write(fact.rel, msg.from) {
+                    if !self.acl.can_write(fact.rel, msg.from) {
                         stats.rejected += 1;
                         continue;
                     }
@@ -583,9 +581,11 @@ impl Peer {
                         continue;
                     }
                     match self.acl.decide(d.origin) {
-                        DelegationDecision::Install => self.install_delegation(d),
-                        DelegationDecision::Queue => self.acl.push_pending(d, self.stage),
-                        DelegationDecision::Reject => stats.rejected += 1,
+                        UntrustedPolicy::Accept => self.install_delegation(d),
+                        UntrustedPolicy::Queue => {
+                            self.meta_dirty |= self.acl.push_pending(d, self.stage);
+                        }
+                        UntrustedPolicy::Reject => stats.rejected += 1,
                     }
                 }
             }
@@ -593,6 +593,7 @@ impl Peer {
                 for id in ids {
                     let removed = self.remove_delegation(id);
                     let dropped = self.acl.drop_pending(id);
+                    self.meta_dirty |= dropped;
                     if !removed && !dropped {
                         stats.rejected += 1;
                     }
@@ -658,10 +659,10 @@ fn eval_rule(
     let srp = match key {
         PlanKey::Own(id) => own
             .entry(id)
-            .or_insert_with(|| classify(rule, ctx.peer, ctx.origin, ctx.grants, ctx.view_bases)),
+            .or_insert_with(|| classify(rule, ctx.peer, ctx.origin, ctx.acl, ctx.view_bases)),
         PlanKey::Delegated(id) => delegated
             .entry(id)
-            .or_insert_with(|| classify(rule, ctx.peer, ctx.origin, ctx.grants, ctx.view_bases)),
+            .or_insert_with(|| classify(rule, ctx.peer, ctx.origin, ctx.acl, ctx.view_bases)),
     };
     match srp {
         crate::stage_plan::StageRulePlan::Interpreted => {
@@ -872,7 +873,7 @@ fn walk(
                 // to read this relation (directly, and through the
                 // provenance-derived policy for views).
                 if let Some(origin) = ctx.origin {
-                    if !ctx.grants.can_read(rel, origin, ctx.view_bases) {
+                    if !ctx.acl.can_read(rel, origin, ctx.view_bases) {
                         outcome.reads_blocked += 1;
                         return Ok(());
                     }
@@ -1699,7 +1700,7 @@ mod tests {
 
             // Restrict reads: the next stage must block the delegated read
             // (and retract the derivation) on both engines.
-            p.grants_mut().restrict_read("secret");
+            p.acl_mut().restrict_read("secret");
             let out = p.run_stage().unwrap();
             assert_eq!(out.stats.reads_blocked, 1, "compiled={compiled}");
             assert!(p.relation_facts("feed").is_empty());
@@ -1713,7 +1714,7 @@ mod tests {
     fn classifier_compiles_expected_cut_shapes() {
         use crate::stage_plan::{classify, Cut, StageRulePlan};
         let me = Symbol::intern("shape");
-        let grants = crate::RelationGrants::new();
+        let acl = crate::AccessControl::new();
         let vb = HashMap::new();
         let item = |peer: &str| WAtom::at("item", peer, vec![Term::var("x")]);
 
@@ -1725,7 +1726,7 @@ mod tests {
                 WBodyItem::not_atom(WAtom::at("blocked", "shape", vec![Term::var("x")])),
             ],
         );
-        let StageRulePlan::Compiled(c) = classify(&fully_local, me, None, &grants, &vb) else {
+        let StageRulePlan::Compiled(c) = classify(&fully_local, me, None, &acl, &vb) else {
             panic!("fully local rule must compile");
         };
         assert!(matches!(c.cut, Cut::Head(_)));
@@ -1735,7 +1736,7 @@ mod tests {
             WAtom::at("v", "shape", vec![Term::var("x")]),
             vec![item("shape").into(), item("elsewhere").into()],
         );
-        let StageRulePlan::Compiled(c) = classify(&remote, me, None, &grants, &vb) else {
+        let StageRulePlan::Compiled(c) = classify(&remote, me, None, &acl, &vb) else {
             panic!("split rule must compile");
         };
         assert!(matches!(c.cut, Cut::Delegate { idx: 1, .. }));
@@ -1753,13 +1754,13 @@ mod tests {
                 .into(),
             ],
         );
-        let StageRulePlan::Compiled(c) = classify(&varpeer, me, None, &grants, &vb) else {
+        let StageRulePlan::Compiled(c) = classify(&varpeer, me, None, &acl, &vb) else {
             panic!("variable-peer rule must compile its prefix");
         };
         assert!(matches!(c.cut, Cut::Resume { idx: 1, .. }));
 
         // Delegated rule reading a restricted relation → Cut::Blocked.
-        let mut restricted = crate::RelationGrants::new();
+        let mut restricted = crate::AccessControl::new();
         restricted.restrict_read("item");
         let gated = WRule::new(
             WAtom::at("v", "origin", vec![Term::var("x")]),

@@ -4,7 +4,7 @@
 //! The stage loop used to evaluate every rule — own and delegated — with
 //! the `Subst` interpreter (`stage.rs::walk`): literal by literal, cloning
 //! a symbol-keyed substitution per join candidate. This module compiles
-//! each rule **once per (rule, ruleset epoch, grants epoch)** into a
+//! each rule **once per (rule, ruleset epoch, policy epoch)** into a
 //! [`StageRulePlan`]:
 //!
 //! 1. **Classification.** The body splits at the first item the compiled
@@ -13,8 +13,8 @@
 //!    a *variable* relation or peer name (resolvable only from runtime
 //!    bindings), or — for delegated rules — the first local literal whose
 //!    relation the origin may not read (the per-literal ACL read gate,
-//!    hoisted to compile time per origin; grants changes bump
-//!    `Peer::grants_epoch`, invalidating the cache).
+//!    hoisted to compile time per origin; every `Peer::acl_mut` bumps
+//!    the peer's policy epoch, invalidating the cache).
 //! 2. **Prefix compilation.** Everything before the cut — local
 //!    constant-named literals (positive and negated), comparisons,
 //!    assignments — compiles to a [`wdl_datalog::eval::BodyPlan`]: a
@@ -33,7 +33,7 @@
 //! property suite (`tests/stage_parity.rs`) pins the two paths to identical
 //! outcomes, delegations, and blocked-read counts.
 
-use crate::{qualify, RelationGrants, WAtom, WBodyItem, WRule};
+use crate::{qualify, AccessControl, WAtom, WBodyItem, WRule};
 use std::collections::{HashMap, HashSet};
 use wdl_datalog::eval::{BodyPlan, BodyScratch};
 use wdl_datalog::intern::ValueId;
@@ -174,7 +174,7 @@ pub(crate) fn classify(
     rule: &WRule,
     me: Symbol,
     origin: Option<Symbol>,
-    grants: &RelationGrants,
+    acl: &AccessControl,
     view_bases: &HashMap<Symbol, HashSet<Symbol>>,
 ) -> StageRulePlan {
     enum CutKind {
@@ -189,7 +189,7 @@ pub(crate) fn classify(
             WBodyItem::Literal(l) => match (l.atom.rel.as_name(), l.atom.peer.as_name()) {
                 (Some(rel), Some(p)) if p == me => {
                     if let Some(o) = origin {
-                        if !grants.can_read(rel, o, view_bases) {
+                        if !acl.can_read(rel, o, view_bases) {
                             cut_at = Some((i, CutKind::Blocked));
                             break;
                         }
@@ -252,14 +252,15 @@ pub(crate) fn classify(
 }
 
 /// Per-peer cache of classified stage plans, invalidated when the ruleset
-/// epoch (rule/schema changes, which also move `view_bases`) or the grants
-/// epoch (ACL mutations, which move the hoisted read gates) advances.
+/// epoch (rule/schema changes, which also move `view_bases`) or the policy
+/// epoch (access-policy mutations, which move the hoisted read gates)
+/// advances.
 /// Delegated entries are keyed by content-addressed [`crate::DelegationId`],
 /// so delegation churn reuses plans without invalidation.
 #[derive(Default)]
 pub(crate) struct StagePlans {
     pub(crate) epoch: u64,
-    pub(crate) grants_epoch: u64,
+    pub(crate) policy_epoch: u64,
     pub(crate) own: HashMap<crate::RuleId, StageRulePlan>,
     pub(crate) delegated: HashMap<crate::DelegationId, StageRulePlan>,
     /// Shared register-file / probe-key buffers, reused across plans.
@@ -268,12 +269,12 @@ pub(crate) struct StagePlans {
 
 impl StagePlans {
     /// Drops every cached plan if either epoch moved.
-    pub(crate) fn ensure_epoch(&mut self, epoch: u64, grants_epoch: u64) {
-        if self.epoch != epoch || self.grants_epoch != grants_epoch {
+    pub(crate) fn ensure_epoch(&mut self, epoch: u64, policy_epoch: u64) {
+        if self.epoch != epoch || self.policy_epoch != policy_epoch {
             self.own.clear();
             self.delegated.clear();
             self.epoch = epoch;
-            self.grants_epoch = grants_epoch;
+            self.policy_epoch = policy_epoch;
         }
     }
 

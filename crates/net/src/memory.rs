@@ -2,9 +2,8 @@
 //!
 //! Models the demo's LAN (Figure 2) inside one process: every peer gets an
 //! endpoint backed by an unbounded channel, a shared hub routes by peer
-//! name. Delivery is FIFO per sender-receiver pair and lossless by default;
-//! a deterministic fault plan (`drop_every_nth`) supports failure-injection
-//! tests without randomness.
+//! name. Delivery is FIFO per sender-receiver pair and lossless; fault
+//! injection lives in the simulator (`crate::sim`).
 
 use crate::{NetError, Transport};
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -14,21 +13,8 @@ use std::sync::Arc;
 use wdl_core::Message;
 use wdl_datalog::Symbol;
 
-/// Deterministic fault plan for the in-memory network.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FaultPlan {
-    /// If `Some(n)`, every n-th send (1-based count) is silently dropped.
-    pub drop_every_nth: Option<u64>,
-}
-
-#[derive(Default)]
-struct Hub {
-    channels: HashMap<Symbol, Sender<Message>>,
-    faults: FaultPlan,
-    sent: u64,
-    delivered: u64,
-    dropped: u64,
-}
+/// Every registered peer's inbound channel, by name.
+type Hub = HashMap<Symbol, Sender<Message>>;
 
 /// A shared in-process network hub.
 #[derive(Clone, Default)]
@@ -37,7 +23,7 @@ pub struct InMemoryNetwork {
 }
 
 impl InMemoryNetwork {
-    /// New, fault-free network.
+    /// New, empty network.
     pub fn new() -> InMemoryNetwork {
         InMemoryNetwork::default()
     }
@@ -50,27 +36,16 @@ impl InMemoryNetwork {
     pub fn endpoint(&self, peer: impl Into<Symbol>) -> Result<MemoryEndpoint, NetError> {
         let peer = peer.into();
         let mut hub = self.hub.lock();
-        if hub.channels.contains_key(&peer) {
+        if hub.contains_key(&peer) {
             return Err(NetError::DuplicateEndpoint(peer.to_string()));
         }
         let (tx, rx) = unbounded();
-        hub.channels.insert(peer, tx);
+        hub.insert(peer, tx);
         Ok(MemoryEndpoint {
             name: peer,
             hub: Arc::clone(&self.hub),
             rx,
         })
-    }
-
-    /// Installs a fault plan (applies to subsequent sends).
-    pub fn set_faults(&self, plan: FaultPlan) {
-        self.hub.lock().faults = plan;
-    }
-
-    /// `(sent, delivered, dropped)` counters.
-    pub fn counters(&self) -> (u64, u64, u64) {
-        let hub = self.hub.lock();
-        (hub.sent, hub.delivered, hub.dropped)
     }
 }
 
@@ -87,22 +62,11 @@ impl Transport for MemoryEndpoint {
     }
 
     fn send(&mut self, msg: Message) -> Result<(), NetError> {
-        let mut hub = self.hub.lock();
-        hub.sent += 1;
-        if let Some(n) = hub.faults.drop_every_nth {
-            if n > 0 && hub.sent.is_multiple_of(n) {
-                hub.dropped += 1;
-                return Ok(());
-            }
-        }
-        match hub.channels.get(&msg.to) {
+        match self.hub.lock().get(&msg.to) {
+            // A receiver that was dropped loses the message, as a peer that
+            // left the network would.
             Some(tx) => {
-                // Receiver may have been dropped; count as undeliverable.
-                if tx.send(msg).is_ok() {
-                    hub.delivered += 1;
-                } else {
-                    hub.dropped += 1;
-                }
+                let _ = tx.send(msg);
                 Ok(())
             }
             None => Err(NetError::UnknownPeer(msg.to.to_string())),
@@ -163,7 +127,7 @@ mod tests {
     #[test]
     fn duplicate_endpoint_is_a_recoverable_error() {
         let net = InMemoryNetwork::new();
-        let _x = net.endpoint("dup").unwrap();
+        let mut x = net.endpoint("dup").unwrap();
         assert!(matches!(
             net.endpoint("dup"),
             Err(NetError::DuplicateEndpoint(_))
@@ -171,23 +135,7 @@ mod tests {
         // The original registration survives the failed attempt.
         let mut b = net.endpoint("dup2").unwrap();
         b.send(msg("dup2", "dup", 1)).unwrap();
-        assert_eq!(_x.hub.lock().delivered, 1);
-    }
-
-    #[test]
-    fn fault_plan_drops_deterministically() {
-        let net = InMemoryNetwork::new();
-        net.set_faults(FaultPlan {
-            drop_every_nth: Some(3),
-        });
-        let mut a = net.endpoint("a").unwrap();
-        let mut b = net.endpoint("b").unwrap();
-        for i in 0..9 {
-            a.send(msg("a", "b", i)).unwrap();
-        }
-        assert_eq!(b.drain().len(), 6); // every 3rd of 9 dropped
-        let (sent, delivered, dropped) = net.counters();
-        assert_eq!((sent, delivered, dropped), (9, 6, 3));
+        assert_eq!(x.drain().len(), 1);
     }
 
     #[test]

@@ -588,7 +588,7 @@ impl<T: Transport> Transport for SessionEndpoint<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::{FaultPlan, InMemoryNetwork};
+    use crate::memory::{InMemoryNetwork, MemoryEndpoint};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     use wdl_core::WFact;
@@ -609,8 +609,8 @@ mod tests {
         cfg: SessionConfig,
         clock: &Arc<AtomicU64>,
     ) -> (
-        SessionEndpoint<crate::memory::MemoryEndpoint>,
-        SessionEndpoint<crate::memory::MemoryEndpoint>,
+        SessionEndpoint<MemoryEndpoint>,
+        SessionEndpoint<MemoryEndpoint>,
     ) {
         let ea = SessionEndpoint::with_clock(
             net.endpoint(a).unwrap(),
@@ -680,14 +680,43 @@ mod tests {
         );
     }
 
+    /// A deterministic lossy link: drops every third frame it sends.
+    struct Lossy {
+        inner: MemoryEndpoint,
+        sent: u64,
+    }
+
+    impl Transport for Lossy {
+        fn peer_name(&self) -> Symbol {
+            self.inner.peer_name()
+        }
+
+        fn send(&mut self, msg: Message) -> Result<(), NetError> {
+            self.sent += 1;
+            if self.sent.is_multiple_of(3) {
+                return Ok(());
+            }
+            self.inner.send(msg)
+        }
+
+        fn drain(&mut self) -> Vec<Message> {
+            self.inner.drain()
+        }
+    }
+
     #[test]
     fn retransmission_recovers_from_drops() {
         let net = InMemoryNetwork::new();
-        net.set_faults(FaultPlan {
-            drop_every_nth: Some(3),
-        });
         let clock = Arc::new(AtomicU64::new(0));
-        let (mut a, mut b) = pair(&net, "ra", "rb", SessionConfig::default(), &clock);
+        let lossy = |name: &str| {
+            let inner = Lossy {
+                inner: net.endpoint(name).unwrap(),
+                sent: 0,
+            };
+            let clock = Box::new(TestClock(Arc::clone(&clock)));
+            SessionEndpoint::with_clock(inner, 0, SessionConfig::default(), clock)
+        };
+        let (mut a, mut b) = (lossy("ra"), lossy("rb"));
         for i in 0..10 {
             a.send(fact_msg("ra", "rb", FactKind::Persistent, i))
                 .unwrap();

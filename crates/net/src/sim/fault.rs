@@ -1,8 +1,7 @@
 //! Composable fault plans for the simulated network.
 //!
-//! This is "FaultPlan v2": where `memory::FaultPlan` knows a single
-//! deterministic counter trick (`drop_every_nth`), this plan composes
-//! message **drop**, **duplication**, **reordering jitter**, **latency
+//! The repo's one fault plan: it composes message **drop** (random or
+//! every n-th), **duplication**, **reordering jitter**, **latency
 //! distributions**, and **partitions** (bidirectional or asymmetric, with a
 //! heal time) — per link or globally. All randomness is drawn from the
 //! simulator's single seeded generator, so a plan plus a `u64` seed fully
@@ -29,7 +28,7 @@ pub struct LinkFaults {
     /// Probability that a send is delivered twice (independent latencies).
     pub dup_prob: f64,
     /// Deterministic drop of every n-th send (1-based, counted across the
-    /// whole network) — kept from FaultPlan v1 for exact-count tests.
+    /// whole network), for exact-count tests.
     pub drop_every_nth: Option<u64>,
     /// Minimum one-way latency in virtual microseconds.
     pub latency_min: u64,

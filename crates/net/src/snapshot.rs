@@ -8,16 +8,21 @@
 //! * the **meta image** (`"WMET"`) is the peer's structural state,
 //!   encoded straight from the [`Peer`]'s getters and decoded straight
 //!   back through `declare` / `add_rule` / `install_delegation` /
-//!   `acl_mut` / `grants_mut` / `restore_session_watermark`:
+//!   `acl_mut` / `restore_session_watermark`:
 //!
 //!   ```text
 //!   str  peer name
 //!   u32  #decls        then (str rel, u32 arity, u8 kind)*   sorted by rel
 //!   u32  #rules        then codec rules, in id order
 //!   u32  #delegations  then codec delegations installed here
-//!   u32  #trusted      then str peer*
-//!   u8   untrusted policy (0 queue, 1 accept, 2 reject)
-//!   grants: read entries, write entries, declassified views
+//!   policy: the peer's whole `AccessControl`
+//!     u32  #trusted      then str peer*                    sorted
+//!     u8   untrusted policy (0 queue, 1 accept, 2 reject)
+//!     u32  #read grants  then (str rel, u32 #peers, str peer*)*   sorted
+//!     u32  #write grants then (str rel, u32 #peers, str peer*)*   sorted
+//!     u32  #declassified then str view*                    sorted
+//!     u32  #pending      then (codec delegation, u64 received stage)*
+//!                                                          oldest first
 //!   u32  #watermarks   then (str remote, u8 dir, u64 inc, u64 seq)*
 //!   ```
 //!
@@ -57,14 +62,14 @@ use crate::codec::{put_delegation, put_rule, put_str, put_symbol, put_value, Rea
 use crate::NetError;
 use bytes::{BufMut, Bytes, BytesMut};
 use wdl_core::acl::UntrustedPolicy;
-use wdl_core::grants::GrantExport;
-use wdl_core::{Peer, RelationDecl, RelationGrants, RelationKind, WdlError};
+use wdl_core::{AccessControl, Peer, RelationDecl, RelationKind, WdlError};
 use wdl_datalog::{ColumnExport, Symbol};
 
 /// Version of every envelope: the meta and segment images here and the
-/// storage engine's manifest. v2 dropped the meta image's nested snapshot
-/// header and its (always empty) fact list; v1 images are rejected.
-pub const FORMAT_VERSION: u8 = 2;
+/// storage engine's manifest. v3 added the approval queue to the meta
+/// image's policy section; v2 had dropped the nested snapshot header and
+/// the (always empty) fact list. Older images are rejected.
+pub const FORMAT_VERSION: u8 = 3;
 /// Meta image magic ("WMET", little-endian).
 const META_MAGIC: u32 = u32::from_le_bytes(*b"WMET");
 /// Segment image magic ("WSEG", little-endian).
@@ -149,25 +154,7 @@ pub fn write_meta(peer: &Peer) -> Vec<u8> {
         put_delegation(&mut buf, d);
     }
 
-    let trusted = peer.acl().trusted_peers();
-    buf.put_u32_le(trusted.len() as u32);
-    for t in trusted {
-        put_symbol(&mut buf, t);
-    }
-
-    buf.put_u8(match peer.acl().untrusted_policy() {
-        UntrustedPolicy::Queue => 0,
-        UntrustedPolicy::Accept => 1,
-        UntrustedPolicy::Reject => 2,
-    });
-
-    let grants = peer.grants().export();
-    put_grant_entries(&mut buf, &grants.read);
-    put_grant_entries(&mut buf, &grants.write);
-    buf.put_u32_le(grants.declassified.len() as u32);
-    for s in grants.declassified {
-        put_symbol(&mut buf, s);
-    }
+    put_policy(&mut buf, peer.acl());
 
     let watermarks = peer.session_watermarks();
     buf.put_u32_le(watermarks.len() as u32);
@@ -181,14 +168,34 @@ pub fn write_meta(peer: &Peer) -> Vec<u8> {
     seal_envelope(buf)
 }
 
-fn put_grant_entries(buf: &mut BytesMut, entries: &[(Symbol, Vec<Symbol>)]) {
-    buf.put_u32_le(entries.len() as u32);
-    for (rel, peers) in entries {
-        put_symbol(buf, *rel);
-        buf.put_u32_le(peers.len() as u32);
-        for p in peers {
-            put_symbol(buf, *p);
+/// Encodes a peer's whole access policy (the meta image's policy
+/// section).
+fn put_policy(buf: &mut BytesMut, acl: &AccessControl) {
+    put_symbols(buf, &acl.trusted_peers());
+    buf.put_u8(match acl.untrusted_policy() {
+        UntrustedPolicy::Queue => 0,
+        UntrustedPolicy::Accept => 1,
+        UntrustedPolicy::Reject => 2,
+    });
+    for grants in [acl.read_grants(), acl.write_grants()] {
+        buf.put_u32_le(grants.len() as u32);
+        for (rel, peers) in grants {
+            put_symbol(buf, rel);
+            put_symbols(buf, &peers);
         }
+    }
+    put_symbols(buf, &acl.declassified());
+    buf.put_u32_le(acl.pending().len() as u32);
+    for p in acl.pending() {
+        put_delegation(buf, &p.delegation);
+        buf.put_u64_le(p.received_stage);
+    }
+}
+
+fn put_symbols(buf: &mut BytesMut, symbols: &[Symbol]) {
+    buf.put_u32_le(symbols.len() as u32);
+    for &s in symbols {
+        put_symbol(buf, s);
     }
 }
 
@@ -215,27 +222,7 @@ pub fn read_meta(bytes: &[u8], label: &str) -> Result<Peer, NetError> {
     for _ in 0..r.len()? {
         peer.install_delegation(r.delegation()?);
     }
-    for _ in 0..r.len()? {
-        peer.acl_mut().trust(r.symbol()?);
-    }
-    peer.acl_mut().set_untrusted_policy(match r.u8()? {
-        0 => UntrustedPolicy::Queue,
-        1 => UntrustedPolicy::Accept,
-        2 => UntrustedPolicy::Reject,
-        t => return Err(NetError::Codec(format!("bad policy tag {t}"))),
-    });
-
-    let read = read_grant_entries(&mut r)?;
-    let write = read_grant_entries(&mut r)?;
-    let mut declassified = Vec::new();
-    for _ in 0..r.len()? {
-        declassified.push(r.symbol()?);
-    }
-    *peer.grants_mut() = RelationGrants::import(GrantExport {
-        read,
-        write,
-        declassified,
-    });
+    *peer.acl_mut() = read_policy(&mut r)?;
 
     for _ in 0..r.len()? {
         let remote = r.symbol()?;
@@ -248,19 +235,40 @@ pub fn read_meta(bytes: &[u8], label: &str) -> Result<Peer, NetError> {
     Ok(peer)
 }
 
-fn read_grant_entries(r: &mut Reader<'_>) -> Result<Vec<(Symbol, Vec<Symbol>)>, NetError> {
-    let n = r.len()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let rel = r.symbol()?;
-        let m = r.len()?;
-        let mut peers = Vec::with_capacity(m);
-        for _ in 0..m {
-            peers.push(r.symbol()?);
-        }
-        out.push((rel, peers));
+/// Decodes the policy section [`put_policy`] wrote.
+fn read_policy(r: &mut Reader<'_>) -> Result<AccessControl, NetError> {
+    let mut acl = AccessControl::new();
+    for _ in 0..r.len()? {
+        acl.trust(r.symbol()?);
     }
-    Ok(out)
+    acl.set_untrusted_policy(match r.u8()? {
+        0 => UntrustedPolicy::Queue,
+        1 => UntrustedPolicy::Accept,
+        2 => UntrustedPolicy::Reject,
+        t => return Err(NetError::Codec(format!("bad policy tag {t}"))),
+    });
+    for _ in 0..r.len()? {
+        let rel = r.symbol()?;
+        acl.restrict_read(rel);
+        for _ in 0..r.len()? {
+            acl.grant_read(rel, r.symbol()?);
+        }
+    }
+    for _ in 0..r.len()? {
+        let rel = r.symbol()?;
+        acl.restrict_write(rel);
+        for _ in 0..r.len()? {
+            acl.grant_write(rel, r.symbol()?);
+        }
+    }
+    for _ in 0..r.len()? {
+        acl.declassify(r.symbol()?);
+    }
+    for _ in 0..r.len()? {
+        let delegation = r.delegation()?;
+        acl.push_pending(delegation, r.u64()?);
+    }
+    Ok(acl)
 }
 
 /// Maps an engine rejection of a decoded image to a codec error.
@@ -431,11 +439,19 @@ mod tests {
         ));
         p.acl_mut().trust("sigmod");
         p.acl_mut().set_untrusted_policy(UntrustedPolicy::Reject);
-        p.grants_mut().restrict_read("pictures");
-        p.grants_mut().grant_read("pictures", "sigmod");
-        p.grants_mut().grant_write("pictures", "sigmod");
-        p.grants_mut().declassify("view");
-        p.grants_mut().declassify("attendeePictures");
+        p.acl_mut().restrict_read("pictures");
+        p.acl_mut().grant_read("pictures", "sigmod");
+        p.acl_mut().grant_write("pictures", "sigmod");
+        p.acl_mut().declassify("view");
+        p.acl_mut().declassify("attendeePictures");
+        p.acl_mut().push_pending(
+            Delegation::new(
+                Symbol::intern("stranger"),
+                Symbol::intern("snap-sample"),
+                WRule::example_attendee_pictures("stranger"),
+            ),
+            7,
+        );
         p.note_session_watermark(Symbol::intern("other"), 0, 3, 41);
         p.note_session_watermark(Symbol::intern("other"), 1, 3, 17);
         p
@@ -475,7 +491,9 @@ mod tests {
         assert_eq!(q.installed_delegations().len(), 1);
         assert!(q.acl().is_trusted(Symbol::intern("sigmod")));
         assert_eq!(q.acl().untrusted_policy(), UntrustedPolicy::Reject);
-        assert_eq!(q.grants().export(), p.grants().export());
+        assert_eq!(q.acl(), p.acl());
+        assert_eq!(q.pending_delegations().len(), 1);
+        assert_eq!(q.pending_delegations()[0].received_stage, 7);
     }
 
     #[test]
@@ -491,12 +509,13 @@ mod tests {
         assert_eq!(q.installed_delegations().len(), 1);
         assert!(q.acl().is_trusted(Symbol::intern("sigmod")));
         assert!(q
-            .grants()
+            .acl()
             .can_read_direct(Symbol::intern("pictures"), Symbol::intern("sigmod")));
         assert!(!q
-            .grants()
+            .acl()
             .can_read_direct(Symbol::intern("pictures"), Symbol::intern("other")));
-        assert!(q.grants().is_declassified(Symbol::intern("view")));
+        assert!(q.acl().is_declassified(Symbol::intern("view")));
+        assert_eq!(q.pending_delegations(), p.pending_delegations());
 
         // Exporting again yields the same facts.
         assert_eq!(q.export_extensional(), p.export_extensional());
@@ -567,13 +586,20 @@ mod tests {
         }
     }
 
+    /// Images of every earlier format — v2 lacked the approval queue — are
+    /// rejected by version, before their body is read.
     #[test]
     fn wrong_version_rejected() {
-        let mut bytes = save(&sample_peer()).to_vec();
-        // Past the meta image's length prefix and magic.
-        bytes[8] = 1;
-        let err = load(&bytes).unwrap_err().to_string();
-        assert!(err.contains("version mismatch: got 1"), "{err}");
+        for old in [1, 2] {
+            let mut bytes = save(&sample_peer()).to_vec();
+            // Past the meta image's length prefix and magic.
+            bytes[8] = old;
+            let err = load(&bytes).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("version mismatch: got {old}")),
+                "{err}"
+            );
+        }
     }
 
     /// A snapshot written before the images shared one envelope began

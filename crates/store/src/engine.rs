@@ -592,12 +592,18 @@ mod tests {
             vec![WAtom::at("pictures", "engp7", xy()).into()],
         );
         p.add_rule(rule.clone()).unwrap();
-        p.install_delegation(Delegation::new(Symbol::intern("engp7origin"), name, rule));
+        p.install_delegation(Delegation::new(
+            Symbol::intern("engp7origin"),
+            name,
+            rule.clone(),
+        ));
         p.acl_mut().trust("engp7friend");
         p.acl_mut().set_untrusted_policy(UntrustedPolicy::Reject);
-        p.grants_mut().restrict_read("pictures");
-        p.grants_mut().grant_read("pictures", "engp7friend");
-        p.grants_mut().declassify("view");
+        p.acl_mut().restrict_read("pictures");
+        p.acl_mut().grant_read("pictures", "engp7friend");
+        p.acl_mut().declassify("view");
+        let queued = Delegation::new(Symbol::intern("engp7stranger"), name, rule.clone());
+        p.acl_mut().push_pending(queued, 4);
         p.note_session_watermark(Symbol::intern("engp7friend"), 0, 2, 9);
 
         let mut eng = Engine::open(&cfg, name).unwrap();
@@ -619,9 +625,7 @@ mod tests {
             assert_eq!(q.export_extensional(), p.export_extensional());
             assert_eq!(rules(q), rules(&p));
             assert_eq!(q.installed_delegations(), p.installed_delegations());
-            assert_eq!(q.acl().trusted_peers(), p.acl().trusted_peers());
-            assert_eq!(q.acl().untrusted_policy(), p.acl().untrusted_policy());
-            assert_eq!(q.grants().export(), p.grants().export());
+            assert_eq!(q.acl(), p.acl());
             assert_eq!(q.session_watermarks(), p.session_watermarks());
         }
         let _ = fs::remove_dir_all(&root);

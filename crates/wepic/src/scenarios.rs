@@ -226,10 +226,10 @@ pub fn acl_restricted(seed: u64) -> Scenario {
             v.add_rule(rules::attendee_pictures(&b_viewer).unwrap())
                 .unwrap();
             let mut open = open_attendee(&b_granting);
-            open.grants_mut().restrict_read("pictures");
-            open.grants_mut().grant_read("pictures", b_viewer.as_str());
+            open.acl_mut().restrict_read("pictures");
+            open.acl_mut().grant_read("pictures", b_viewer.as_str());
             let mut closed = open_attendee(&b_restricted);
-            closed.grants_mut().restrict_read("pictures");
+            closed.acl_mut().restrict_read("pictures");
             vec![v, open, closed]
         }),
         batches: vec![batch0, batch1],

@@ -38,8 +38,8 @@ fn main() {
     )
     .expect("program loads");
     joe.acl_mut().trust("blogHost");
-    joe.grants_mut().restrict_read("reviews");
-    joe.grants_mut().declassify("toPublish");
+    joe.acl_mut().restrict_read("reviews");
+    joe.acl_mut().declassify("toPublish");
 
     println!(
         "before snapshot: {} rules, {} relations",

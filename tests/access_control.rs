@@ -22,7 +22,7 @@ fn write_grants_gate_updates() {
     target
         .declare("inbox", 1, RelationKind::Extensional)
         .unwrap();
-    target.grants_mut().grant_write("inbox", "wgFriend");
+    target.acl_mut().grant_write("inbox", "wgFriend");
     rt.add_peer(target).unwrap();
     rt.add_peer(open_peer("wgFriend")).unwrap();
     rt.add_peer(open_peer("wgStranger")).unwrap();
@@ -52,7 +52,7 @@ fn read_grants_gate_delegated_rules() {
     owner
         .insert_local("pictures", vec![Value::from(1)])
         .unwrap();
-    owner.grants_mut().restrict_read("pictures");
+    owner.acl_mut().restrict_read("pictures");
     rt.add_peer(owner).unwrap();
 
     // A reader installs a view rule by delegation.
@@ -77,7 +77,7 @@ fn read_grants_gate_delegated_rules() {
     // Granting read access lets the already-installed rule flow.
     rt.peer_mut("rgOwner")
         .unwrap()
-        .grants_mut()
+        .acl_mut()
         .grant_read("pictures", "rgReader");
     // Touch the owner's data so the runtime re-derives (grants are not
     // change-tracked; any stage re-runs installed rules).
@@ -110,7 +110,7 @@ fn provenance_view_policy_and_declassification() {
     owner
         .add_rule(parse_rule("stats@pvOwner($x) :- salaries@pvOwner($x);").unwrap())
         .unwrap();
-    owner.grants_mut().restrict_read("salaries");
+    owner.acl_mut().restrict_read("salaries");
     rt.add_peer(owner).unwrap();
 
     // Reader tries to read the *view* by delegation.
@@ -134,7 +134,7 @@ fn provenance_view_policy_and_declassification() {
     // data", §2) — without touching the base restriction.
     rt.peer_mut("pvOwner")
         .unwrap()
-        .grants_mut()
+        .acl_mut()
         .declassify("stats");
     rt.peer_mut("pvOwner")
         .unwrap()
@@ -153,8 +153,8 @@ fn provenance_view_policy_and_declassification() {
     owner2
         .insert_local("salaries", vec![Value::from(1)])
         .unwrap();
-    owner2.grants_mut().restrict_read("salaries");
-    owner2.grants_mut().declassify("stats");
+    owner2.acl_mut().restrict_read("salaries");
+    owner2.acl_mut().declassify("stats");
     rt2.add_peer(owner2).unwrap();
     let mut reader2 = open_peer("pv2Reader");
     reader2
@@ -182,7 +182,7 @@ fn owner_rules_unaffected_by_restrictions() {
     p.declare("mine", 1, RelationKind::Intensional).unwrap();
     p.add_rule(parse_rule("mine@selfOwner($x) :- private@selfOwner($x);").unwrap())
         .unwrap();
-    p.grants_mut().restrict_read("private");
+    p.acl_mut().restrict_read("private");
     rt.add_peer(p).unwrap();
     rt.run_to_quiescence(16).unwrap();
     assert_eq!(
@@ -196,7 +196,7 @@ fn owner_rules_unaffected_by_restrictions() {
 fn blocked_reads_are_counted() {
     let mut owner = open_peer("cntOwner");
     owner.insert_local("secret", vec![Value::from(1)]).unwrap();
-    owner.grants_mut().restrict_read("secret");
+    owner.acl_mut().restrict_read("secret");
     // Install a delegation by hand through the message path.
     let d = webdamlog::core::Delegation::new(
         webdamlog::datalog::Symbol::intern("cntReader"),

@@ -89,7 +89,7 @@ fn wdl007_ungranted_write() {
     q.schema
         .declare("s".into(), 1, RelationKind::Extensional)
         .unwrap();
-    q.grants.restrict_write("s");
+    q.acl.restrict_write("s");
     let mut p = PeerModel::new("p");
     p.schema
         .declare("w".into(), 1, RelationKind::Extensional)
@@ -104,8 +104,8 @@ fn wdl007_ungranted_write() {
     q2.schema
         .declare("s".into(), 1, RelationKind::Extensional)
         .unwrap();
-    q2.grants.restrict_write("s");
-    q2.grants.grant_write("s", "p");
+    q2.acl.restrict_write("s");
+    q2.acl.grant_write("s", "p");
     let mut p2 = PeerModel::new("p");
     p2.schema
         .declare("w".into(), 1, RelationKind::Extensional)

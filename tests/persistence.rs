@@ -111,14 +111,14 @@ fn snapshot_behavioural_equivalence() {
         "#,
     )
     .unwrap();
-    original.grants_mut().restrict_read("rate");
+    original.acl_mut().restrict_read("rate");
 
     let mut copy = snapshot::load(&snapshot::save(&original)).unwrap();
     let mut original = original;
     original.run_stage().unwrap();
     copy.run_stage().unwrap();
     assert_eq!(original.relation_facts("high"), copy.relation_facts("high"));
-    assert_eq!(original.grants().export(), copy.grants().export());
+    assert_eq!(original.acl(), copy.acl());
 }
 
 /// File-based round trip inside a temp dir.

@@ -79,10 +79,10 @@ fn randomized_conference_soak() {
                 // restrict or open a relation's reads
                 let p = conf.peer_mut(actor.as_str()).unwrap();
                 if rng.gen_bool(0.5) {
-                    p.grants_mut().restrict_read("pictures");
+                    p.acl_mut().restrict_read("pictures");
                 } else {
                     for other in &names {
-                        p.grants_mut().grant_read("pictures", other.as_str());
+                        p.acl_mut().grant_read("pictures", other.as_str());
                     }
                 }
             }

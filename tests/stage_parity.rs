@@ -308,7 +308,7 @@ fn random_system(seed: u64, compiled: bool) -> System {
         // reads of the restricted relation get blocked and counted.
         if rng.gen_range(0..3) == 0 {
             let rel = ["item", "e", "blocked"][rng.gen_range(0..3usize)];
-            peers[pi].grants_mut().restrict_read(rel);
+            peers[pi].acl_mut().restrict_read(rel);
         }
         // Random pre-installed delegation (as if a remote peer delegated
         // here), including the empty-local-prefix and fully-local shapes.
@@ -361,7 +361,7 @@ fn mutate(sys: &mut System, seed: u64) {
             p.insert_local("item", vec![Value::from(v)]).unwrap();
         }
         if rng.gen_range(0..4) == 0 {
-            p.grants_mut().restrict_read("item");
+            p.acl_mut().restrict_read("item");
         }
     }
 }
