@@ -4,12 +4,13 @@
 use crate::graph::{DepGraph, EdgeKind, Node};
 use crate::{PeerModel, RuleInfo};
 use std::collections::{HashMap, HashSet};
-use wdl_core::{DiagCode, Diagnostic, NameTerm, RelationKind, WBodyItem};
+use wdl_core::{DiagCode, Diagnostic, NameTerm, RelationKind, SafetyViolation, WBodyItem};
 use wdl_datalog::{negative_cycle, Symbol};
 
-/// WDL001/WDL002/WDL003: range restriction under left-to-right
-/// evaluation, split by *why* a variable is unbound — the head
-/// (WDL001), a negated/compared/assigned read (WDL002), or a name
+/// WDL001/WDL002/WDL003: the runtime's own safety definition
+/// ([`wdl_core::WRule::safety_violations`]), one report per variable,
+/// coded by *why* the variable is unbound — the head (WDL001), a
+/// negated/compared/assigned read or a rebinding (WDL002), or a name
 /// position whose delegation target would be undefined (WDL003).
 ///
 /// Delegated rules are skipped: their origin vetted them before
@@ -27,124 +28,73 @@ pub fn safety(models: &[PeerModel]) -> Vec<Diagnostic> {
 
 fn safety_rule(owner: Symbol, info: &RuleInfo, out: &mut Vec<Diagnostic>) {
     let rule = &info.rule;
-    let mut bound: Vec<Symbol> = Vec::new();
-    let mut reported: HashSet<Symbol> = HashSet::new();
-    for (i, item) in rule.body.iter().enumerate() {
-        match item {
-            WBodyItem::Literal(lit) => {
-                for (what, nt) in [("relation", &lit.atom.rel), ("peer", &lit.atom.peer)] {
-                    if let NameTerm::Var(v) = nt {
-                        if !bound.contains(v) && reported.insert(*v) {
-                            out.push(
-                                Diagnostic::new(
-                                    DiagCode::UnboundNameVar,
-                                    format!(
-                                        "variable ${v} in the {what} position of `{}` (body \
-                                         position {i}) is not bound by earlier items",
-                                        lit.atom
-                                    ),
-                                )
-                                .with_span(info.span)
-                                .note(format!(
-                                    "rule at {owner}: the target of a remote atom must be \
-                                     concrete when left-to-right evaluation reaches it, or the \
-                                     delegation target is undefined"
-                                )),
-                            );
-                        }
-                    }
-                }
-                if lit.negated {
-                    let mut vars = Vec::new();
-                    lit.atom.data_variables(&mut vars);
-                    for v in vars {
-                        if !bound.contains(&v) && reported.insert(v) {
-                            out.push(
-                                Diagnostic::new(
-                                    DiagCode::UnboundNegatedVar,
-                                    format!(
-                                        "variable ${v} of negated atom `{}` (body position {i}) \
-                                         is not bound positively to its left",
-                                        lit.atom
-                                    ),
-                                )
-                                .with_span(info.span)
-                                .note(format!("rule at {owner}")),
-                            );
-                        }
-                    }
-                }
-            }
-            WBodyItem::Cmp { .. } => {
-                let mut vars = Vec::new();
-                item.reads(&mut vars);
-                for v in vars {
-                    if !bound.contains(&v) && reported.insert(v) {
-                        out.push(
-                            Diagnostic::new(
-                                DiagCode::UnboundNegatedVar,
-                                format!(
-                                    "variable ${v} read by comparison `{item}` (body position \
-                                     {i}) is not bound by earlier items"
-                                ),
-                            )
-                            .with_span(info.span)
-                            .note(format!("rule at {owner}")),
-                        );
-                    }
-                }
-            }
-            WBodyItem::Assign { var, .. } => {
-                let mut vars = Vec::new();
-                item.reads(&mut vars);
-                for v in vars {
-                    if !bound.contains(&v) && reported.insert(v) {
-                        out.push(
-                            Diagnostic::new(
-                                DiagCode::UnboundNegatedVar,
-                                format!(
-                                    "variable ${v} read by assignment `{item}` (body position \
-                                     {i}) is not bound by earlier items"
-                                ),
-                            )
-                            .with_span(info.span)
-                            .note(format!("rule at {owner}")),
-                        );
-                    }
-                }
-                if bound.contains(var) && reported.insert(*var) {
-                    out.push(
-                        Diagnostic::new(
-                            DiagCode::UnboundNegatedVar,
-                            format!(
-                                "assignment `{item}` (body position {i}) rebinds already-bound \
-                                 variable ${var}"
-                            ),
-                        )
-                        .with_span(info.span)
-                        .note(format!("rule at {owner}")),
-                    );
-                }
-            }
+    let mut reported: Vec<Symbol> = Vec::new();
+    for violation in rule.safety_violations() {
+        let v = violation.var();
+        if reported.contains(&v) {
+            continue;
         }
-        item.binds(&mut bound);
-    }
-    let mut head_vars = Vec::new();
-    rule.head.all_variables(&mut head_vars);
-    for v in head_vars {
-        if !bound.contains(&v) && reported.insert(v) {
-            out.push(
-                Diagnostic::new(
-                    DiagCode::UnboundHeadVar,
+        reported.push(v);
+        let mut note = format!("rule at {owner}");
+        let (code, message) = match violation {
+            SafetyViolation::UnboundHead(_) => (
+                DiagCode::UnboundHeadVar,
+                format!(
+                    "head variable ${v} of `{}` is not bound by the body",
+                    rule.head
+                ),
+            ),
+            SafetyViolation::Rebinding(_, i) => (
+                DiagCode::UnboundNegatedVar,
+                format!(
+                    "assignment `{}` (body position {i}) rebinds already-bound variable ${v}",
+                    rule.body[i]
+                ),
+            ),
+            SafetyViolation::UnboundName(_, i) => {
+                let WBodyItem::Literal(lit) = &rule.body[i] else {
+                    continue;
+                };
+                let what = if lit.atom.rel == NameTerm::Var(v) {
+                    "relation"
+                } else {
+                    "peer"
+                };
+                note += ": the target of a remote atom must be concrete when left-to-right \
+                         evaluation reaches it, or the delegation target is undefined";
+                (
+                    DiagCode::UnboundNameVar,
                     format!(
-                        "head variable ${v} of `{}` is not bound by the body",
-                        rule.head
+                        "variable ${v} in the {what} position of `{}` (body position {i}) is \
+                         not bound by earlier items",
+                        lit.atom
                     ),
                 )
+            }
+            SafetyViolation::UnboundRead(_, i) => {
+                let message = match &rule.body[i] {
+                    WBodyItem::Literal(lit) => format!(
+                        "variable ${v} of negated atom `{}` (body position {i}) is not bound \
+                         positively to its left",
+                        lit.atom
+                    ),
+                    item @ WBodyItem::Cmp { .. } => format!(
+                        "variable ${v} read by comparison `{item}` (body position {i}) is not \
+                         bound by earlier items"
+                    ),
+                    item => format!(
+                        "variable ${v} read by assignment `{item}` (body position {i}) is not \
+                         bound by earlier items"
+                    ),
+                };
+                (DiagCode::UnboundNegatedVar, message)
+            }
+        };
+        out.push(
+            Diagnostic::new(code, message)
                 .with_span(info.span)
-                .note(format!("rule at {owner}")),
-            );
-        }
+                .note(note),
+        );
     }
 }
 

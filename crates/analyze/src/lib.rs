@@ -1,7 +1,8 @@
 //! # wdl-analyze — whole-program static analysis for WebdamLog
 //!
-//! The runtime checks each rule in isolation (`WRule::check_safety`) and
-//! each peer's stratification locally (`wdl_datalog::eval`). Neither can
+//! The runtime checks each rule in isolation (`WRule::safety_violations`,
+//! the one definition of rule safety, which WDL001–003 below report too)
+//! and each peer's stratification locally (`wdl_datalog::eval`). Neither can
 //! see problems that only exist *between* peers: negation through a cycle
 //! that closes over a delegation, rule installation that ping-pongs
 //! between two peers forever, or a rule that writes into a foreign
@@ -35,6 +36,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 mod checks;
 pub mod graph;

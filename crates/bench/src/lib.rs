@@ -1,9 +1,9 @@
-//! Shared workload builders for the E1–E8 experiment benches.
+//! Shared workload builders for the experiment benches (`benches/e*.rs`).
 //!
 //! Every bench binary follows the same pattern: it first prints the
-//! experiment's *measurement table* (the counters EXPERIMENTS.md records —
-//! stages to quiescence, messages routed, delegations installed, view
-//! sizes), then runs Criterion timing groups over the same workloads.
+//! experiment's *measurement table* (stages to quiescence, messages
+//! routed, delegations installed, view sizes), then runs Criterion timing
+//! groups over the same workloads.
 
 pub mod workloads;
 

@@ -235,11 +235,6 @@ impl ProgramBatch {
     pub fn new() -> ProgramBatch {
         ProgramBatch::default()
     }
-
-    /// True when the batch carries nothing.
-    pub fn is_empty(&self) -> bool {
-        self.declarations.is_empty() && self.rules.is_empty() && self.facts.is_empty()
-    }
 }
 
 /// What [`crate::Peer::install`] applied, plus the non-blocking
@@ -250,7 +245,8 @@ pub struct InstallReport {
     pub declarations: usize,
     /// Ids of the rules added, in batch order.
     pub rules: Vec<crate::RuleId>,
-    /// Facts inserted (duplicates of existing facts count as applied).
+    /// Facts that were new: a fact already stored, or repeated within the
+    /// batch, is not counted.
     pub facts: usize,
     /// `Severity::Warning` diagnostics from the checker (errors abort
     /// the install and travel in [`crate::WdlError::Rejected`]).
@@ -266,7 +262,8 @@ pub trait ProgramCheck {
 }
 
 /// A checker that accepts everything — [`crate::Peer::install`] then
-/// only applies the engine's intrinsic validation (schema + safety).
+/// only applies the engine's intrinsic validation (schema +
+/// [`crate::WRule::validate`]).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NoCheck;
 

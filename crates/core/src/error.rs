@@ -13,6 +13,13 @@ pub enum WdlError {
     /// A rule violates WebdamLog safety (beyond plain datalog safety): e.g.
     /// the peer term of the first non-local atom is not bound by the prefix.
     UnsafeDistribution(String),
+    /// The assignment at this body position nests deeper than
+    /// [`wdl_datalog::MAX_EXPR_DEPTH`]: no peer image or wire frame could
+    /// carry the rule.
+    ExprTooDeep {
+        /// Body position of the assignment.
+        position: usize,
+    },
     /// A relation was used inconsistently with its declaration.
     SchemaViolation(String),
     /// Referenced an unknown peer.
@@ -45,6 +52,11 @@ impl std::fmt::Display for WdlError {
         match self {
             WdlError::Datalog(e) => write!(f, "datalog: {e}"),
             WdlError::UnsafeDistribution(m) => write!(f, "unsafe distribution: {m}"),
+            WdlError::ExprTooDeep { position } => write!(
+                f,
+                "assignment at body position {position} nests deeper than {}",
+                wdl_datalog::MAX_EXPR_DEPTH
+            ),
             WdlError::SchemaViolation(m) => write!(f, "schema violation: {m}"),
             WdlError::UnknownPeer(m) => write!(f, "unknown peer: {m}"),
             WdlError::DuplicatePeer(m) => write!(f, "duplicate peer: {m}"),

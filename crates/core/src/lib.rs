@@ -111,7 +111,7 @@ pub use error::{Result, WdlError};
 pub use fact::{qualify, unqualify, WFact};
 pub use message::{FactKind, Message, Payload};
 pub use peer::{Peer, RuleEntry, RuleId};
-pub use rule::WRule;
+pub use rule::{SafetyViolation, WRule};
 pub use schema::{RelationDecl, RelationKind, Schema};
 pub use shard::{ShardReport, ShardedRuntime};
 pub use stage::{StageOutput, StageStats};

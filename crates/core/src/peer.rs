@@ -341,9 +341,9 @@ impl Peer {
     ///    rule or declaration is applied** (and hence before anything
     ///    can be emitted to other peers);
     /// 2. the batch is validated against the engine's intrinsic rules
-    ///    (schema compatibility, fact ownership and arity, WebdamLog
-    ///    safety) on scratch state — a validation failure also leaves
-    ///    the peer untouched;
+    ///    (schema compatibility, fact ownership and arity,
+    ///    [`WRule::validate`]) on scratch state — a validation failure
+    ///    also leaves the peer untouched;
     /// 3. declarations, rules and facts are applied, in that order.
     ///
     /// Warnings do not block: they are returned in the
@@ -395,7 +395,7 @@ impl Peer {
             }
         }
         for (rule, _span) in &batch.rules {
-            rule.check_safety()?;
+            rule.validate()?;
         }
 
         // Apply. Every step below is infallible given the validation
@@ -408,12 +408,12 @@ impl Peer {
             self.declare(rel, arity, kind)?;
         }
         for (rule, _span) in batch.rules {
-            report.rules.push(self.add_rule(rule)?);
+            report.rules.push(self.push_rule(rule));
         }
         for fact in batch.facts {
-            let values: Vec<Value> = fact.tuple.to_vec();
-            self.insert_local(fact.rel, values)?;
-            report.facts += 1;
+            if self.insert_local(fact.rel, fact.tuple.to_vec())? {
+                report.facts += 1;
+            }
         }
 
         let me = self.name;
@@ -437,9 +437,14 @@ impl Peer {
     // Rule management (the demo UI's inspect / add / remove, Figure 3)
     // ------------------------------------------------------------------
 
-    /// Adds a rule after checking WebdamLog safety. Returns its id.
+    /// Adds a rule after [`WRule::validate`]. Returns its id.
     pub fn add_rule(&mut self, rule: WRule) -> Result<RuleId> {
-        rule.check_safety()?;
+        rule.validate()?;
+        Ok(self.push_rule(rule))
+    }
+
+    /// Appends an already validated rule.
+    fn push_rule(&mut self, rule: WRule) -> RuleId {
         let id = RuleId {
             peer: self.name,
             idx: self.next_rule_idx,
@@ -448,7 +453,7 @@ impl Peer {
         self.rules.push(RuleEntry { id, rule });
         self.ruleset_epoch += 1;
         self.meta_dirty = true;
-        Ok(id)
+        id
     }
 
     /// Removes a rule by id. Delegations it produced are revoked at the next
@@ -467,7 +472,7 @@ impl Peer {
     /// Replaces the body/head of an existing rule (the demo's "customize a
     /// rule" flow), keeping its id.
     pub fn replace_rule(&mut self, id: RuleId, rule: WRule) -> Result<WRule> {
-        rule.check_safety()?;
+        rule.validate()?;
         let entry = self
             .rules
             .iter_mut()
@@ -829,10 +834,10 @@ impl Peer {
     }
 
     /// Forgets what was previously sent to `remote`, so the next stage
-    /// re-emits this peer's full derived contribution (and delegation
-    /// set) to it. Called when the session layer detects that `remote`
-    /// restarted with a new incarnation: the restarted peer lost its
-    /// transient remote contributions, and the stage diff against
+    /// re-emits this peer's full derived contribution to it; the delegation
+    /// set is not re-sent. Called when the session layer detects that
+    /// `remote` restarted with a new incarnation: the restarted peer lost
+    /// its transient remote contributions, and the stage diff against
     /// `prev_sent` would otherwise never re-send them.
     pub fn resync_target(&mut self, remote: Symbol) {
         self.prev_sent.remove(&remote);

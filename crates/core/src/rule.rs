@@ -1,4 +1,5 @@
-//! WebdamLog rules and the distribution-aware safety check.
+//! WebdamLog rules and the one definition of an admissible rule: the
+//! distribution-aware safety check and the expression-depth bound.
 
 use crate::{NameTerm, Result, WAtom, WBodyItem, WdlError};
 use serde::{Deserialize, Serialize};
@@ -17,55 +18,131 @@ pub struct WRule {
     pub body: Vec<WBodyItem>,
 }
 
+/// One variable that makes a rule unsafe under left-to-right evaluation
+/// (see [`WRule::safety_violations`]), with the body position of the item
+/// it occurs in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SafetyViolation {
+    /// A relation or peer variable of a body atom is not bound to its left,
+    /// so the atom (and any delegation it starts) has no concrete target.
+    UnboundName(Symbol, usize),
+    /// A variable read by a negated atom, a comparison or an assignment is
+    /// not bound to its left.
+    UnboundRead(Symbol, usize),
+    /// An assignment binds a variable that is already bound.
+    Rebinding(Symbol, usize),
+    /// A head variable is not bound by the body.
+    UnboundHead(Symbol),
+}
+
+impl SafetyViolation {
+    /// The offending variable.
+    pub fn var(&self) -> Symbol {
+        match *self {
+            SafetyViolation::UnboundName(v, _)
+            | SafetyViolation::UnboundRead(v, _)
+            | SafetyViolation::Rebinding(v, _)
+            | SafetyViolation::UnboundHead(v) => v,
+        }
+    }
+}
+
 impl WRule {
-    /// Builds a rule; validate with [`WRule::check_safety`] (done
-    /// automatically by [`crate::Peer::add_rule`]).
+    /// Builds a rule; validate with [`WRule::validate`] (done automatically
+    /// by every path that admits a rule into a peer).
     pub fn new(head: WAtom, body: Vec<WBodyItem>) -> WRule {
         WRule { head, body }
     }
 
-    /// WebdamLog safety under left-to-right evaluation:
+    /// The one definition of an admissible rule: every assignment
+    /// expression nests at most [`wdl_datalog::MAX_EXPR_DEPTH`] deep (so
+    /// the rule fits a peer image and a wire frame), and the rule is safe
+    /// ([`WRule::check_safety`]).
+    pub fn validate(&self) -> Result<()> {
+        for (i, item) in self.body.iter().enumerate() {
+            if let WBodyItem::Assign { expr, .. } = item {
+                if expr.too_deep() {
+                    return Err(WdlError::ExprTooDeep { position: i });
+                }
+            }
+        }
+        self.check_safety()
+    }
+
+    /// WebdamLog safety: `Ok` iff [`WRule::safety_violations`] finds
+    /// nothing, else an error describing the first violation.
+    pub fn check_safety(&self) -> Result<()> {
+        let msg = match self.safety_violations().first() {
+            None => return Ok(()),
+            Some(SafetyViolation::UnboundHead(v)) => format!(
+                "head variable ${v} of {} is not bound by the body",
+                self.head
+            ),
+            Some(SafetyViolation::Rebinding(v, i)) => {
+                format!("assignment at position {i} rebinds already-bound variable ${v}")
+            }
+            Some(SafetyViolation::UnboundName(v, i) | SafetyViolation::UnboundRead(v, i)) => {
+                format!(
+                    "variable ${v} read at body position {i} ({}) is not bound by earlier items",
+                    self.body[*i]
+                )
+            }
+        };
+        Err(WdlError::UnsafeDistribution(msg))
+    }
+
+    /// Every violation of WebdamLog safety under left-to-right evaluation,
+    /// in rule order (within an atom: relation, peer, then data variables):
     ///
     /// 1. every *name* variable (relation or peer position) of a body atom
     ///    must be bound by items strictly to its left — in particular the
     ///    first atom's names must be constants;
     /// 2. data variables of negated atoms, comparisons and assignment inputs
-    ///    must be bound to the left;
+    ///    must be bound to the left, and an assignment must bind a fresh
+    ///    variable;
     /// 3. every head variable (name or data position) must be bound by the
     ///    body.
     ///
     /// Rule 1 is what makes delegation well-defined: when evaluation reaches
     /// the first non-local atom, its peer term is already a concrete peer —
-    /// the delegation target.
-    pub fn check_safety(&self) -> Result<()> {
+    /// the delegation target. A variable that stays unbound is listed at
+    /// every place it is read.
+    pub fn safety_violations(&self) -> Vec<SafetyViolation> {
+        let mut out = Vec::new();
         let mut bound: Vec<Symbol> = Vec::new();
+        let mut reads: Vec<Symbol> = Vec::new();
         for (i, item) in self.body.iter().enumerate() {
-            let mut reads = Vec::new();
+            reads.clear();
             item.reads(&mut reads);
-            if let Some(v) = reads.iter().find(|v| !bound.contains(v)) {
-                return Err(WdlError::UnsafeDistribution(format!(
-                    "variable ${v} read at body position {i} ({item}) is not bound by earlier items"
-                )));
+            // An atom's name variables come first in `reads`.
+            let names = match item {
+                WBodyItem::Literal(l) => {
+                    usize::from(l.atom.rel.is_var()) + usize::from(l.atom.peer.is_var())
+                }
+                _ => 0,
+            };
+            for (k, &v) in reads.iter().enumerate() {
+                if bound.contains(&v) {
+                    continue;
+                }
+                out.push(if k < names {
+                    SafetyViolation::UnboundName(v, i)
+                } else {
+                    SafetyViolation::UnboundRead(v, i)
+                });
             }
-            // Assignments must bind a fresh variable.
             if let WBodyItem::Assign { var, .. } = item {
                 if bound.contains(var) {
-                    return Err(WdlError::UnsafeDistribution(format!(
-                        "assignment at position {i} rebinds already-bound variable ${var}"
-                    )));
+                    out.push(SafetyViolation::Rebinding(*var, i));
                 }
             }
             item.binds(&mut bound);
         }
-        let mut head_vars = Vec::new();
-        self.head.all_variables(&mut head_vars);
-        if let Some(v) = head_vars.iter().find(|v| !bound.contains(v)) {
-            return Err(WdlError::UnsafeDistribution(format!(
-                "head variable ${v} of {} is not bound by the body",
-                self.head
-            )));
-        }
-        Ok(())
+        reads.clear();
+        self.head.all_variables(&mut reads);
+        let unbound = reads.iter().filter(|v| !bound.contains(v));
+        out.extend(unbound.map(|&v| SafetyViolation::UnboundHead(v)));
+        out
     }
 
     /// Names of peers mentioned as constants anywhere in the rule.
@@ -85,29 +162,6 @@ impl WRule {
             }
         }
         out
-    }
-
-    /// All variables of the rule, in first-occurrence order.
-    pub fn variables(&self) -> Vec<Symbol> {
-        let mut all = Vec::new();
-        for item in &self.body {
-            let mut vs = Vec::new();
-            item.reads(&mut vs);
-            item.binds(&mut vs);
-            for v in vs {
-                if !all.contains(&v) {
-                    all.push(v);
-                }
-            }
-        }
-        let mut hv = Vec::new();
-        self.head.all_variables(&mut hv);
-        for v in hv {
-            if !all.contains(&v) {
-                all.push(v);
-            }
-        }
-        all
     }
 
     /// A canonical text form used for content-addressed delegation ids. Two
@@ -173,7 +227,7 @@ impl WRule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wdl_datalog::CmpOp;
+    use wdl_datalog::{CmpOp, Expr};
 
     #[test]
     fn paper_rule_is_safe_and_displays() {
@@ -267,18 +321,75 @@ mod tests {
     }
 
     #[test]
-    fn variables_in_first_occurrence_order() {
-        let r = WRule::example_attendee_pictures("Jules");
-        let names: Vec<&str> = r.variables().iter().map(|s| s.as_str()).collect();
-        assert_eq!(names, vec!["attendee", "id", "name", "owner", "data"]);
-    }
-
-    #[test]
     fn canonical_text_is_stable() {
         let a = WRule::example_attendee_pictures("Jules");
         let b = WRule::example_attendee_pictures("Jules");
         assert_eq!(a.canonical_text(), b.canonical_text());
         let c = WRule::example_attendee_pictures("Emilien");
         assert_ne!(a.canonical_text(), c.canonical_text());
+    }
+
+    #[test]
+    fn violations_list_every_unbound_variable_with_its_kind() {
+        // out@me($h) :- pics@$p($x), not b@me($y), $x := $y + 1
+        let r = WRule::new(
+            WAtom::at("out", "me", vec![Term::var("h")]),
+            vec![
+                WAtom::new(
+                    NameTerm::name("pics"),
+                    NameTerm::var("p"),
+                    vec![Term::var("x")],
+                )
+                .into(),
+                WBodyItem::not_atom(WAtom::at("b", "me", vec![Term::var("y")])),
+                WBodyItem::assign(
+                    "x",
+                    Expr::bin(
+                        wdl_datalog::BinOp::Add,
+                        Expr::term(Term::var("y")),
+                        Expr::term(Term::cst(1)),
+                    ),
+                ),
+            ],
+        );
+        let (p, x, y, h) = (
+            Symbol::intern("p"),
+            Symbol::intern("x"),
+            Symbol::intern("y"),
+            Symbol::intern("h"),
+        );
+        assert_eq!(
+            r.safety_violations(),
+            vec![
+                SafetyViolation::UnboundName(p, 0),
+                SafetyViolation::UnboundRead(y, 1),
+                SafetyViolation::UnboundRead(y, 2),
+                SafetyViolation::Rebinding(x, 2),
+                SafetyViolation::UnboundHead(h),
+            ]
+        );
+        let err = r.check_safety().unwrap_err().to_string();
+        assert!(err.contains("variable $p read at body position 0"), "{err}");
+    }
+
+    #[test]
+    fn validate_bounds_expression_depth() {
+        let rule = |depth: usize| {
+            let expr = (0..depth).fold(Expr::term(Term::var("x")), |e, _| {
+                Expr::bin(wdl_datalog::BinOp::Add, e, Expr::term(Term::cst(1)))
+            });
+            WRule::new(
+                WAtom::at("out", "me", vec![Term::var("y")]),
+                vec![
+                    WAtom::at("n", "me", vec![Term::var("x")]).into(),
+                    WBodyItem::assign("y", expr),
+                ],
+            )
+        };
+        rule(wdl_datalog::MAX_EXPR_DEPTH).validate().unwrap();
+        assert_eq!(
+            rule(wdl_datalog::MAX_EXPR_DEPTH + 1).validate(),
+            Err(WdlError::ExprTooDeep { position: 1 })
+        );
     }
 }

@@ -576,7 +576,7 @@ impl Peer {
                         stats.rejected += 1;
                         continue;
                     }
-                    if d.rule.check_safety().is_err() {
+                    if d.rule.validate().is_err() {
                         stats.rejected += 1;
                         continue;
                     }

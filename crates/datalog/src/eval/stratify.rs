@@ -8,7 +8,7 @@
 //!
 //! The demo paper notes negation is "supported by the language [but] not yet
 //! implemented in the WebdamLog system"; this kernel implements it, and the
-//! WebdamLog layer exposes it as an extension (see EXPERIMENTS.md).
+//! WebdamLog layer exposes it as an extension.
 
 use crate::{DatalogError, Result, Rule, Symbol};
 use std::collections::HashMap;

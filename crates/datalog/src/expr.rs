@@ -109,6 +109,13 @@ impl fmt::Display for BinOp {
     }
 }
 
+/// The deepest an [`Expr`] may nest: a chain of at most this many binary
+/// operators from the root to any leaf. Rule validation, the parser and the
+/// wire/disk decoder all enforce it, so every expression a peer admits can
+/// be written to its image and read back, and none of the recursive walks
+/// over an expression can exhaust the stack.
+pub const MAX_EXPR_DEPTH: usize = 512;
+
 /// An expression tree over terms, used on the right-hand side of an
 /// assignment builtin (`$x := $y + 1`).
 #[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -152,6 +159,16 @@ impl Expr {
                 apply_binop(*op, &l, &r)
             }
         }
+    }
+
+    /// True when the tree nests deeper than [`MAX_EXPR_DEPTH`]. The walk
+    /// stops descending at the bound, so it is stack-safe on any tree.
+    pub fn too_deep(&self) -> bool {
+        fn deeper(e: &Expr, budget: usize) -> bool {
+            matches!(e, Expr::Bin(_, l, r)
+                if budget == 0 || deeper(l, budget - 1) || deeper(r, budget - 1))
+        }
+        deeper(self, MAX_EXPR_DEPTH)
     }
 
     /// Collects the variables mentioned by the expression into `out`.
@@ -333,5 +350,17 @@ mod tests {
         let mut vs = Vec::new();
         e.variables(&mut vs);
         assert_eq!(vs, vec![Symbol::intern("a"), Symbol::intern("b")]);
+    }
+
+    #[test]
+    fn depth_bound_counts_operators_on_the_longest_path() {
+        let chain = |ops: usize| {
+            (0..ops).fold(Expr::term(Term::cst(1)), |e, _| {
+                Expr::bin(BinOp::Add, Expr::term(Term::cst(1)), e)
+            })
+        };
+        assert!(!Expr::term(Term::cst(1)).too_deep());
+        assert!(!chain(MAX_EXPR_DEPTH).too_deep());
+        assert!(chain(MAX_EXPR_DEPTH + 1).too_deep());
     }
 }

@@ -15,7 +15,7 @@
 //!   negation ([`Program::eval`]).
 //!
 //! The naive evaluator is retained deliberately: it is the baseline of the
-//! E6 ablation experiment (see `EXPERIMENTS.md` at the workspace root).
+//! E6 ablation experiment (`crates/bench/benches/e6_fixpoint.rs`).
 //!
 //! [Bud]: http://www.bloom-lang.net/
 //!
@@ -78,7 +78,7 @@ pub use atom::{Atom, BodyItem, Literal};
 pub use database::Database;
 pub use error::{DatalogError, Result};
 pub use eval::{negative_cycle, EvalConfig, NegativeCycle};
-pub use expr::{BinOp, CmpOp, Expr};
+pub use expr::{BinOp, CmpOp, Expr, MAX_EXPR_DEPTH};
 pub use fact::{Fact, Tuple};
 pub use incremental::{Delta, MaterializedView};
 pub use intern::ValueId;

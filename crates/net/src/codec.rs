@@ -19,18 +19,10 @@ use wdl_core::{
     Delegation, DelegationId, FactKind, Message, NameTerm, Payload, WAtom, WBodyItem, WFact,
     WLiteral, WRule,
 };
-use wdl_datalog::{BinOp, CmpOp, Expr, Symbol, Term, Value};
+use wdl_datalog::{BinOp, CmpOp, Expr, Symbol, Term, Value, MAX_EXPR_DEPTH};
 
 /// Format version magic; bump on incompatible changes.
 pub const WIRE_VERSION: u8 = 1;
-
-/// Maximum expression nesting a frame may carry. Decoding is recursive,
-/// so adversarial or corrupted frames nesting deeper are rejected with a
-/// codec error instead of a stack overflow. The limit is far above any
-/// expression the parser or rule builders produce; note that [`encode`]
-/// does not enforce it, so a (pathological) rule nesting deeper would
-/// encode but be rejected by the receiver's decode.
-pub const MAX_EXPR_DEPTH: usize = 512;
 
 /// Encodes a message into a standalone buffer (without outer length prefix —
 /// framing is the transport's job).
@@ -386,9 +378,9 @@ impl<'a> Reader<'a> {
     }
 
     fn expr_at(&mut self, depth: usize) -> Result<Expr, NetError> {
-        // Expressions decode recursively; cap the nesting so an
-        // adversarial (or corrupted) frame degrades to a clean error
-        // instead of exhausting the stack.
+        // Expressions decode recursively; cap the nesting at the bound
+        // rule validation enforces, so an adversarial (or corrupted) frame
+        // degrades to a clean error instead of exhausting the stack.
         if depth > MAX_EXPR_DEPTH {
             return Err(NetError::Codec(format!(
                 "expression nests deeper than {MAX_EXPR_DEPTH}"

@@ -392,8 +392,9 @@ impl<'a> Lexer<'a> {
                 c => {
                     // Re-assemble a UTF-8 sequence.
                     let mut buf = vec![c];
-                    while self.peek().is_some_and(|b| (b & 0xC0) == 0x80) {
-                        buf.push(self.bump().unwrap());
+                    while let Some(b) = self.peek().filter(|b| (b & 0xC0) == 0x80) {
+                        self.bump();
+                        buf.push(b);
                     }
                     let frag = std::str::from_utf8(&buf)
                         .map_err(|_| self.error("invalid UTF-8 in string"))?;

@@ -43,6 +43,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 mod lexer;
 mod load;
@@ -50,7 +52,7 @@ mod parse;
 pub mod pretty;
 
 pub use lexer::{Token, TokenKind};
-pub use load::{load_program, load_program_checked, LoadError, LoadReport};
+pub use load::{load_program_checked, LoadError};
 pub use parse::{
     parse_fact, parse_program, parse_program_spanned, parse_rule, parse_statement, ParseError,
     SpannedStatement, Statement,

@@ -2,32 +2,22 @@
 //!
 //! The demo's setup files and rule-editing pane boil down to "apply this
 //! text to this peer": declarations declare, facts insert, rules install.
-//! [`load_program`] does exactly that, reporting what happened.
+//! [`load_program_checked`] is the one way program text reaches a peer: it
+//! parses, vets the program with a static checker and hands it to
+//! [`Peer::install`], which applies it all or nothing.
 
-use crate::{parse_program, parse_program_spanned, ParseError, Statement};
-use wdl_core::diag::{Diagnostic, ProgramBatch, ProgramCheck, Span};
-use wdl_core::{Peer, RuleId, WdlError};
-
-/// What a [`load_program`] call applied.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct LoadReport {
-    /// Relations declared (or re-declared idempotently).
-    pub declarations: usize,
-    /// Facts inserted (duplicates not counted).
-    pub facts: usize,
-    /// Rules installed, with their ids.
-    pub rules: Vec<RuleId>,
-    /// Non-blocking analyzer diagnostics ([`load_program_checked`] only;
-    /// the unchecked path leaves this empty).
-    pub warnings: Vec<Diagnostic>,
-}
+use crate::{parse_program_spanned, ParseError, Statement};
+use wdl_core::diag::{InstallReport, ProgramBatch, ProgramCheck, Span};
+use wdl_core::{Peer, WdlError};
 
 /// Errors from loading a program.
 #[derive(Debug)]
 pub enum LoadError {
     /// The text failed to parse.
     Parse(ParseError),
-    /// A statement was rejected by the engine (safety, schema, ...).
+    /// [`Peer::install`] refused the program: the static checker reported
+    /// an error ([`WdlError::Rejected`]) or engine validation failed
+    /// (schema, [`wdl_core::WRule::validate`], ...).
     Engine(WdlError),
     /// A statement targets a different peer.
     WrongPeer {
@@ -65,69 +55,25 @@ impl From<WdlError> for LoadError {
     }
 }
 
-/// Parses `src` and applies every statement to `peer`:
+/// Parses `src` and installs it on `peer`:
 ///
 /// * declarations must address `peer` and declare its relations;
 /// * facts must address `peer` and insert into its extensional relations;
 /// * rules install as the peer's own rules (their *head* may address any
 ///   peer — that is what distribution is for).
 ///
-/// Application is transactional per statement, not per program: on error,
-/// earlier statements remain applied (matching the demo's interactive
-/// editing model, where each accepted line takes effect immediately).
-pub fn load_program(peer: &mut Peer, src: &str) -> Result<LoadReport, LoadError> {
-    let statements = parse_program(src)?;
-    let mut report = LoadReport::default();
-    for st in statements {
-        match st {
-            Statement::Declaration {
-                rel,
-                peer: at,
-                arity,
-                kind,
-            } => {
-                if at != peer.name() {
-                    return Err(LoadError::WrongPeer {
-                        addressed: at.to_string(),
-                        loading: peer.name().to_string(),
-                    });
-                }
-                peer.declare(rel, arity, kind)?;
-                report.declarations += 1;
-            }
-            Statement::Fact(f) => {
-                if f.peer != peer.name() {
-                    return Err(LoadError::WrongPeer {
-                        addressed: f.peer.to_string(),
-                        loading: peer.name().to_string(),
-                    });
-                }
-                if peer.insert_local(f.rel, f.tuple.to_vec())? {
-                    report.facts += 1;
-                }
-            }
-            Statement::Rule(r) => {
-                report.rules.push(peer.add_rule(r)?);
-            }
-        }
-    }
-    Ok(report)
-}
-
-/// [`load_program`], but vetted by a static checker and applied
-/// atomically: the whole program is parsed (keeping statement spans),
-/// packed into a [`ProgramBatch`] and handed to [`Peer::install`] — any
-/// `Severity::Error` diagnostic rejects the *entire* program with
-/// [`WdlError::Rejected`] before a single statement takes effect, and
-/// warnings come back in [`LoadReport::warnings`].
-///
-/// Unlike [`load_program`], duplicate facts count as applied (the
-/// install path does not report store-level dedup).
+/// The whole program is parsed (keeping statement spans), packed into a
+/// [`ProgramBatch`] and handed to [`Peer::install`]: any
+/// `Severity::Error` diagnostic from `check` rejects the *entire* program
+/// with [`WdlError::Rejected`], and an engine validation failure rejects it
+/// too, before a single statement takes effect. Warnings come back in
+/// [`InstallReport::warnings`]. Pass [`wdl_core::NoCheck`] to skip the
+/// static checker and keep only the engine's own validation.
 pub fn load_program_checked(
     peer: &mut Peer,
     src: &str,
     check: &dyn ProgramCheck,
-) -> Result<LoadReport, LoadError> {
+) -> Result<InstallReport, LoadError> {
     let statements = parse_program_spanned(src)?;
     let mut batch = ProgramBatch::new();
     for st in statements {
@@ -160,19 +106,13 @@ pub fn load_program_checked(
             }
         }
     }
-    let report = peer.install(batch, check)?;
-    Ok(LoadReport {
-        declarations: report.declarations,
-        facts: report.facts,
-        rules: report.rules,
-        warnings: report.warnings,
-    })
+    Ok(peer.install(batch, check)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wdl_core::RelationKind;
+    use wdl_core::{NoCheck, RelationKind};
     use wdl_datalog::Symbol;
 
     const PROGRAM: &str = r#"
@@ -193,7 +133,7 @@ mod tests {
     #[test]
     fn full_program_loads() {
         let mut p = Peer::new("jules");
-        let report = load_program(&mut p, PROGRAM).unwrap();
+        let report = load_program_checked(&mut p, PROGRAM, &NoCheck).unwrap();
         assert_eq!(report.declarations, 3);
         assert_eq!(report.facts, 3);
         assert_eq!(report.rules.len(), 1);
@@ -208,14 +148,17 @@ mod tests {
     #[test]
     fn wrong_peer_fact_rejected() {
         let mut p = Peer::new("jules");
-        let err = load_program(&mut p, "pictures@emilien(1, \"x\", \"e\", 0x00);").unwrap_err();
+        let err =
+            load_program_checked(&mut p, "pictures@emilien(1, \"x\", \"e\", 0x00);", &NoCheck)
+                .unwrap_err();
         assert!(matches!(err, LoadError::WrongPeer { .. }));
     }
 
     #[test]
     fn wrong_peer_declaration_rejected() {
         let mut p = Peer::new("jules");
-        let err = load_program(&mut p, "extensional pictures@emilien/4;").unwrap_err();
+        let err =
+            load_program_checked(&mut p, "extensional pictures@emilien/4;", &NoCheck).unwrap_err();
         assert!(matches!(err, LoadError::WrongPeer { .. }));
     }
 
@@ -223,9 +166,10 @@ mod tests {
     fn remote_head_rule_is_fine() {
         // Distribution: the head addresses another peer.
         let mut p = Peer::new("jules");
-        let report = load_program(
+        let report = load_program_checked(
             &mut p,
             "pictures@sigmod($x, $n, $o, $d) :- pictures@jules($x, $n, $o, $d);",
+            &NoCheck,
         )
         .unwrap();
         assert_eq!(report.rules.len(), 1);
@@ -235,7 +179,7 @@ mod tests {
     fn parse_errors_surface() {
         let mut p = Peer::new("jules");
         assert!(matches!(
-            load_program(&mut p, "this is not webdamlog"),
+            load_program_checked(&mut p, "this is not webdamlog", &NoCheck),
             Err(LoadError::Parse(_))
         ));
     }
@@ -244,14 +188,15 @@ mod tests {
     fn unsafe_rule_rejected_with_engine_error() {
         let mut p = Peer::new("jules");
         // head variable never bound
-        let err = load_program(&mut p, "v@jules($x) :- w@jules($y);").unwrap_err();
+        let err =
+            load_program_checked(&mut p, "v@jules($x) :- w@jules($y);", &NoCheck).unwrap_err();
         assert!(matches!(err, LoadError::Engine(_)));
     }
 
     #[test]
     fn duplicate_facts_not_double_counted() {
         let mut p = Peer::new("jules");
-        let report = load_program(&mut p, "r@jules(1);\nr@jules(1);").unwrap();
+        let report = load_program_checked(&mut p, "r@jules(1);\nr@jules(1);", &NoCheck).unwrap();
         assert_eq!(report.facts, 1);
     }
 }

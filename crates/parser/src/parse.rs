@@ -2,7 +2,7 @@
 
 use crate::lexer::{Lexer, Token, TokenKind};
 use wdl_core::{NameTerm, RelationKind, WAtom, WBodyItem, WFact, WRule};
-use wdl_datalog::{BinOp, CmpOp, Expr, Symbol, Term, Value};
+use wdl_datalog::{BinOp, CmpOp, Expr, Symbol, Term, Value, MAX_EXPR_DEPTH};
 
 /// A parse failure with its source position.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -361,10 +361,10 @@ impl Parser {
                 }
                 TokenKind::Bind => {
                     let TokenKind::Var(v) = self.bump().kind else {
-                        unreachable!()
+                        return Err(self.error_here("expected a variable before `:=`"));
                     };
                     self.bump(); // :=
-                    let expr = self.expr()?;
+                    let (expr, _) = self.expr(0, true)?;
                     return Ok(WBodyItem::assign(v.as_str(), expr));
                 }
                 _ => {
@@ -404,45 +404,57 @@ impl Parser {
         Ok(op)
     }
 
-    /// Additive level (`+ - ++`) over multiplicative (`* / %`).
-    fn expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.expr_mul()?;
+    /// A chain of binary operators at one precedence level: additive
+    /// (`+ - ++`) over multiplicative (`* / %`) over atoms.
+    ///
+    /// Every level returns the tree with its height, and `nest` counts the
+    /// parentheses open around it: past [`MAX_EXPR_DEPTH`] of either the
+    /// parse fails, before the recursion or the tree can grow deep enough
+    /// to exhaust the stack.
+    fn expr(&mut self, nest: usize, additive: bool) -> Result<(Expr, usize), ParseError> {
+        let operand = |p: &mut Parser| {
+            if additive {
+                p.expr(nest, false)
+            } else {
+                p.expr_atom(nest)
+            }
+        };
+        let (mut lhs, mut height) = operand(self)?;
         loop {
-            let op = match self.peek_kind() {
-                TokenKind::Plus => BinOp::Add,
-                TokenKind::Minus => BinOp::Sub,
-                TokenKind::Concat => BinOp::Concat,
-                _ => return Ok(lhs),
+            let op = match (additive, self.peek_kind()) {
+                (true, TokenKind::Plus) => BinOp::Add,
+                (true, TokenKind::Minus) => BinOp::Sub,
+                (true, TokenKind::Concat) => BinOp::Concat,
+                (false, TokenKind::Star) => BinOp::Mul,
+                (false, TokenKind::Slash) => BinOp::Div,
+                (false, TokenKind::Percent) => BinOp::Mod,
+                _ => return Ok((lhs, height)),
             };
             self.bump();
-            let rhs = self.expr_mul()?;
+            let (rhs, rh) = operand(self)?;
+            height = 1 + height.max(rh);
+            if height > MAX_EXPR_DEPTH {
+                return Err(self.too_deep());
+            }
             lhs = Expr::bin(op, lhs, rhs);
         }
     }
 
-    fn expr_mul(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.expr_atom()?;
-        loop {
-            let op = match self.peek_kind() {
-                TokenKind::Star => BinOp::Mul,
-                TokenKind::Slash => BinOp::Div,
-                TokenKind::Percent => BinOp::Mod,
-                _ => return Ok(lhs),
-            };
-            self.bump();
-            let rhs = self.expr_atom()?;
-            lhs = Expr::bin(op, lhs, rhs);
-        }
-    }
-
-    fn expr_atom(&mut self) -> Result<Expr, ParseError> {
+    fn expr_atom(&mut self, nest: usize) -> Result<(Expr, usize), ParseError> {
         if self.peek_kind() == &TokenKind::LParen {
+            if nest >= MAX_EXPR_DEPTH {
+                return Err(self.too_deep());
+            }
             self.bump();
-            let e = self.expr()?;
+            let e = self.expr(nest + 1, true)?;
             self.expect(TokenKind::RParen, "`)`")?;
             return Ok(e);
         }
-        Ok(Expr::Term(self.term()?))
+        Ok((Expr::Term(self.term()?), 0))
+    }
+
+    fn too_deep(&self) -> ParseError {
+        self.error_here(format!("expression nests deeper than {MAX_EXPR_DEPTH}"))
     }
 }
 
@@ -608,5 +620,40 @@ mod tests {
     fn comparison_between_two_constants() {
         let r = parse_rule("out@me($x) :- n@me($x), 1 < 2;").unwrap();
         assert!(matches!(r.body[1], WBodyItem::Cmp { op: CmpOp::Lt, .. }));
+    }
+
+    fn assignment(expr: &str) -> String {
+        format!("out@me($x) :- n@me($y), $x := {expr};")
+    }
+
+    #[test]
+    fn deep_expressions_are_parse_errors_not_stack_overflows() {
+        let parens = format!("{}1{}", "(".repeat(200_000), ")".repeat(200_000));
+        let chain = vec!["1"; 100_000].join(" + ");
+        for expr in [parens, chain] {
+            let err = parse_rule(&assignment(&expr)).unwrap_err();
+            assert!(err.message.contains("nests deeper"), "{err}");
+            assert_eq!(err.line, 1);
+        }
+    }
+
+    #[test]
+    fn expressions_at_the_depth_bound_parse() {
+        let n = MAX_EXPR_DEPTH;
+        let chain = vec!["1"; n + 1].join(" * ");
+        let r = parse_rule(&assignment(&chain)).unwrap();
+        let WBodyItem::Assign { expr, .. } = &r.body[1] else {
+            panic!("expected assign");
+        };
+        assert!(!expr.too_deep());
+        // The fully parenthesised rendering nests `n` parentheses deep.
+        assert_eq!(parse_rule(&crate::pretty::rule(&r)).unwrap(), r);
+        let parens = format!("{}1{}", "(".repeat(n), ")".repeat(n));
+        parse_rule(&assignment(&parens)).unwrap();
+
+        let chain = vec!["1"; n + 2].join(" * ");
+        assert!(parse_rule(&assignment(&chain)).is_err());
+        let parens = format!("{}1{}", "(".repeat(n + 1), ")".repeat(n + 1));
+        assert!(parse_rule(&assignment(&parens)).is_err());
     }
 }

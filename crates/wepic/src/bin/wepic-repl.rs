@@ -127,17 +127,31 @@ fn dispatch(repl: &mut Repl, line: &str) -> Result<(), String> {
             }
             Ok(())
         }
-        "decl" | "fact" => {
+        "decl" | "fact" | "rule" => {
+            // Interactive edits are vetted like a file: one statement per
+            // line through the static checker, applied all or nothing.
             let peer = current(repl)?;
-            let report = parser::load_program(
+            let report = parser::load_program_checked(
                 repl.rt.peer_mut(peer.as_str()).unwrap(),
                 ensure_semi(rest).as_str(),
+                &wdl_analyze::StaticChecker,
             )
             .map_err(|e| e.to_string())?;
-            println!(
-                "applied: {} declaration(s), {} fact(s)",
-                report.declarations, report.facts
-            );
+            // Only the entered statement carries a span: the peer's
+            // earlier rules are checked too, but their warnings stay with
+            // the `check` command.
+            for d in report.warnings.iter().filter(|d| d.rule_span.is_some()) {
+                println!("  {d}");
+            }
+            for id in &report.rules {
+                println!("installed rule {id}");
+            }
+            if report.rules.is_empty() {
+                println!(
+                    "applied: {} declaration(s), {} fact(s)",
+                    report.declarations, report.facts
+                );
+            }
             Ok(())
         }
         "delete" => {
@@ -151,18 +165,6 @@ fn dispatch(repl: &mut Repl, line: &str) -> Result<(), String> {
                 .delete_local(fact.rel, fact.tuple.to_vec())
                 .map_err(|e| e.to_string())?;
             println!("{}", if removed { "deleted" } else { "not present" });
-            Ok(())
-        }
-        "rule" => {
-            let peer = current(repl)?;
-            let rule = parser::parse_rule(ensure_semi(rest).as_str()).map_err(|e| e.to_string())?;
-            let id = repl
-                .rt
-                .peer_mut(peer.as_str())
-                .unwrap()
-                .add_rule(rule)
-                .map_err(|e| e.to_string())?;
-            println!("installed rule {id}");
             Ok(())
         }
         "rules" => {

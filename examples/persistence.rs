@@ -8,9 +8,9 @@
 //! ```
 
 use webdamlog::core::runtime::LocalRuntime;
-use webdamlog::core::Peer;
+use webdamlog::core::{NoCheck, Peer};
 use webdamlog::net::snapshot;
-use webdamlog::parser::load_program;
+use webdamlog::parser::load_program_checked;
 
 fn main() {
     let dir = std::env::temp_dir().join("webdamlog-example");
@@ -19,7 +19,7 @@ fn main() {
 
     // Joe (the paper's intro user) customizes his peer.
     let mut joe = Peer::new("joe");
-    load_program(
+    load_program_checked(
         &mut joe,
         r#"
         // Joe's personal data and a review-publishing rule (the blog/
@@ -35,6 +35,7 @@ fn main() {
         toPublish@joe($title, $text) :-
             movies@joe($id, $title), reviews@joe($id, $text);
         "#,
+        &NoCheck,
     )
     .expect("program loads");
     joe.acl_mut().trust("blogHost");

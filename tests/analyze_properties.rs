@@ -6,14 +6,16 @@
 //! 2. **soundness vs the runtime**: a program the analyzer passes without
 //!    `WDL004` never trips `NotStratifiable` at evaluation time — the
 //!    analyzer's quotiented dependency graph is a conservative superset of
-//!    each peer's local stratification graph.
+//!    each peer's local stratification graph;
+//! 3. **agreement on safety**: the analyzer reports WDL001–003 on a rule
+//!    iff the runtime's `check_safety` rejects it, naming the same variable.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use webdamlog::analyze::{Analyzer, PeerModel};
 use webdamlog::core::runtime::LocalRuntime;
 use webdamlog::core::{DiagCode, NameTerm, Peer, RelationKind, WAtom, WBodyItem, WRule, WdlError};
-use webdamlog::datalog::{DatalogError, Term, Value};
+use webdamlog::datalog::{BinOp, CmpOp, DatalogError, Expr, Term, Value};
 
 const CASES: u64 = 96;
 
@@ -201,4 +203,73 @@ fn analyzer_clean_programs_never_trip_runtime_stratification() {
         "generator never produced an unstratifiable case"
     );
     assert!(ran > 0, "generator never produced an analyzer-clean case");
+}
+
+/// A random rule over [`atom`]'s vocabulary plus comparisons and
+/// assignments, each reading and binding variables in arbitrary order, so
+/// every kind of safety violation (and safe rules) turns up.
+fn random_rule(rng: &mut StdRng) -> WRule {
+    let rels = ["r0", "r1"];
+    let peers = ["p0", "p1"];
+    let vars = ["x", "y", "z", "R", "P"];
+    let pick = |rng: &mut StdRng| vars[rng.gen_range(0..vars.len())];
+    let head = atom(rng, &rels, &peers, true);
+    let body = (0..rng.gen_range(0..4usize))
+        .map(|_| match rng.gen_range(0..10) {
+            0..=4 => WBodyItem::atom(atom(rng, &rels, &peers, true)),
+            5..=6 => WBodyItem::not_atom(atom(rng, &rels, &peers, true)),
+            7 => WBodyItem::cmp(CmpOp::Lt, Term::var(pick(rng)), Term::cst(Value::from(3))),
+            _ => {
+                let (var, input) = (pick(rng), Expr::term(Term::var(pick(rng))));
+                let one = Expr::term(Term::cst(Value::from(1)));
+                WBodyItem::assign(var, Expr::bin(BinOp::Add, input, one))
+            }
+        })
+        .collect();
+    WRule::new(head, body)
+}
+
+#[test]
+fn analyzer_safety_codes_agree_with_runtime_check_safety() {
+    let safety_codes = [
+        DiagCode::UnboundHeadVar,
+        DiagCode::UnboundNegatedVar,
+        DiagCode::UnboundNameVar,
+    ];
+    let (mut safe, mut unsafe_) = (0usize, 0usize);
+    for seed in 0..CASES * 8 {
+        let rule = random_rule(&mut StdRng::seed_from_u64(5000 + seed));
+        let report = Analyzer::new(vec![PeerModel::new("p0").with_rule(rule.clone())]).analyze();
+        let flagged: Vec<_> = report
+            .diagnostics
+            .iter()
+            .filter(|d| safety_codes.contains(&d.code))
+            .collect();
+        match rule.check_safety() {
+            Ok(()) => {
+                safe += 1;
+                assert!(
+                    flagged.is_empty(),
+                    "seed {seed}: `{rule}` passes check_safety but the analyzer says {flagged:?}"
+                );
+            }
+            Err(WdlError::UnsafeDistribution(msg)) => {
+                unsafe_ += 1;
+                let var = msg
+                    .split('$')
+                    .nth(1)
+                    .and_then(|rest| rest.split(' ').next())
+                    .unwrap_or_default();
+                assert!(
+                    flagged
+                        .iter()
+                        .any(|d| d.message.contains(&format!("${var} "))),
+                    "seed {seed}: `{rule}` fails check_safety ({msg}) but the analyzer \
+                     reports no safety error on ${var}: {flagged:?}"
+                );
+            }
+            Err(other) => panic!("seed {seed}: unexpected error {other}"),
+        }
+    }
+    assert!(safe > 0 && unsafe_ > 0, "safe {safe}, unsafe {unsafe_}");
 }

@@ -4,10 +4,10 @@
 
 use webdamlog::core::acl::UntrustedPolicy;
 use webdamlog::core::runtime::LocalRuntime;
-use webdamlog::core::{Peer, RelationKind};
+use webdamlog::core::{NoCheck, Peer, RelationKind};
 use webdamlog::datalog::Value;
 use webdamlog::net::snapshot;
-use webdamlog::parser::{load_program, parse_rule};
+use webdamlog::parser::{load_program_checked, parse_rule};
 
 fn open_peer(name: &str) -> Peer {
     let mut p = Peer::new(name);
@@ -39,9 +39,10 @@ fn restored_peer_resumes_serving_delegations() {
     rt.add_peer(viewer).unwrap();
 
     let mut source = open_peer("prSource");
-    load_program(
+    load_program_checked(
         &mut source,
         r#"pictures@prSource(1, "a.jpg", "prSource", 0x01);"#,
+        &NoCheck,
     )
     .unwrap();
     rt.add_peer(source).unwrap();
@@ -100,7 +101,7 @@ fn restored_peer_resumes_serving_delegations() {
 #[test]
 fn snapshot_behavioural_equivalence() {
     let mut original = open_peer("beq");
-    load_program(
+    load_program_checked(
         &mut original,
         r#"
         extensional rate@beq/2;
@@ -109,6 +110,7 @@ fn snapshot_behavioural_equivalence() {
         rate@beq(2, 2);
         high@beq($id) :- rate@beq($id, $r), $r >= 4;
         "#,
+        &NoCheck,
     )
     .unwrap();
     original.acl_mut().restrict_read("rate");
@@ -129,7 +131,7 @@ fn snapshot_file_lifecycle() {
     let path = dir.join("it-peer.snap");
 
     let mut p = open_peer("filePeer");
-    load_program(&mut p, r#"notes@filePeer("remember this");"#).unwrap();
+    load_program_checked(&mut p, r#"notes@filePeer("remember this");"#, &NoCheck).unwrap();
     snapshot::save_to_file(&p, &path).unwrap();
 
     let q = snapshot::load_from_file(&path).unwrap();
