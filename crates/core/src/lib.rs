@@ -112,8 +112,9 @@ pub use fact::{qualify, unqualify, WFact};
 pub use message::{FactKind, Message, Payload};
 pub use peer::{Peer, RuleEntry, RuleId};
 pub use rule::{SafetyViolation, WRule};
+pub use runtime::RoundReport;
 pub use schema::{RelationDecl, RelationKind, Schema};
-pub use shard::{ShardReport, ShardedRuntime};
+pub use shard::ShardedRuntime;
 pub use stage::{StageOutput, StageStats};
 // The observability layer's vocabulary, re-exported so embedders of the
 // runtimes need not name `wdl-obs` themselves.

@@ -4,34 +4,85 @@
 //! the equivalent of running every demo laptop and the Webdam cloud inside
 //! one process. Stage semantics are identical over the TCP transport in
 //! `wdl-net`; only delivery changes.
+//!
+//! Both in-process runtimes — [`LocalRuntime`] here and
+//! [`crate::shard::ShardedRuntime`] — drive their peers through one
+//! cohort: peers keyed by global insertion sequence, whose stages run in
+//! that order and whose messages come back tagged with the sender's
+//! sequence. A round of either runtime ends the same way: it routes the
+//! messages of every peer whose stage succeeded in sender insertion order,
+//! and only then reports the error of the earliest failing peer, which
+//! stays scheduled for the next round. Both return one [`RoundReport`].
 
-use crate::{Message, Peer, Result, StageStats};
-use std::collections::HashMap;
+use crate::{Message, Peer, Result, StageStats, TraceEvent, WdlError};
+use std::collections::{BTreeMap, HashMap};
 use wdl_datalog::Symbol;
 
-/// Compile-time proof that [`crate::shard::ShardedRuntime`] is sound to
-/// build: peers (with their databases, maintained views and inboxes) move
-/// onto shard worker threads, and messages and stage errors travel back
-/// to the coordinator over channels.
-#[allow(dead_code)]
-fn assert_thread_safe() {
-    fn send<T: Send>() {}
-    send::<Peer>();
-    send::<Message>();
-    send::<crate::WdlError>();
-}
-
-/// Result of one synchronous round of stages across all peers.
+/// Result of one round of [`LocalRuntime`] or
+/// [`crate::shard::ShardedRuntime`].
+///
+/// Besides what the round routed, it carries the scheduling counters that
+/// make scale-out behaviour observable: how many peers actually ran versus
+/// how many exist, and how many messages admission control held back.
 #[derive(Clone, Debug, Default)]
-pub struct TickReport {
-    /// Messages routed at the end of the round.
+pub struct RoundReport {
+    /// The 1-based round this report describes.
+    pub round: u64,
+    /// Messages routed at the end of the round (delivered next round).
     pub messages: usize,
     /// Messages whose target peer does not exist in this runtime.
     pub undeliverable: usize,
-    /// Whether any peer observed or produced a change.
+    /// Whether any peer that ran observed or produced a change.
     pub changed: bool,
-    /// Per-peer stage stats for this round.
+    /// Peers whose stage ran this round. [`LocalRuntime::tick`] runs every
+    /// peer; the sharded runtime skips peers with no input and no
+    /// mutation since their last stage.
+    pub peers_run: usize,
+    /// Total peers registered in the runtime this round.
+    pub peers_total: usize,
+    /// Messages withheld by per-peer inbox admission control
+    /// ([`crate::shard::ShardedRuntime::set_inbox_budget`]); they stay
+    /// queued and are delivered in arrival order over subsequent rounds.
+    pub deferred: usize,
+    /// Per-peer stage stats for the peers that ran (the sharded runtime
+    /// collects them only while
+    /// [`crate::shard::ShardedRuntime::set_collect_stats`] is on).
     pub stats: HashMap<Symbol, StageStats>,
+}
+
+impl RoundReport {
+    /// Fraction of registered peers that executed a stage this round —
+    /// the headline scale metric: a bursty workload over a large network
+    /// should keep this near `active / total`, not near 1.
+    pub fn active_fraction(&self) -> f64 {
+        if self.peers_total == 0 {
+            0.0
+        } else {
+            self.peers_run as f64 / self.peers_total as f64
+        }
+    }
+}
+
+impl std::fmt::Display for RoundReport {
+    /// One status line per round, the shape a REPL or log tail wants:
+    ///
+    /// ```text
+    /// round 3: ran 500/100000 peers (0.5% active), routed 1000, deferred 250, undeliverable 0, changed
+    /// ```
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "round {}: ran {}/{} peers ({:.1}% active), routed {}, deferred {}, undeliverable {}, {}",
+            self.round,
+            self.peers_run,
+            self.peers_total,
+            self.active_fraction() * 100.0,
+            self.messages,
+            self.deferred,
+            self.undeliverable,
+            if self.changed { "changed" } else { "quiet" },
+        )
+    }
 }
 
 /// Result of running to quiescence.
@@ -47,25 +98,227 @@ pub struct QuiescenceReport {
     pub undeliverable: usize,
 }
 
+/// Runs `tick` until a fully quiet round — nothing changed, nothing sent,
+/// nothing deferred — or until `max_rounds` is exhausted.
+pub(crate) fn quiesce(
+    max_rounds: usize,
+    mut tick: impl FnMut() -> Result<RoundReport>,
+) -> Result<QuiescenceReport> {
+    let mut report = QuiescenceReport::default();
+    for _ in 0..max_rounds {
+        let round = tick()?;
+        report.rounds += 1;
+        report.messages += round.messages;
+        report.undeliverable += round.undeliverable;
+        if !round.changed && round.messages == 0 && round.deferred == 0 {
+            report.quiescent = true;
+            return Ok(report);
+        }
+    }
+    Ok(report)
+}
+
+/// A set of peers keyed by global insertion sequence: the state both
+/// in-process runtimes hold, [`LocalRuntime`] for all its peers and each
+/// shard worker thread for the peers it owns (so peers, messages and
+/// stage errors are `Send`: they cross the shard channels).
+#[derive(Default)]
+pub(crate) struct Cohort {
+    /// Global insertion sequence → peer, iterated in ascending order.
+    peers: BTreeMap<u64, Peer>,
+    by_name: HashMap<Symbol, u64>,
+    /// Whether peers carry trace sinks (peers added later inherit it).
+    tracing: bool,
+}
+
+/// What [`Cohort::run`] produced: everything a runtime needs to settle
+/// the round.
+#[derive(Default)]
+pub(crate) struct CohortRun {
+    /// Outgoing messages tagged with the sender's insertion sequence.
+    pub(crate) outbox: Vec<(u64, Message)>,
+    pub(crate) changed: bool,
+    /// Peers whose stage succeeded.
+    pub(crate) peers_run: usize,
+    pub(crate) stats: Vec<(Symbol, StageStats)>,
+    /// Trace events drained from the peers that ran (empty untraced).
+    pub(crate) trace: Vec<TraceEvent>,
+    /// Stage failures, tagged with the failing peer's insertion sequence.
+    pub(crate) errors: Vec<(u64, WdlError)>,
+}
+
+impl Cohort {
+    /// Adds `peer` under insertion sequence `seq`; a taken name is the
+    /// recoverable [`WdlError::DuplicatePeer`].
+    pub(crate) fn insert(&mut self, seq: u64, mut peer: Peer) -> Result<Symbol> {
+        let name = peer.name();
+        if self.by_name.contains_key(&name) {
+            return Err(WdlError::DuplicatePeer(name.to_string()));
+        }
+        if self.tracing {
+            // Late joiners inherit the tracing state, so a profiled run
+            // covers peers added mid-run (E8).
+            peer.set_trace_sink(Box::new(wdl_obs::BufferSink::new()));
+        }
+        self.by_name.insert(name, seq);
+        self.peers.insert(seq, peer);
+        Ok(name)
+    }
+
+    /// Removes a peer (inbox intact), with its insertion sequence.
+    pub(crate) fn remove(&mut self, name: Symbol) -> Option<(u64, Peer)> {
+        let seq = self.by_name.remove(&name)?;
+        self.peers.remove(&seq).map(|peer| (seq, peer))
+    }
+
+    pub(crate) fn seq(&self, name: Symbol) -> Option<u64> {
+        self.by_name.get(&name).copied()
+    }
+
+    pub(crate) fn peer(&self, name: Symbol) -> Option<&Peer> {
+        self.peers.get(&self.seq(name)?)
+    }
+
+    pub(crate) fn peer_mut(&mut self, name: Symbol) -> Option<&mut Peer> {
+        self.peers.get_mut(&self.seq(name)?)
+    }
+
+    /// Peers in insertion order.
+    pub(crate) fn peers(&self) -> impl Iterator<Item = &Peer> {
+        self.peers.values()
+    }
+
+    /// Insertion sequences, ascending.
+    pub(crate) fn seqs(&self) -> impl Iterator<Item = u64> + '_ {
+        self.peers.keys().copied()
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.peers.len()
+    }
+
+    /// Whether the peer at `seq` has input its next stage must ingest.
+    pub(crate) fn has_pending_input(&self, seq: u64) -> bool {
+        self.peers.get(&seq).is_some_and(Peer::has_pending_input)
+    }
+
+    /// Queues `msg` on its target's inbox, returning the target's
+    /// sequence, or `None` (message dropped) if no such peer is here.
+    pub(crate) fn enqueue(&mut self, msg: Message) -> Option<u64> {
+        let seq = self.seq(msg.to)?;
+        self.peers.get_mut(&seq)?.enqueue(msg);
+        Some(seq)
+    }
+
+    pub(crate) fn tracing(&self) -> bool {
+        self.tracing
+    }
+
+    /// Installs (or clears) a buffering trace sink on every peer. An
+    /// installed sink is kept on re-enable: its buffer capacity is warm.
+    pub(crate) fn set_tracing(&mut self, on: bool) {
+        self.tracing = on;
+        for peer in self.peers.values_mut() {
+            if !on {
+                peer.clear_trace_sink();
+            } else if !peer.tracing() {
+                peer.set_trace_sink(Box::new(wdl_obs::BufferSink::new()));
+            }
+        }
+    }
+
+    /// Runs the stages of the peers at `seqs` (ascending) and collects
+    /// what they produced. A failing peer's error is recorded and the
+    /// others still run.
+    pub(crate) fn run(
+        &mut self,
+        seqs: impl IntoIterator<Item = u64>,
+        collect_stats: bool,
+    ) -> CohortRun {
+        let mut run = CohortRun::default();
+        for seq in seqs {
+            let Some(peer) = self.peers.get_mut(&seq) else {
+                continue;
+            };
+            match peer.run_stage() {
+                Ok(out) => {
+                    run.peers_run += 1;
+                    run.changed |= out.changed;
+                    if collect_stats {
+                        run.stats.push((peer.name(), out.stats));
+                    }
+                    run.outbox
+                        .extend(out.messages.into_iter().map(|m| (seq, m)));
+                }
+                Err(e) => run.errors.push((seq, e)),
+            }
+            peer.drain_trace_into(&mut run.trace);
+        }
+        run
+    }
+}
+
+impl CohortRun {
+    /// Appends another cohort's part of the same round.
+    pub(crate) fn absorb(&mut self, other: CohortRun) {
+        self.outbox.extend(other.outbox);
+        self.changed |= other.changed;
+        self.peers_run += other.peers_run;
+        self.stats.extend(other.stats);
+        self.trace.extend(other.trace);
+        self.errors.extend(other.errors);
+    }
+
+    /// The one error policy: routes the messages of every peer whose stage
+    /// succeeded, in sender insertion order, through `deliver` (false:
+    /// undeliverable), folds the round into `report`, and returns the
+    /// error of the earliest failing peer in insertion order.
+    pub(crate) fn settle(
+        &mut self,
+        report: &mut RoundReport,
+        mut deliver: impl FnMut(Message) -> bool,
+    ) -> Option<WdlError> {
+        report.changed |= self.changed;
+        report.peers_run += self.peers_run;
+        report.stats.extend(self.stats.drain(..));
+        // A stable sort keeps each sender's emission order.
+        self.outbox.sort_by_key(|(seq, _)| *seq);
+        for (_, msg) in self.outbox.drain(..) {
+            if deliver(msg) {
+                report.messages += 1;
+            } else {
+                report.undeliverable += 1;
+            }
+        }
+        let first = self.errors.drain(..).min_by_key(|(seq, _)| *seq);
+        first.map(|(_, e)| e)
+    }
+
+    /// Feeds the round's trace events to `agg` and closes its round.
+    pub(crate) fn record(&self, agg: Option<&mut wdl_obs::Aggregator>) {
+        if let Some(agg) = agg {
+            if !self.trace.is_empty() {
+                agg.ingest(&self.trace);
+            }
+            agg.end_round();
+        }
+    }
+}
+
 /// A deterministic, single-process network of WebdamLog peers.
 ///
-/// Peers execute stages round-robin in insertion order; messages produced in
-/// round *t* are ingested at round *t+1*. This models the demo's Figure 2
-/// topology with reproducible interleavings.
+/// Every round runs every peer's stage in insertion order; messages
+/// produced in round *t* are ingested at round *t+1*. This models the
+/// demo's Figure 2 topology with reproducible interleavings, and it is the
+/// reference the sharded runtime is checked against.
 #[derive(Default)]
 pub struct LocalRuntime {
-    peers: Vec<Peer>,
-    /// Name → position in `peers`, kept in sync with every add/remove so
-    /// lookup (and hence per-message delivery) is O(1) instead of a linear
-    /// scan. `peers` itself stays in insertion order for tick determinism.
-    index: HashMap<Symbol, usize>,
-    /// Whether peers currently carry trace sinks ([`LocalRuntime::set_tracing`]).
-    tracing: bool,
+    cohort: Cohort,
+    next_seq: u64,
+    round: u64,
     /// Online trace aggregation; kept after `set_tracing(false)` so results
     /// stay queryable once profiling stops.
     agg: Option<wdl_obs::Aggregator>,
-    /// Reused per-round event staging buffer for [`LocalRuntime::drain_traces`].
-    trace_scratch: Vec<crate::TraceEvent>,
 }
 
 impl LocalRuntime {
@@ -77,42 +330,31 @@ impl LocalRuntime {
     /// Turns structured tracing on or off.
     ///
     /// Turning it **on** installs a buffering [`crate::TraceSink`] on every
-    /// peer (current and future); each tick drains every peer's buffer
-    /// into the [`wdl_obs::Aggregator`] in peer insertion order
-    /// (deterministic) and closes the aggregator's round. Re-enabling
-    /// **resumes** an existing aggregator — toggling is cheap and
-    /// lossless; call [`LocalRuntime::reset_trace`] for a fresh one.
+    /// peer (current and future); each round drains the buffers of the
+    /// peers that ran into the [`wdl_obs::Aggregator`] in peer insertion
+    /// order (deterministic) and closes the aggregator's round.
+    /// Re-enabling **resumes** an existing aggregator — toggling is cheap
+    /// and lossless; call [`LocalRuntime::reset_trace`] for a fresh one.
     /// Turning it **off** removes the sinks — the hot path goes back to
     /// the untraced peer loop — but keeps the aggregator, so
     /// `top`/`critpath`/export keep working on what was collected.
     pub fn set_tracing(&mut self, on: bool) {
-        self.tracing = on;
-        if on {
-            if self.agg.is_none() {
-                self.agg = Some(wdl_obs::Aggregator::new());
-            }
-            for peer in &mut self.peers {
-                if !peer.tracing() {
-                    peer.set_trace_sink(Box::new(wdl_obs::BufferSink::new()));
-                }
-            }
-        } else {
-            for peer in &mut self.peers {
-                peer.clear_trace_sink();
-            }
+        if on && self.agg.is_none() {
+            self.agg = Some(wdl_obs::Aggregator::new());
         }
+        self.cohort.set_tracing(on);
     }
 
     /// Discards all collected trace data. The next [`LocalRuntime::set_tracing`]
     /// (or the current session, if tracing is on) starts from an empty
     /// aggregator.
     pub fn reset_trace(&mut self) {
-        self.agg = self.tracing.then(wdl_obs::Aggregator::new);
+        self.agg = self.tracing().then(wdl_obs::Aggregator::new);
     }
 
     /// True iff tracing is currently enabled.
     pub fn tracing(&self) -> bool {
-        self.tracing
+        self.cohort.tracing()
     }
 
     /// The trace aggregator, if profiling ever ran ([`LocalRuntime::set_tracing`]).
@@ -125,120 +367,60 @@ impl LocalRuntime {
         self.agg.as_mut()
     }
 
-    /// Drains every traced peer's event buffer into the aggregator (peer
-    /// insertion order) and closes the round. No-op unless tracing is on.
-    fn drain_traces(&mut self) {
-        if !self.tracing {
-            return;
-        }
-        let Some(agg) = self.agg.as_mut() else { return };
-        self.trace_scratch.clear();
-        for peer in &mut self.peers {
-            peer.drain_trace_into(&mut self.trace_scratch);
-        }
-        if !self.trace_scratch.is_empty() {
-            agg.ingest(&self.trace_scratch);
-        }
-        agg.end_round();
-    }
-
     /// Adds a peer. Peers added mid-run participate from the next round —
     /// this is how the demo's "audience members launch their own peers"
     /// scenario is modelled (E8). Returns [`crate::WdlError::DuplicatePeer`]
     /// if the name is already taken (recoverable — e.g. a late joiner
     /// picking a clashing name must not bring the whole runtime down).
     pub fn add_peer(&mut self, peer: Peer) -> Result<Symbol> {
-        let name = peer.name();
-        if self.index.contains_key(&name) {
-            return Err(crate::WdlError::DuplicatePeer(name.to_string()));
-        }
-        self.index.insert(name, self.peers.len());
-        self.peers.push(peer);
-        if self.tracing {
-            // Late joiners inherit the runtime's tracing state, so a
-            // profiled run covers peers added mid-run (E8).
-            self.peers
-                .last_mut()
-                .expect("just pushed")
-                .set_trace_sink(Box::new(wdl_obs::BufferSink::new()));
-        }
+        let name = self.cohort.insert(self.next_seq, peer)?;
+        self.next_seq += 1;
         Ok(name)
     }
 
-    /// Removes a peer, returning it (its inbox is preserved). The removal
-    /// shifts later peers down one slot (preserving their relative
-    /// insertion order, which tick determinism depends on) and remaps
-    /// their index entries.
+    /// Removes a peer, returning it (its inbox is preserved). The other
+    /// peers keep their relative insertion order.
     pub fn remove_peer(&mut self, name: impl Into<Symbol>) -> Option<Peer> {
-        let name = name.into();
-        let idx = self.index.remove(&name)?;
-        let peer = self.peers.remove(idx);
-        for slot in self.index.values_mut() {
-            if *slot > idx {
-                *slot -= 1;
-            }
-        }
-        Some(peer)
+        self.cohort.remove(name.into()).map(|(_, peer)| peer)
     }
 
     /// Looks up a peer.
     pub fn peer(&self, name: impl Into<Symbol>) -> Option<&Peer> {
-        let idx = *self.index.get(&name.into())?;
-        Some(&self.peers[idx])
+        self.cohort.peer(name.into())
     }
 
     /// Looks up a peer mutably.
     pub fn peer_mut(&mut self, name: impl Into<Symbol>) -> Option<&mut Peer> {
-        let idx = *self.index.get(&name.into())?;
-        Some(&mut self.peers[idx])
+        self.cohort.peer_mut(name.into())
     }
 
     /// Names of all peers, in insertion order.
     pub fn peer_names(&self) -> Vec<Symbol> {
-        self.peers.iter().map(Peer::name).collect()
+        self.cohort.peers().map(Peer::name).collect()
     }
 
     /// Number of peers.
     pub fn len(&self) -> usize {
-        self.peers.len()
+        self.cohort.len()
     }
 
     /// True iff no peers.
     pub fn is_empty(&self) -> bool {
-        self.peers.is_empty()
+        self.cohort.len() == 0
     }
 
     /// Injects a message from outside the runtime (e.g. from a wrapper or a
     /// remote transport bridge).
     pub fn deliver(&mut self, msg: Message) -> bool {
-        match self.peer_mut(msg.to) {
-            Some(p) => {
-                p.enqueue(msg);
-                true
-            }
-            None => false,
-        }
+        self.cohort.enqueue(msg).is_some()
     }
 
     /// Runs one stage on every peer, then routes the produced messages.
-    pub fn tick(&mut self) -> Result<TickReport> {
-        let mut report = TickReport::default();
-        let mut outgoing: Vec<Message> = Vec::new();
-        for peer in &mut self.peers {
-            let out = peer.run_stage()?;
-            report.changed |= out.changed;
-            report.stats.insert(peer.name(), out.stats);
-            outgoing.extend(out.messages);
-        }
-        for msg in outgoing {
-            if self.deliver(msg) {
-                report.messages += 1;
-            } else {
-                report.undeliverable += 1;
-            }
-        }
-        self.drain_traces();
-        Ok(report)
+    /// If a stage fails, the other peers still run and their messages are
+    /// routed; the error of the earliest failing peer is returned.
+    pub fn tick(&mut self) -> Result<RoundReport> {
+        let seqs: Vec<u64> = self.cohort.seqs().collect();
+        self.round(seqs)
     }
 
     /// Runs one stage on a *single* peer, then routes the messages it
@@ -248,43 +430,32 @@ impl LocalRuntime {
     /// reaches the same quiescent state as the round-robin
     /// [`LocalRuntime::tick`] loop; `tests/sim_conformance.rs` sweeps
     /// random schedules to pin that down.
-    pub fn step_peer(&mut self, name: impl Into<Symbol>) -> Result<TickReport> {
+    pub fn step_peer(&mut self, name: impl Into<Symbol>) -> Result<RoundReport> {
         let name = name.into();
-        let Some(peer) = self.peer_mut(name) else {
-            return Err(crate::WdlError::UnknownPeer(name.to_string()));
+        let seq = self
+            .cohort
+            .seq(name)
+            .ok_or_else(|| WdlError::UnknownPeer(name.to_string()))?;
+        self.round([seq])
+    }
+
+    fn round(&mut self, seqs: impl IntoIterator<Item = u64>) -> Result<RoundReport> {
+        self.round += 1;
+        let mut report = RoundReport {
+            round: self.round,
+            peers_total: self.cohort.len(),
+            ..RoundReport::default()
         };
-        let out = peer.run_stage()?;
-        let mut report = TickReport {
-            changed: out.changed,
-            ..TickReport::default()
-        };
-        report.stats.insert(name, out.stats);
-        for msg in out.messages {
-            if self.deliver(msg) {
-                report.messages += 1;
-            } else {
-                report.undeliverable += 1;
-            }
-        }
-        self.drain_traces();
-        Ok(report)
+        let mut run = self.cohort.run(seqs, true);
+        let failed = run.settle(&mut report, |msg| self.cohort.enqueue(msg).is_some());
+        run.record(self.agg.as_mut());
+        failed.map_or(Ok(report), Err)
     }
 
     /// Ticks until a round where nothing changed and nothing was sent, or
     /// until `max_rounds` is exhausted.
     pub fn run_to_quiescence(&mut self, max_rounds: usize) -> Result<QuiescenceReport> {
-        let mut report = QuiescenceReport::default();
-        for _ in 0..max_rounds {
-            let tick = self.tick()?;
-            report.rounds += 1;
-            report.messages += tick.messages;
-            report.undeliverable += tick.undeliverable;
-            if !tick.changed && tick.messages == 0 {
-                report.quiescent = true;
-                return Ok(report);
-            }
-        }
-        Ok(report)
+        quiesce(max_rounds, || self.tick())
     }
 }
 
@@ -331,8 +502,8 @@ mod tests {
         assert!(rt.run_to_quiescence(4).unwrap().quiescent);
     }
 
-    /// `remove_peer` keeps the name→index map consistent: later peers shift
-    /// down but stay addressable, and re-adding the removed name works.
+    /// `remove_peer` keeps the name index consistent: later peers stay
+    /// addressable and in order, and re-adding the removed name works.
     #[test]
     fn remove_peer_remaps_index() {
         let mut rt = LocalRuntime::new();

@@ -25,34 +25,33 @@
 //! * **Admission control** — a per-peer, per-round inbox budget
 //!   ([`ShardedRuntime::set_inbox_budget`]) bounds how much of a bursty
 //!   hub's fan-in is admitted per round; overflow stays queued in arrival
-//!   order and is counted as `deferred` in the [`ShardReport`]. With the
+//!   order and is counted as `deferred` in the [`RoundReport`]. With the
 //!   default unlimited budget, execution is round-for-round
 //!   observationally identical to the reference runtime
 //!   (`tests/shard_parity.rs` pins this across scenario generators,
 //!   seeds, and shard counts); with a finite budget the same quiescent
 //!   state is reached over more rounds.
 //!
-//! The one intentional divergence from `LocalRuntime::tick`: error timing.
-//! `tick` stops at the first failing peer, while a sharded round completes
-//! everywhere and reports the failure of the earliest peer in insertion
-//! order, with the failing peer's input retained for retry.
+//! Each worker is a command loop around the same peer cohort
+//! `LocalRuntime` runs on the caller's thread, and a round follows the
+//! same error policy: every scheduled peer runs, the messages of every
+//! peer whose stage succeeded are routed, and then the error of the
+//! earliest failing peer in insertion order is returned; that peer stays
+//! scheduled for the next round.
 
-mod report;
 mod worker;
 
-pub use report::ShardReport;
-
-use crate::runtime::QuiescenceReport;
+use crate::runtime::{quiesce, CohortRun, QuiescenceReport, RoundReport};
 use crate::{Message, Peer, Result, WdlError};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::thread::JoinHandle;
 use wdl_datalog::{Symbol, Tuple, Value};
-use worker::{Cmd, RoundResult, Worker};
+use worker::{Cmd, ShardRound, Worker};
 
 struct ShardHandle {
     cmd: Sender<Cmd>,
-    results: Receiver<RoundResult>,
+    results: Receiver<ShardRound>,
     join: Option<JoinHandle<()>>,
 }
 
@@ -65,7 +64,7 @@ struct Loc {
 
 /// Messages awaiting delivery to one peer, in arrival order.
 struct PendingEntry {
-    name: Symbol,
+    shard: usize,
     queue: VecDeque<Message>,
 }
 
@@ -140,7 +139,7 @@ impl ShardedRuntime {
 
     /// Caps how many queued messages one peer ingests per round (clamped
     /// to ≥ 1); overflow carries to later rounds in arrival order and is
-    /// reported as [`ShardReport::deferred`]. Default: unlimited.
+    /// reported as [`RoundReport::deferred`]. Default: unlimited.
     pub fn set_inbox_budget(&mut self, budget: usize) {
         self.inbox_budget = budget.max(1);
     }
@@ -154,7 +153,7 @@ impl ShardedRuntime {
     ///
     /// **On by default** — every [`ShardedRuntime::tick`] ships each run
     /// peer's [`crate::StageStats`] back through the result channel and
-    /// into [`ShardReport::stats`]. At bench scale (10⁵+ peers, bursty
+    /// into [`RoundReport::stats`]. At bench scale (10⁵+ peers, bursty
     /// rounds) that per-round map is measurable overhead with no
     /// consumer, so large-scale runs opt **out** with
     /// `set_collect_stats(false)`; the cheap scalar counters on the
@@ -172,13 +171,14 @@ impl ShardedRuntime {
     ///
     /// Turning it **on** installs a buffering [`crate::TraceSink`] on every
     /// owned peer — without waking quiescent peers (tracing is a tuning
-    /// knob, not input) — and aggregates on the coordinator. Each tick drains the run peers' buffers (shard
-    /// order, ascending sequence within a shard), records one
-    /// [`crate::TraceEvent::ShardRound`] with the round's routing/deferral
-    /// counters, and closes the aggregator round. Re-enabling **resumes**
-    /// an existing aggregator — toggling is cheap and lossless; call
-    /// [`ShardedRuntime::reset_trace`] for a fresh one. Turning it **off**
-    /// clears the sinks but keeps the aggregator queryable.
+    /// knob, not input) — and aggregates on the coordinator. Each tick
+    /// drains the run peers' buffers (shard order, ascending sequence
+    /// within a shard), records one [`crate::TraceEvent::ShardRound`] with
+    /// the round's routing/deferral counters, and closes the aggregator
+    /// round. Re-enabling **resumes** an existing aggregator — toggling is
+    /// cheap and lossless; call [`ShardedRuntime::reset_trace`] for a fresh
+    /// one. Turning it **off** clears the sinks but keeps the aggregator
+    /// queryable.
     pub fn set_tracing(&mut self, on: bool) {
         self.tracing = on;
         if on && self.agg.is_none() {
@@ -372,7 +372,7 @@ impl ShardedRuntime {
                 self.pending
                     .entry(loc.seq)
                     .or_insert_with(|| PendingEntry {
-                        name: msg.to,
+                        shard: loc.shard,
                         queue: VecDeque::new(),
                     })
                     .queue
@@ -399,40 +399,27 @@ impl ShardedRuntime {
     /// Runs one round: admit pending messages under the per-peer budget,
     /// run every shard's active peers concurrently, then merge and route
     /// the produced messages in global insertion order (delivered next
-    /// round). Cost is O(active peers + routed messages).
-    pub fn tick(&mut self) -> Result<ShardReport> {
+    /// round). Cost is O(active peers + routed messages). If a stage
+    /// fails, the round still completes everywhere; see the
+    /// [module docs](self) for the error policy.
+    pub fn tick(&mut self) -> Result<RoundReport> {
         self.round += 1;
-        let mut report = ShardReport {
+        let mut report = RoundReport {
             round: self.round,
             peers_total: self.directory.len(),
-            ..ShardReport::default()
+            ..RoundReport::default()
         };
 
         // Admission: drain each pending queue (insertion-sequence order,
         // deterministic) up to the budget into its shard's delivery batch.
         let mut batches: Vec<Vec<Message>> = self.shards.iter().map(|_| Vec::new()).collect();
-        let mut emptied: Vec<u64> = Vec::new();
-        for (&seq, entry) in self.pending.iter_mut() {
-            let take = self.inbox_budget.min(entry.queue.len());
-            match self.directory.get(&entry.name) {
-                Some(loc) => {
-                    batches[loc.shard].extend(entry.queue.drain(..take));
-                    report.deferred += entry.queue.len();
-                }
-                // Unreachable today (remove_peer drains the queue), but a
-                // directory miss must not wedge the queue forever.
-                None => {
-                    report.undeliverable += entry.queue.len();
-                    entry.queue.clear();
-                }
-            }
-            if entry.queue.is_empty() {
-                emptied.push(seq);
-            }
-        }
-        for seq in emptied {
-            self.pending.remove(&seq);
-        }
+        let budget = self.inbox_budget;
+        self.pending.retain(|_, entry| {
+            let take = budget.min(entry.queue.len());
+            batches[entry.shard].extend(entry.queue.drain(..take));
+            report.deferred += entry.queue.len();
+            !entry.queue.is_empty()
+        });
 
         // Fan out, then collect every shard's result (a barrier, like the
         // reference tick's end-of-round routing point).
@@ -445,55 +432,26 @@ impl ShardedRuntime {
                 },
             );
         }
-        let mut outbox: Vec<(u64, Message)> = Vec::new();
-        let mut first_err: Option<(u64, WdlError)> = None;
+        let mut run = CohortRun::default();
         for shard in &self.shards {
-            let result = shard.results.recv().expect("shard worker alive");
-            report.changed |= result.changed;
-            report.peers_run += result.peers_run;
-            report.undeliverable += result.undeliverable;
-            for (name, stats) in result.stats {
-                report.stats.insert(name, stats);
-            }
-            if !result.trace.is_empty() {
-                if let Some(agg) = self.agg.as_mut() {
-                    agg.ingest(&result.trace);
-                }
-            }
-            outbox.extend(result.outbox);
-            for (seq, err) in result.errors {
-                if first_err.as_ref().is_none_or(|(s, _)| seq < *s) {
-                    first_err = Some((seq, err));
-                }
-            }
+            let (part, undeliverable) = shard.results.recv().expect("shard worker alive");
+            report.undeliverable += undeliverable;
+            run.absorb(part);
         }
-        if let Some((_, err)) = first_err {
-            return Err(err);
-        }
-
-        // Merge: stable sort by sender insertion sequence reproduces the
-        // sequential tick's routing order exactly.
-        outbox.sort_by_key(|(seq, _)| *seq);
-        for (_, msg) in outbox {
-            if self.deliver(msg) {
-                report.messages += 1;
-            } else {
-                report.undeliverable += 1;
-            }
-        }
+        // Merging in sender insertion order reproduces the sequential
+        // tick's routing order exactly.
+        let failed = run.settle(&mut report, |msg| self.deliver(msg));
         if self.tracing {
-            if let Some(agg) = self.agg.as_mut() {
-                agg.ingest(&[crate::TraceEvent::ShardRound {
-                    round: self.round,
-                    routed: report.messages as u64,
-                    deferred: report.deferred as u64,
-                    peers_run: report.peers_run as u64,
-                    peers_total: report.peers_total as u64,
-                }]);
-                agg.end_round();
-            }
+            run.trace.push(crate::TraceEvent::ShardRound {
+                round: self.round,
+                routed: report.messages as u64,
+                deferred: report.deferred as u64,
+                peers_run: report.peers_run as u64,
+                peers_total: report.peers_total as u64,
+            });
         }
-        Ok(report)
+        run.record(self.agg.as_mut());
+        failed.map_or(Ok(report), Err)
     }
 
     /// Ticks until a fully quiet round — nothing changed, nothing sent,
@@ -501,18 +459,7 @@ impl ShardedRuntime {
     /// unlimited inbox budget the round count matches
     /// [`crate::runtime::LocalRuntime::run_to_quiescence`].
     pub fn run_to_quiescence(&mut self, max_rounds: usize) -> Result<QuiescenceReport> {
-        let mut report = QuiescenceReport::default();
-        for _ in 0..max_rounds {
-            let tick = self.tick()?;
-            report.rounds += 1;
-            report.messages += tick.messages;
-            report.undeliverable += tick.undeliverable;
-            if !tick.changed && tick.messages == 0 && tick.deferred == 0 {
-                report.quiescent = true;
-                return Ok(report);
-            }
-        }
-        Ok(report)
+        quiesce(max_rounds, || self.tick())
     }
 
     fn send(&self, shard: usize, cmd: Cmd) {

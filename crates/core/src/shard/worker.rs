@@ -1,28 +1,28 @@
 //! The shard worker: a long-lived thread owning a stable subset of peers.
 //!
-//! Each worker keeps its peers in a `BTreeMap` keyed by **global insertion
-//! sequence number** — the order peers were added to the whole runtime, not
-//! to this shard — plus an `active` set of the peers that must run next
-//! round. A peer enters the active set when a message is delivered to it,
-//! when it is mutated through [`Cmd::WithPeerMut`], or when it is first
-//! added (its pre-loaded store and rules have never run a stage); it leaves
-//! the set after a stage that consumed all of its pending input. A round
-//! therefore costs O(active peers in this shard), not O(peers in this
-//! shard): a quiescent peer is never touched.
-//!
-//! Tagging every outgoing message with the sender's sequence number lets
-//! the coordinator merge the shard outboxes back into exactly the routing
-//! order [`crate::runtime::LocalRuntime::tick`] would have used.
+//! A worker is a command loop around a [`Cohort`] of the peers it owns
+//! plus an `active` set of the sequence numbers that must run next round.
+//! A peer enters the active set when a message is delivered to it, when it
+//! is mutated through [`Cmd::WithPeerMut`], or when it is first added (its
+//! pre-loaded store and rules have never run a stage); it leaves the set
+//! after a successful stage that consumed all of its pending input. A
+//! round therefore costs O(active peers in this shard), not O(peers in
+//! this shard): a quiescent peer is never touched.
 
-use crate::{Message, Peer, StageStats, WdlError};
+use crate::runtime::{Cohort, CohortRun};
+use crate::{Message, Peer};
 use crossbeam::channel::{Receiver, Sender};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use wdl_datalog::Symbol;
 
 /// A job shipped to a worker to observe one of its peers in place.
 pub(crate) type ReadJob = Box<dyn FnOnce(&Peer) + Send>;
 /// A job shipped to a worker to mutate one of its peers in place.
 pub(crate) type WriteJob = Box<dyn FnOnce(&mut Peer) + Send>;
+
+/// What one shard produced in one round, plus the count of deliveries
+/// addressed to a peer it no longer owns.
+pub(crate) type ShardRound = (CohortRun, usize);
 
 /// Commands the coordinator sends to a shard worker.
 pub(crate) enum Cmd {
@@ -40,7 +40,7 @@ pub(crate) enum Cmd {
     /// round must run its stage even if no message arrives.
     WithPeerMut { name: Symbol, job: WriteJob },
     /// Ingest this round's admitted deliveries, run every active peer's
-    /// stage, and reply with a [`RoundResult`] on the result channel.
+    /// stage, and reply with a [`ShardRound`] on the result channel.
     Round {
         deliveries: Vec<Message>,
         collect_stats: bool,
@@ -53,47 +53,22 @@ pub(crate) enum Cmd {
     Shutdown,
 }
 
-/// What one shard produced in one round.
-#[derive(Default)]
-pub(crate) struct RoundResult {
-    /// Outgoing messages tagged with the sender's global sequence number,
-    /// in ascending sequence order (each sender's emission order intact).
-    pub(crate) outbox: Vec<(u64, Message)>,
-    pub(crate) changed: bool,
-    pub(crate) peers_run: usize,
-    /// Deliveries addressed to a peer this shard no longer owns.
-    pub(crate) undeliverable: usize,
-    pub(crate) stats: Vec<(Symbol, StageStats)>,
-    /// Stage failures, tagged with the failing peer's sequence number so
-    /// the coordinator can report the earliest one in insertion order.
-    pub(crate) errors: Vec<(u64, WdlError)>,
-    /// Trace events drained from the peers that ran, in ascending
-    /// sequence order (empty unless tracing is on).
-    pub(crate) trace: Vec<crate::TraceEvent>,
-}
-
 /// One shard's thread-local state and command loop.
 pub(crate) struct Worker {
     rx: Receiver<Cmd>,
-    results: Sender<RoundResult>,
-    /// Global insertion sequence → peer, iterated in ascending order.
-    slots: BTreeMap<u64, Peer>,
-    by_name: HashMap<Symbol, u64>,
+    results: Sender<ShardRound>,
+    cohort: Cohort,
     /// Sequence numbers of peers that must run next round.
     active: BTreeSet<u64>,
-    /// Whether owned peers carry trace sinks (late-added peers inherit).
-    tracing: bool,
 }
 
 impl Worker {
-    pub(crate) fn new(rx: Receiver<Cmd>, results: Sender<RoundResult>) -> Worker {
+    pub(crate) fn new(rx: Receiver<Cmd>, results: Sender<ShardRound>) -> Worker {
         Worker {
             rx,
             results,
-            slots: BTreeMap::new(),
-            by_name: HashMap::new(),
+            cohort: Cohort::default(),
             active: BTreeSet::new(),
-            tracing: false,
         }
     }
 
@@ -101,32 +76,28 @@ impl Worker {
         while let Ok(cmd) = self.rx.recv() {
             match cmd {
                 Cmd::AddPeer { seq, peer } => {
-                    self.by_name.insert(peer.name(), seq);
-                    let mut peer = *peer;
-                    if self.tracing {
-                        peer.set_trace_sink(Box::new(wdl_obs::BufferSink::new()));
-                    }
-                    self.slots.insert(seq, peer);
                     // A new peer's first stage has never run: its initial
                     // facts and rules may derive, delegate, or ship.
-                    self.active.insert(seq);
+                    if self.cohort.insert(seq, *peer).is_ok() {
+                        self.active.insert(seq);
+                    }
                 }
                 Cmd::RemovePeer { name, reply } => {
-                    let peer = self.by_name.remove(&name).map(|seq| {
+                    let peer = self.cohort.remove(name).map(|(seq, peer)| {
                         self.active.remove(&seq);
-                        Box::new(self.slots.remove(&seq).expect("by_name maps into slots"))
+                        Box::new(peer)
                     });
                     let _ = reply.send(peer);
                 }
                 Cmd::WithPeer { name, job } => {
-                    if let Some(seq) = self.by_name.get(&name) {
-                        job(&self.slots[seq]);
+                    if let Some(peer) = self.cohort.peer(name) {
+                        job(peer);
                     }
                 }
                 Cmd::WithPeerMut { name, job } => {
-                    if let Some(&seq) = self.by_name.get(&name) {
-                        job(self.slots.get_mut(&seq).expect("mapped"));
-                        self.active.insert(seq);
+                    if let Some(peer) = self.cohort.peer_mut(name) {
+                        job(peer);
+                        self.active.extend(self.cohort.seq(name));
                     }
                 }
                 Cmd::Round {
@@ -138,63 +109,29 @@ impl Worker {
                         break; // coordinator gone
                     }
                 }
-                Cmd::SetTracing(on) => {
-                    self.tracing = on;
-                    for peer in self.slots.values_mut() {
-                        if on {
-                            // Keep an already-installed sink: its buffer
-                            // capacity is warm, and resume must be cheap.
-                            if !peer.tracing() {
-                                peer.set_trace_sink(Box::new(wdl_obs::BufferSink::new()));
-                            }
-                        } else {
-                            peer.clear_trace_sink();
-                        }
-                    }
-                }
+                Cmd::SetTracing(on) => self.cohort.set_tracing(on),
                 Cmd::Shutdown => break,
             }
         }
     }
 
-    fn round(&mut self, deliveries: Vec<Message>, collect_stats: bool) -> RoundResult {
-        let mut result = RoundResult::default();
+    fn round(&mut self, deliveries: Vec<Message>, collect_stats: bool) -> ShardRound {
+        let mut undeliverable = 0;
         for msg in deliveries {
-            match self.by_name.get(&msg.to) {
-                Some(&seq) => {
-                    self.slots.get_mut(&seq).expect("mapped").enqueue(msg);
+            match self.cohort.enqueue(msg) {
+                Some(seq) => {
                     self.active.insert(seq);
                 }
-                None => result.undeliverable += 1,
+                None => undeliverable += 1,
             }
         }
-        // Snapshot: stages can park input for the *next* round (buffered
-        // self-updates), which re-activates a peer mid-iteration.
         let run_now: Vec<u64> = self.active.iter().copied().collect();
-        for seq in run_now {
-            let peer = self.slots.get_mut(&seq).expect("active maps into slots");
-            match peer.run_stage() {
-                Ok(out) => {
-                    result.peers_run += 1;
-                    result.changed |= out.changed;
-                    if collect_stats {
-                        result.stats.push((peer.name(), out.stats));
-                    }
-                    result
-                        .outbox
-                        .extend(out.messages.into_iter().map(|m| (seq, m)));
-                    if self.tracing {
-                        peer.drain_trace_into(&mut result.trace);
-                    }
-                    if !peer.has_pending_input() {
-                        self.active.remove(&seq);
-                    }
-                }
-                // Stay active: the coordinator surfaces the error and the
-                // peer retries (with its input intact) on the next tick.
-                Err(e) => result.errors.push((seq, e)),
-            }
-        }
-        result
+        let run = self.cohort.run(run_now, collect_stats);
+        // A failed peer stays active: the coordinator surfaces the error
+        // and the peer runs again next round.
+        let failed = |seq: &u64| run.errors.iter().any(|(s, _)| s == seq);
+        self.active
+            .retain(|seq| failed(seq) || self.cohort.has_pending_input(*seq));
+        (run, undeliverable)
     }
 }

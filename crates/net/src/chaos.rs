@@ -22,9 +22,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Largest frame the proxy will buffer (matches the transport's limit).
-const MAX_FRAME: u32 = 16 * 1024 * 1024;
-
 /// Fault probabilities and the seed they draw from. All probabilities are
 /// per *frame*; `0.0` everywhere makes the proxy a transparent relay.
 #[derive(Clone, Debug)]
@@ -206,7 +203,8 @@ fn pump(
             Err(_) => return, // sender closed or redialed
         }
         let len = u32::from_le_bytes(len_buf);
-        if len > MAX_FRAME {
+        // The proxy buffers no frame larger than the transport accepts.
+        if len > crate::tcp::MAX_FRAME {
             return;
         }
         let mut frame = vec![0u8; len as usize];

@@ -1,11 +1,12 @@
 //! # wdl-net — transports for WebdamLog peers
 //!
 //! The original system ran peers on attendee laptops, smartphones and the
-//! Webdam cloud (Figure 2). This crate provides the two substrates our
-//! reproduction runs on:
+//! Webdam cloud (Figure 2). This crate provides the transports our
+//! reproduction runs on and the layers around them:
 //!
-//! * [`memory`] — a deterministic in-process network (crossbeam channels)
-//!   with optional failure injection, used by tests and benches;
+//! * [`memory`] — a deterministic, lossless in-process network (crossbeam
+//!   channels), used by tests and benches; fault injection lives in
+//!   [`sim`] and [`chaos`];
 //! * [`tcp`] — a real TCP transport (std::net + threads) with
 //!   length-prefixed binary frames, proving the engine is genuinely
 //!   distributed across processes;

@@ -169,9 +169,19 @@ impl<T: Transport> PeerNode<T> {
         Ok(())
     }
 
-    /// Steps until `idle_steps` consecutive quiet steps (no input, no
-    /// change, nothing sent or deferred, no session work in flight) or
-    /// until `max_steps` is exhausted. Returns `true` on quiescence.
+    /// Whether the step that returned `r` was quiet: no input, no change,
+    /// nothing sent or deferred, and no session work in flight.
+    pub(crate) fn is_quiet(&self, r: &StepReport) -> bool {
+        !r.changed
+            && r.received == 0
+            && r.sent == 0
+            && r.deferred == 0
+            && self.transport.pending_work() == 0
+    }
+
+    /// Steps until `idle_steps` consecutive quiet steps ([`PeerNode::step`]
+    /// reports nothing and no session work is in flight) or until
+    /// `max_steps` is exhausted. Returns `true` on quiescence.
     pub fn run_until_quiet(
         &mut self,
         max_steps: usize,
@@ -180,12 +190,7 @@ impl<T: Transport> PeerNode<T> {
         let mut quiet = 0;
         for _ in 0..max_steps {
             let r = self.step()?;
-            if !r.changed
-                && r.received == 0
-                && r.sent == 0
-                && r.deferred == 0
-                && self.transport.pending_work() == 0
-            {
+            if self.is_quiet(&r) {
                 quiet += 1;
                 if quiet >= idle_steps {
                     return Ok(true);

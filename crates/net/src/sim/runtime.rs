@@ -448,11 +448,7 @@ impl SimRuntime {
             return Ok(false);
         };
         let r = node.step()?;
-        let quiet = r.received == 0
-            && r.sent == 0
-            && r.deferred == 0
-            && !r.changed
-            && node.transport().pending_work() == 0;
+        let quiet = node.is_quiet(&r);
         let q = self.quiet.entry(peer).or_insert(0);
         *q = if quiet { *q + 1 } else { 0 };
         let mut st = self.net.state.lock();

@@ -20,7 +20,7 @@ use wdl_datalog::Symbol;
 
 /// Maximum accepted frame size (16 MiB) — a defense against corrupt length
 /// prefixes, not a protocol limit.
-const MAX_FRAME: u32 = 16 * 1024 * 1024;
+pub(crate) const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
 /// Capacity of the incoming-message channel. A peer that stops draining
 /// (stuck stage, slow consumer) fills this buffer; further frames are
