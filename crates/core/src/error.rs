@@ -45,6 +45,12 @@ pub enum WdlError {
     /// it was applied ([`crate::Peer::install`]). Carries every diagnostic
     /// the analyzer raised, errors and warnings alike.
     Rejected(Vec<crate::Diagnostic>),
+    /// A [`crate::shard::ShardedRuntime`] worker thread is gone (it
+    /// panicked), so the peers it owned are lost.
+    ShardGone {
+        /// Index of the gone worker.
+        shard: usize,
+    },
 }
 
 impl std::fmt::Display for WdlError {
@@ -79,6 +85,7 @@ impl std::fmt::Display for WdlError {
                 }
                 Ok(())
             }
+            WdlError::ShardGone { shard } => write!(f, "shard worker {shard} is gone"),
         }
     }
 }

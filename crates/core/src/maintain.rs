@@ -157,7 +157,7 @@ pub(crate) fn compile_local(peer: &Peer) -> crate::Result<(Program, HashSet<Rule
     // set_fixpoint_limit must keep meaning what it says. The peer-level
     // engine toggle (`Peer::set_compiled_stage`) rides along: an
     // interpreted peer runs its maintained view on the interpreter too, so
-    // the whole peer is one semantic reference.
+    // the whole stage is one semantic reference.
     let config = wdl_datalog::EvalConfig::default().with_compiled(peer.compiled_stage);
     Ok((
         program

@@ -183,8 +183,9 @@ impl Peer {
     /// outcomes, delegations and blocked-read counts (property-tested in
     /// `tests/stage_parity.rs`); the interpreter is retained as the
     /// semantic reference and bench baseline. The toggle also selects the
-    /// engine of the maintained local view and of [`Peer::query`], so the
-    /// whole peer runs one engine.
+    /// engine of the maintained local view, so the whole stage runs one
+    /// engine. Ad-hoc reads ([`Peer::query`], [`Peer::aggregate`]) always
+    /// run compiled plans.
     ///
     /// Like [`Peer::set_fixpoint_limit`], this is a runtime tuning knob,
     /// **not durable state**: the peer image (`wdl_net::snapshot`) carries
@@ -647,32 +648,34 @@ impl Peer {
     /// Queries are local: every atom must name this peer. Querying remote
     /// relations requires a rule (and hence delegation) — queries are
     /// read-only and instantaneous by design.
+    ///
+    /// The body runs as a compiled register-file plan
+    /// ([`wdl_datalog::eval::BodyPlan`]) whatever
+    /// [`Peer::set_compiled_stage`] selects; a body the plan compiler
+    /// rejects (a variable read before anything binds it) returns that
+    /// error.
     pub fn query(&self, body: &[crate::WBodyItem]) -> Result<Vec<wdl_datalog::Subst>> {
         let (compiled, db) = self.local_query(body, "query")?;
-        // Ad-hoc queries ride the same engine selection as the stage loop:
-        // a compiled prefix plan when possible, the interpreter otherwise
-        // (or when a body the plan compiler rejects must keep its
-        // runtime-error-per-reaching-binding semantics).
-        if self.compiled_stage {
-            if let Ok(plan) = wdl_datalog::eval::BodyPlan::compile(&compiled, &[]) {
-                let mut out = Vec::new();
-                let mut scratch = wdl_datalog::eval::BodyScratch::new();
-                plan.run(db, &mut scratch, &[], &mut |regs| {
-                    let mut s = wdl_datalog::Subst::new();
-                    for &(v, r) in plan.bindings() {
-                        s.bind(v, regs[r as usize].value());
-                    }
-                    out.push(s);
-                    Ok(())
-                })?;
-                return Ok(out);
-            }
-        }
-        Ok(wdl_datalog::eval::evaluate_body(
-            db,
-            &compiled,
-            wdl_datalog::Subst::new(),
-        )?)
+        let plan = wdl_datalog::eval::BodyPlan::compile(&compiled, &[])?;
+        // Collect every match's registers, then resolve them all under one
+        // interner lock: a lock round trip per value costs more than the
+        // scan itself.
+        let (mut rows, mut ids) = (0usize, Vec::new());
+        let mut scratch = wdl_datalog::eval::BodyScratch::new();
+        plan.run(db, &mut scratch, &[], &mut |regs| {
+            rows += 1;
+            ids.extend_from_slice(regs);
+            Ok(())
+        })?;
+        let mut values = wdl_datalog::intern::resolve_row(&ids)
+            .into_vec()
+            .into_iter();
+        // The bindings list every register, in register order: a row's
+        // values pair with them one to one.
+        let vars = plan.bindings();
+        Ok((0..rows)
+            .map(|_| vars.iter().map(|&(v, _)| v).zip(values.by_ref()).collect())
+            .collect())
     }
 
     /// Runs a grouped aggregation over a local query body — the engine
@@ -1343,6 +1346,41 @@ mod tests {
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].value, Value::from(4)); // pic 1: (5+3)/2
         assert_eq!(rows[1].value, Value::from(4)); // pic 2: 4
+    }
+
+    /// Every match is one substitution holding exactly the body's
+    /// variables — none for a ground body — and a body the plan compiler
+    /// rejects is an error even where nothing would reach the bad item.
+    #[test]
+    fn query_binds_each_match() {
+        use crate::{WAtom, WBodyItem};
+        use wdl_datalog::{CmpOp, Subst, Term};
+        let mut p = Peer::new("q");
+        for (id, r) in [(1, 5), (2, 3)] {
+            p.insert_local("rate", vec![Value::from(id), Value::from(r)])
+                .unwrap();
+        }
+        let rate = |id: Term| WAtom::at("rate", "q", vec![id, Term::var("r")]);
+        let rows = p.query(&[rate(Term::var("id")).into()]).unwrap();
+        let mut got: Vec<(Value, Value)> = rows
+            .iter()
+            .map(|s| {
+                let get = |v: &str| s.get(Symbol::intern(v)).unwrap().clone();
+                (get("id"), get("r"))
+            })
+            .collect();
+        got.sort();
+        assert_eq!(
+            got,
+            [(1, 5), (2, 3)].map(|(i, r)| (Value::from(i), Value::from(r)))
+        );
+        let ground = WAtom::at("rate", "q", vec![Term::cst(1), Term::cst(5)]);
+        assert_eq!(p.query(&[ground.into()]).unwrap(), vec![Subst::new()]);
+        let unbound = [
+            WBodyItem::cmp(CmpOp::Ge, Term::var("r"), Term::cst(4)),
+            rate(Term::var("id")).into(),
+        ];
+        assert!(matches!(p.query(&unbound), Err(WdlError::Datalog(_))));
     }
 
     #[test]

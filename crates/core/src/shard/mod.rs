@@ -108,6 +108,10 @@ impl ShardedRuntime {
             .map(|i| {
                 let (cmd_tx, cmd_rx) = unbounded();
                 let (res_tx, res_rx) = unbounded();
+                // Spawning fails only when the OS is out of threads or
+                // memory; like an allocation failure, that aborts the
+                // (infallible) constructor.
+                #[allow(clippy::expect_used)]
                 let join = std::thread::Builder::new()
                     .name(format!("wdl-shard-{i}"))
                     .spawn(move || Worker::new(cmd_rx, res_tx).run())
@@ -185,7 +189,9 @@ impl ShardedRuntime {
             self.agg = Some(wdl_obs::Aggregator::new());
         }
         for shard in 0..self.shards.len() {
-            self.send(shard, Cmd::SetTracing(on));
+            // A gone worker surfaces at the next tick as
+            // `WdlError::ShardGone`.
+            let _ = self.send(shard, Cmd::SetTracing(on));
         }
     }
 
@@ -231,20 +237,23 @@ impl ShardedRuntime {
                 seq,
                 peer: Box::new(peer),
             },
-        );
+        )?;
         Ok(name)
     }
 
     /// Removes a peer and returns it. Messages already routed to it but
     /// not yet ingested are moved into its inbox, preserving
     /// [`crate::runtime::LocalRuntime::remove_peer`]'s contract that the
-    /// inbox travels with the peer.
+    /// inbox travels with the peer. `None` if the peer does not exist or
+    /// its shard worker is gone (the next tick reports
+    /// [`WdlError::ShardGone`]).
     pub fn remove_peer(&mut self, name: impl Into<Symbol>) -> Option<Peer> {
         let name = name.into();
         let loc = self.directory.remove(&name)?;
         let (tx, rx) = unbounded();
-        self.send(loc.shard, Cmd::RemovePeer { name, reply: tx });
-        let mut peer = *rx.recv().expect("shard worker alive")?;
+        self.send(loc.shard, Cmd::RemovePeer { name, reply: tx })
+            .ok()?;
+        let mut peer = *rx.recv().ok().flatten()?;
         if let Some(entry) = self.pending.remove(&loc.seq) {
             for msg in entry.queue {
                 peer.enqueue(msg);
@@ -280,8 +289,9 @@ impl ShardedRuntime {
     }
 
     /// Runs a read-only closure against a peer on its owning shard and
-    /// returns the result, or `None` if the peer does not exist. The
-    /// closure must be `Send + 'static` — it crosses a thread boundary.
+    /// returns the result, or `None` if the peer does not exist or its
+    /// shard worker is gone. The closure must be `Send + 'static` — it
+    /// crosses a thread boundary.
     pub fn with_peer<R, F>(&self, name: impl Into<Symbol>, f: F) -> Option<R>
     where
         F: FnOnce(&Peer) -> R + Send + 'static,
@@ -298,15 +308,16 @@ impl ShardedRuntime {
                     let _ = tx.send(f(peer));
                 }),
             },
-        );
+        )
+        .ok()?;
         rx.recv().ok()
     }
 
     /// Runs a mutating closure against a peer on its owning shard and
-    /// returns the result, or `None` if the peer does not exist. The peer
-    /// is marked dirty: its stage runs next round even if no message
-    /// arrives (mirroring how `LocalRuntime::tick` runs every peer after
-    /// an out-of-band mutation).
+    /// returns the result, or `None` if the peer does not exist or its
+    /// shard worker is gone. The peer is marked dirty: its stage runs next
+    /// round even if no message arrives (mirroring how `LocalRuntime::tick`
+    /// runs every peer after an out-of-band mutation).
     pub fn with_peer_mut<R, F>(&mut self, name: impl Into<Symbol>, f: F) -> Option<R>
     where
         F: FnOnce(&mut Peer) -> R + Send + 'static,
@@ -323,7 +334,8 @@ impl ShardedRuntime {
                     let _ = tx.send(f(peer));
                 }),
             },
-        );
+        )
+        .ok()?;
         rx.recv().ok()
     }
 
@@ -430,11 +442,14 @@ impl ShardedRuntime {
                     deliveries,
                     collect_stats: self.collect_stats,
                 },
-            );
+            )?;
         }
         let mut run = CohortRun::default();
-        for shard in &self.shards {
-            let (part, undeliverable) = shard.results.recv().expect("shard worker alive");
+        for (i, shard) in self.shards.iter().enumerate() {
+            let (part, undeliverable) = shard
+                .results
+                .recv()
+                .map_err(|_| WdlError::ShardGone { shard: i })?;
             report.undeliverable += undeliverable;
             run.absorb(part);
         }
@@ -462,10 +477,11 @@ impl ShardedRuntime {
         quiesce(max_rounds, || self.tick())
     }
 
-    fn send(&self, shard: usize, cmd: Cmd) {
-        if self.shards[shard].cmd.send(cmd).is_err() {
-            panic!("shard worker {shard} is gone");
-        }
+    fn send(&self, shard: usize, cmd: Cmd) -> Result<()> {
+        self.shards[shard]
+            .cmd
+            .send(cmd)
+            .map_err(|_| WdlError::ShardGone { shard })
     }
 }
 
@@ -698,5 +714,21 @@ mod tests {
         assert_eq!(names, vec!["pa", "pb", "pd", "pe"]);
         assert!(rt.contains("pd"));
         assert!(!rt.contains("pc"));
+    }
+
+    /// A worker that panicked is a typed error at the next tick, not a
+    /// panic in the coordinator.
+    #[test]
+    fn gone_worker_is_a_typed_error() {
+        let mut rt = ShardedRuntime::new(1);
+        rt.add_peer(Peer::new("doomed")).unwrap();
+        let job = rt.with_peer_mut("doomed", |_| -> () { panic!("job panics its worker") });
+        assert!(job.is_none());
+        assert!(matches!(rt.tick(), Err(WdlError::ShardGone { shard: 0 })));
+        assert!(rt.remove_peer("doomed").is_none());
+        assert!(matches!(
+            rt.add_peer(Peer::new("late")),
+            Err(WdlError::ShardGone { shard: 0 })
+        ));
     }
 }

@@ -14,7 +14,10 @@
 //! remote fact batches are *diffed* against the previous stage so that
 //! retractions propagate (install/revoke, add/retract).
 
-use crate::stage_plan::{classify, CompiledRule, Cut, HeadPlan, NameSrc, PlanKey, StagePlans};
+use crate::stage_plan::{
+    cached, classify, classify_from, live_key, live_subst, CompiledRule, Cut, HeadPlan, NameSrc,
+    PlanKey, Split, StagePlans,
+};
 use crate::{
     acl::UntrustedPolicy, qualify, Delegation, DelegationId, FactKind, Message, Payload, Peer,
     RelationKind, Result, WBodyItem, WFact, WRule, WdlError,
@@ -77,18 +80,20 @@ struct Outcome {
     local_new: usize,
 }
 
-/// Evaluation context threaded through rule walking: who the rule runs for
-/// and what that origin may read here.
-struct EvalCtx<'a> {
-    peer: Symbol,
-    schema: &'a crate::Schema,
-    acl: &'a crate::AccessControl,
+/// Evaluation context threaded through rule evaluation: the state rules
+/// read, who the rule runs for and what that origin may read here.
+pub(crate) struct EvalCtx<'a> {
+    pub(crate) peer: Symbol,
+    /// The view the rules read.
+    pub(crate) db: &'a Database,
+    pub(crate) schema: &'a crate::Schema,
+    pub(crate) acl: &'a crate::AccessControl,
     /// Static relation-level provenance of local views (for the default
     /// view read policy).
-    view_bases: &'a HashMap<Symbol, HashSet<Symbol>>,
+    pub(crate) view_bases: &'a HashMap<Symbol, HashSet<Symbol>>,
     /// `Some(origin)` when evaluating a delegated rule on `origin`'s
     /// behalf; `None` for the peer's own rules (the owner reads freely).
-    origin: Option<Symbol>,
+    pub(crate) origin: Option<Symbol>,
 }
 
 impl Peer {
@@ -423,6 +428,7 @@ impl Peer {
             for (rule, origin, key, trace_key) in own.chain(delegated) {
                 let ctx = EvalCtx {
                     peer: self.name,
+                    db: self.incr.view.database(),
                     schema: &self.schema,
                     acl: &self.acl,
                     view_bases: &view_bases,
@@ -430,15 +436,7 @@ impl Peer {
                 };
                 let t0 = self.tracer.as_ref().map(|_| std::time::Instant::now());
                 let d0 = outcome.derivations;
-                eval_rule(
-                    &ctx,
-                    self.incr.view.database(),
-                    rule,
-                    key,
-                    &mut plans,
-                    &mut outcome,
-                    &mut new_local,
-                )?;
+                eval_rule(&ctx, rule, key, &mut plans, &mut outcome, &mut new_local)?;
                 if let (Some(tr), Some(t0)) = (self.tracer.as_mut(), t0) {
                     let label = tr.rule_label(trace_key, self.name, rule);
                     tr.record(TraceEvent::RuleEval {
@@ -624,23 +622,23 @@ impl Peer {
     }
 }
 
-/// Evaluates one rule over `working`.
+/// Evaluates one rule over `ctx.db`.
 ///
 /// With `key` set (compiled stage evaluation), the rule's classified plan
 /// is fetched from — or compiled into — `plans`, the local prefix runs as
 /// a register-file plan, and the cut action fires heads / counts blocked
-/// reads / emits delegations from the yielded registers (see
-/// `stage_plan.rs`). With `key == None`, the `Subst` reference interpreter
-/// ([`walk`]) evaluates the whole rule: local positive atoms join through
-/// the datalog matcher and the first non-local atom turns the remainder
-/// into a delegation. When the rule is a delegation (`ctx.origin` set),
-/// every local relation it reads is gated by the owner's relation grants
-/// under the provenance-derived view policy — hoisted to classification
-/// time on the compiled path, checked per literal visit by the
-/// interpreter; both count the same blocked reads.
+/// reads / emits delegations / runs continuations from the yielded
+/// registers (see `stage_plan.rs`). With `key == None`, the `Subst`
+/// reference interpreter ([`walk`]) evaluates the whole rule: local
+/// positive atoms join through the datalog matcher and the first non-local
+/// atom turns the remainder into a delegation. When the rule is a
+/// delegation (`ctx.origin` set), every local relation it reads is gated
+/// by the owner's relation grants under the provenance-derived view
+/// policy — hoisted to classification time on the compiled path, checked
+/// per literal visit by the interpreter; both count the same blocked
+/// reads.
 fn eval_rule(
     ctx: &EvalCtx<'_>,
-    working: &Database,
     rule: &WRule,
     key: Option<PlanKey>,
     plans: &mut StagePlans,
@@ -648,7 +646,7 @@ fn eval_rule(
     new_local: &mut Vec<DFact>,
 ) -> Result<()> {
     let Some(key) = key else {
-        return walk(ctx, working, rule, 0, Subst::new(), outcome, new_local);
+        return walk(ctx, rule, 0, Subst::new(), outcome, new_local);
     };
     let StagePlans {
         own,
@@ -656,36 +654,27 @@ fn eval_rule(
         scratch,
         ..
     } = plans;
-    let srp = match key {
-        PlanKey::Own(id) => own
-            .entry(id)
-            .or_insert_with(|| classify(rule, ctx.peer, ctx.origin, ctx.acl, ctx.view_bases)),
-        PlanKey::Delegated(id) => delegated
-            .entry(id)
-            .or_insert_with(|| classify(rule, ctx.peer, ctx.origin, ctx.acl, ctx.view_bases)),
+    let make = || classify(rule, ctx);
+    let c = match key {
+        PlanKey::Own(id) => cached(own, id, make)?,
+        PlanKey::Delegated(id) => cached(delegated, id, make)?,
     };
-    match srp {
-        crate::stage_plan::StageRulePlan::Interpreted => {
-            walk(ctx, working, rule, 0, Subst::new(), outcome, new_local)
-        }
-        crate::stage_plan::StageRulePlan::Compiled(c) => {
-            run_compiled(ctx, working, rule, c, scratch, outcome, new_local)
-        }
-    }
+    run_compiled(ctx, rule, c, scratch, &[], outcome, new_local)
 }
 
-/// Runs a compiled prefix plan, tunneling stage-layer errors through the
-/// datalog executor's error channel (the emit callback aborts the walk
-/// with a sentinel; the real error is returned to the caller).
+/// Runs a compiled prefix plan from `seed`, tunneling stage-layer errors
+/// through the datalog executor's error channel (the emit callback aborts
+/// the walk with a sentinel; the real error is returned to the caller).
 fn run_prefix(
     plan: &wdl_datalog::eval::BodyPlan,
-    working: &Database,
+    db: &Database,
     scratch: &mut wdl_datalog::eval::BodyScratch,
+    seed: &[ValueId],
     emit: &mut dyn FnMut(&[ValueId]) -> Result<()>,
 ) -> Result<()> {
     const ABORT: usize = usize::MAX - 1;
     let mut werr: Option<WdlError> = None;
-    let r = plan.run(working, scratch, &[], &mut |regs| match emit(regs) {
+    let r = plan.run(db, scratch, seed, &mut |regs| match emit(regs) {
         Ok(()) => Ok(()),
         Err(e) => {
             werr = Some(e);
@@ -698,51 +687,69 @@ fn run_prefix(
     r.map_err(WdlError::from)
 }
 
-/// Executes one classified rule: prefix plan, then the cut action per
-/// yielded register file.
+/// Executes one classified rule (or continuation) from `seed`: prefix
+/// plan, then the cut action per yielded register file.
 fn run_compiled(
     ctx: &EvalCtx<'_>,
-    working: &Database,
     rule: &WRule,
-    c: &CompiledRule,
+    c: &mut CompiledRule,
     scratch: &mut wdl_datalog::eval::BodyScratch,
+    seed: &[ValueId],
     outcome: &mut Outcome,
     new_local: &mut Vec<DFact>,
 ) -> Result<()> {
-    match &c.cut {
-        Cut::Head(h) => run_prefix(&c.plan, working, scratch, &mut |regs| {
+    let CompiledRule { plan, cut } = c;
+    match cut {
+        Cut::Head(h) => run_prefix(plan, ctx.db, scratch, seed, &mut |regs| {
             fire_head_from_regs(ctx, h, regs, outcome, new_local)
         }),
-        Cut::Blocked => run_prefix(&c.plan, working, scratch, &mut |_regs| {
+        Cut::Blocked => run_prefix(plan, ctx.db, scratch, seed, &mut |_regs| {
             outcome.reads_blocked += 1;
             Ok(())
         }),
-        Cut::Delegate { idx, live } => {
-            // Identical projections of the live registers instantiate
-            // identical remainders (and hence identical content-addressed
-            // delegations): dedup before paying for instantiation. The
-            // continuation emits no counters, so dedup is exactly
-            // semantics-preserving.
+        Cut::Split(split) => {
+            let Split {
+                idx,
+                live,
+                rel,
+                peer,
+                conts,
+                scratch: cont_scratch,
+                seed: cont_seed,
+            } = &mut **split;
             let mut seen: HashSet<Box<[ValueId]>> = HashSet::new();
-            run_prefix(&c.plan, working, scratch, &mut |regs| {
-                if seen.insert(CompiledRule::live_key(live, regs)) {
-                    let subst = CompiledRule::live_subst(live, regs);
-                    walk(ctx, working, rule, *idx, subst, outcome, new_local)?;
+            run_prefix(plan, ctx.db, scratch, seed, &mut |regs| {
+                let target = resolve_name_src(peer, regs)?;
+                if target != ctx.peer {
+                    // Identical projections of the live registers
+                    // instantiate identical remainders (and hence
+                    // identical content-addressed delegations): dedup
+                    // before paying for instantiation. Emitting a
+                    // delegation bumps no counter, so dedup is exactly
+                    // semantics-preserving.
+                    if seen.insert(live_key(live, regs)) {
+                        let subst = live_subst(live, regs);
+                        delegate_remainder(ctx, rule, *idx, &subst, target, outcome)?;
+                    }
+                    return Ok(());
                 }
-                Ok(())
+                // The literal is local for this binding: run the
+                // continuation compiled for its relation, once per
+                // binding (it may fire heads and count blocked reads).
+                let rel = resolve_name_src(rel, regs)?;
+                let cont = cached(conts, rel, || {
+                    let prebound: Vec<Symbol> = live.iter().map(|&(v, _)| v).collect();
+                    classify_from(rule, *idx, Some(rel), &prebound, ctx)
+                })?;
+                cont_seed.clear();
+                cont_seed.extend(live.iter().map(|&(_, r)| regs[r as usize]));
+                run_compiled(ctx, rule, cont, cont_scratch, cont_seed, outcome, new_local)
             })
         }
-        Cut::Resume { idx, live } => run_prefix(&c.plan, working, scratch, &mut |regs| {
-            // No dedup: the interpreter continuation may fire heads and
-            // count per-binding, and parity requires one continuation per
-            // yielded binding.
-            let subst = CompiledRule::live_subst(live, regs);
-            walk(ctx, working, rule, *idx, subst, outcome, new_local)
-        }),
     }
 }
 
-/// Resolves a head-position name from the register file, with the same
+/// Resolves a name from the register file, with the same
 /// string-typing rule (and error text) as [`crate::NameTerm::resolve`].
 fn resolve_name_src(src: &NameSrc, regs: &[ValueId]) -> Result<Symbol> {
     match src {
@@ -822,9 +829,33 @@ fn route_head_fact(
     }
 }
 
+/// Records the remainder `body[idx..]` and the head, instantiated under
+/// `subst`, as a delegation to `target`.
+fn delegate_remainder(
+    ctx: &EvalCtx<'_>,
+    rule: &WRule,
+    idx: usize,
+    subst: &Subst,
+    target: Symbol,
+    outcome: &mut Outcome,
+) -> Result<()> {
+    let mut body = Vec::with_capacity(rule.body.len() - idx);
+    for item in &rule.body[idx..] {
+        body.push(item.apply(subst)?);
+    }
+    let head = rule.head.apply(subst)?;
+    // Onward delegation of a delegated rule is attributed to *this* peer,
+    // so access control chains hop by hop — the conservative reading of
+    // the paper's model.
+    let d = Delegation::new(ctx.peer, target, WRule::new(head, body));
+    outcome.delegations.entry(d.id).or_insert(d);
+    Ok(())
+}
+
+/// The reference interpreter: evaluates `body[idx..]` of `rule` from
+/// `subst`, literal by literal.
 fn walk(
     ctx: &EvalCtx<'_>,
-    working: &Database,
     rule: &WRule,
     idx: usize,
     subst: Subst,
@@ -843,7 +874,7 @@ fn walk(
                 WdlError::UnsafeDistribution(format!("unbound {rhs} in comparison of {rule}"))
             })?;
             if op.eval(&l, &r)? {
-                walk(ctx, working, rule, idx + 1, subst, outcome, new_local)?;
+                walk(ctx, rule, idx + 1, subst, outcome, new_local)?;
             }
             Ok(())
         }
@@ -853,7 +884,7 @@ fn walk(
             if !s.unify_var(*var, &value) {
                 return Ok(());
             }
-            walk(ctx, working, rule, idx + 1, s, outcome, new_local)
+            walk(ctx, rule, idx + 1, s, outcome, new_local)
         }
         WBodyItem::Literal(lit) => {
             let atom_peer = lit.atom.peer.resolve(&subst)?.ok_or_else(|| {
@@ -886,30 +917,20 @@ fn walk(
                             lit.atom
                         ))
                     })?;
-                    if !working.contains(&fact) {
-                        walk(ctx, working, rule, idx + 1, subst, outcome, new_local)?;
+                    if !ctx.db.contains(&fact) {
+                        walk(ctx, rule, idx + 1, subst, outcome, new_local)?;
                     }
                     Ok(())
                 } else {
-                    let matches = eval::evaluate_body(working, &[datom.into()], subst)?;
+                    let matches = eval::evaluate_body(ctx.db, &[datom.into()], subst)?;
                     for s in matches {
-                        walk(ctx, working, rule, idx + 1, s, outcome, new_local)?;
+                        walk(ctx, rule, idx + 1, s, outcome, new_local)?;
                     }
                     Ok(())
                 }
             } else {
                 // First non-local atom: delegate the instantiated remainder.
-                let mut body = Vec::with_capacity(rule.body.len() - idx);
-                for item in &rule.body[idx..] {
-                    body.push(item.apply(&subst)?);
-                }
-                let head = rule.head.apply(&subst)?;
-                // Onward delegation of a delegated rule is attributed to
-                // *this* peer, so access control chains hop by hop — the
-                // conservative reading of the paper's model.
-                let d = Delegation::new(ctx.peer, atom_peer, WRule::new(head, body));
-                outcome.delegations.entry(d.id).or_insert(d);
-                Ok(())
+                delegate_remainder(ctx, rule, idx, &subst, atom_peer, outcome)
             }
         }
     }
@@ -1707,45 +1728,58 @@ mod tests {
         }
     }
 
-    /// The classifier actually compiles (it must not silently fall back to
-    /// the interpreter for the shapes the fast path exists for), and picks
-    /// the expected cut per body shape.
+    /// The classifier picks the expected cut per body shape, and refuses
+    /// (as a typed error, not a fallback) what `WRule::validate` refuses.
     #[test]
     fn classifier_compiles_expected_cut_shapes() {
-        use crate::stage_plan::{classify, Cut, StageRulePlan};
+        use crate::stage_plan::{classify, Cut, NameSrc};
         let me = Symbol::intern("shape");
-        let acl = crate::AccessControl::new();
-        let vb = HashMap::new();
+        let (db, schema, vb) = (Database::new(), crate::Schema::new(), HashMap::new());
+        let open = crate::AccessControl::new();
+        let mut restricted = crate::AccessControl::new();
+        restricted.restrict_read("item");
+        let own = EvalCtx {
+            peer: me,
+            db: &db,
+            schema: &schema,
+            acl: &open,
+            view_bases: &vb,
+            origin: None,
+        };
         let item = |peer: &str| WAtom::at("item", peer, vec![Term::var("x")]);
+        let head = || WAtom::at("v", "shape", vec![Term::var("x")]);
+        let sel = || WAtom::at("sel", "shape", vec![Term::var("p")]).into();
+        let split = |rule: &WRule| match classify(rule, &own).unwrap().cut {
+            Cut::Split(s) => s,
+            _ => panic!("{rule} must split"),
+        };
 
         // Fully local body → Cut::Head.
         let fully_local = WRule::new(
-            WAtom::at("v", "shape", vec![Term::var("x")]),
+            head(),
             vec![
                 item("shape").into(),
                 WBodyItem::not_atom(WAtom::at("blocked", "shape", vec![Term::var("x")])),
             ],
         );
-        let StageRulePlan::Compiled(c) = classify(&fully_local, me, None, &acl, &vb) else {
-            panic!("fully local rule must compile");
-        };
-        assert!(matches!(c.cut, Cut::Head(_)));
+        assert!(matches!(
+            classify(&fully_local, &own).unwrap().cut,
+            Cut::Head(_)
+        ));
 
-        // Constant remote peer at position 1 → Cut::Delegate at 1.
-        let remote = WRule::new(
-            WAtom::at("v", "shape", vec![Term::var("x")]),
+        // Constant remote peer at position 1 → split at 1 on that peer.
+        let s = split(&WRule::new(
+            head(),
             vec![item("shape").into(), item("elsewhere").into()],
-        );
-        let StageRulePlan::Compiled(c) = classify(&remote, me, None, &acl, &vb) else {
-            panic!("split rule must compile");
-        };
-        assert!(matches!(c.cut, Cut::Delegate { idx: 1, .. }));
+        ));
+        assert_eq!(s.idx, 1);
+        assert!(matches!(s.peer, NameSrc::Const(p) if p == Symbol::intern("elsewhere")));
 
-        // Variable peer at position 1 → Cut::Resume at 1.
+        // Variable peer at position 1 → split at 1 on a register.
         let varpeer = WRule::new(
-            WAtom::at("v", "shape", vec![Term::var("x")]),
+            head(),
             vec![
-                WAtom::at("sel", "shape", vec![Term::var("p")]).into(),
+                sel(),
                 WAtom::new(
                     NameTerm::name("item"),
                     NameTerm::var("p"),
@@ -1754,38 +1788,94 @@ mod tests {
                 .into(),
             ],
         );
-        let StageRulePlan::Compiled(c) = classify(&varpeer, me, None, &acl, &vb) else {
-            panic!("variable-peer rule must compile its prefix");
-        };
-        assert!(matches!(c.cut, Cut::Resume { idx: 1, .. }));
+        let s = split(&varpeer);
+        assert_eq!(s.idx, 1);
+        assert!(matches!(s.peer, NameSrc::Reg(_, _)));
+
+        // Variable relation at a local peer → split on the relation name.
+        let varrel = WRule::new(
+            head(),
+            vec![
+                WAtom::at("relname", "shape", vec![Term::var("r")]).into(),
+                WAtom::new(NameTerm::var("r"), NameTerm::name("shape"), vec![]).into(),
+                item("shape").into(),
+            ],
+        );
+        let s = split(&varrel);
+        assert!(matches!((&s.rel, &s.peer), (NameSrc::Reg(_, _), NameSrc::Const(p)) if *p == me));
 
         // Delegated rule reading a restricted relation → Cut::Blocked.
-        let mut restricted = crate::AccessControl::new();
-        restricted.restrict_read("item");
+        let gate = EvalCtx {
+            acl: &restricted,
+            origin: Some(Symbol::intern("origin")),
+            ..own
+        };
         let gated = WRule::new(
             WAtom::at("v", "origin", vec![Term::var("x")]),
             vec![item("shape").into()],
         );
-        let StageRulePlan::Compiled(c) =
-            classify(&gated, me, Some(Symbol::intern("origin")), &restricted, &vb)
-        else {
-            panic!("gated rule must compile");
-        };
-        assert!(matches!(c.cut, Cut::Blocked));
+        assert!(matches!(classify(&gated, &gate).unwrap().cut, Cut::Blocked));
 
-        // A stage evaluation populates the cache with compiled entries.
+        // Unsafe rules are errors: an unbound head variable, and a
+        // comparison over a variable nothing binds.
+        let unbound_head = WRule::new(
+            WAtom::at("v", "shape", vec![Term::var("y")]),
+            vec![item("shape").into()],
+        );
+        assert!(matches!(
+            classify(&unbound_head, &own),
+            Err(WdlError::UnsafeDistribution(_))
+        ));
+        let unbound_cmp = WRule::new(
+            head(),
+            vec![
+                item("shape").into(),
+                WBodyItem::cmp(wdl_datalog::CmpOp::Lt, Term::var("y"), Term::cst(3)),
+            ],
+        );
+        assert!(matches!(
+            classify(&unbound_cmp, &own),
+            Err(WdlError::Datalog(_))
+        ));
+
+        // A stage caches the rule's plan, and one continuation per
+        // relation name its variable peer resolved to `me` with.
         let mut p = peer("shape");
         p.declare("v", 1, RelationKind::Intensional).unwrap();
         p.insert_local("item", vec![Value::from(1)]).unwrap();
-        p.add_rule(remote).unwrap();
-        p.run_stage().unwrap();
-        assert!(
-            p.stage_plans
-                .own
-                .values()
-                .any(|srp| matches!(srp, StageRulePlan::Compiled(_))),
-            "stage evaluation caches compiled plans"
-        );
+        for target in ["shape", "elsewhere"] {
+            p.insert_local("sel", vec![Value::from(target)]).unwrap();
+        }
+        let id = p.add_rule(varpeer).unwrap();
+        let out = p.run_stage().unwrap();
+        assert_eq!(out.stats.delegations_out, 1);
+        assert_eq!(p.relation_facts("v").len(), 1);
+        let Some(Cut::Split(s)) = p.stage_plans.own.get(&id).map(|c| &c.cut) else {
+            panic!("stage evaluation caches the split plan");
+        };
+        assert_eq!(s.conts.len(), 1);
+        assert!(matches!(s.conts[&Symbol::intern("item")].cut, Cut::Head(_)));
+    }
+
+    /// An unsafe rule that reached the peer without validation (a direct
+    /// `install_delegation`) is a typed error at the stage on the compiled
+    /// engine, not a silent fallback.
+    #[test]
+    fn unvalidated_unsafe_delegation_is_a_stage_error() {
+        let mut p = peer("strict");
+        p.insert_local("item", vec![Value::from(1)]).unwrap();
+        p.install_delegation(Delegation::new(
+            Symbol::intern("origin"),
+            Symbol::intern("strict"),
+            WRule::new(
+                WAtom::at("out", "origin", vec![Term::var("y")]),
+                vec![WAtom::at("item", "strict", vec![Term::var("x")]).into()],
+            ),
+        ));
+        assert!(matches!(
+            p.run_stage(),
+            Err(WdlError::UnsafeDistribution(_))
+        ));
     }
 
     /// Local negation within a stage.

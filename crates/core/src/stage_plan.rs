@@ -1,16 +1,14 @@
 //! Compiled stage-layer rule plans: the WebdamLog matcher on the
 //! register-file plan engine.
 //!
-//! The stage loop used to evaluate every rule — own and delegated — with
-//! the `Subst` interpreter (`stage.rs::walk`): literal by literal, cloning
-//! a symbol-keyed substitution per join candidate. This module compiles
-//! each rule **once per (rule, ruleset epoch, policy epoch)** into a
-//! [`StageRulePlan`]:
+//! The stage evaluates every rule — own and delegated — through a
+//! [`CompiledRule`], built **once per (rule, ruleset epoch, policy
+//! epoch)**:
 //!
 //! 1. **Classification.** The body splits at the first item the compiled
-//!    engine cannot run locally: a literal whose peer is a constant other
-//!    than `me` (the delegation split the paper prescribes), a literal with
-//!    a *variable* relation or peer name (resolvable only from runtime
+//!    engine cannot run as a local scan: a literal whose peer is a constant
+//!    other than `me` (the delegation split the paper prescribes), a literal
+//!    with a *variable* relation or peer name (resolvable only from runtime
 //!    bindings), or — for delegated rules — the first local literal whose
 //!    relation the origin may not read (the per-literal ACL read gate,
 //!    hoisted to compile time per origin; every `Peer::acl_mut` bumps
@@ -22,30 +20,49 @@
 //!    assignment instead of firing a head.
 //! 3. **Cut action.** What happens per yielded register file depends on the
 //!    [`Cut`]: fire the head (fully local body), count a blocked read
-//!    (hoisted ACL gate), or instantiate the remainder — deduplicated on
-//!    the registers the remainder actually reads for the static-delegation
-//!    case, or resumed through the reference interpreter for
-//!    variable-named cut literals.
+//!    (hoisted ACL gate), or [`Split`] at a literal that is not local at
+//!    compile time. A split resolves that literal's peer from the
+//!    registers. A remote peer receives the instantiated remainder as a
+//!    delegation, deduplicated on the registers the remainder reads. `me`
+//!    runs a *continuation*: the remainder classified again with the
+//!    resolved names constant and the live registers prebound, cached per
+//!    resolved relation name.
 //!
-//! The interpreter stays selectable as the semantic reference via
-//! [`crate::Peer::set_compiled_stage`]`(false)` — mirroring the datalog
-//! kernel's `EvalConfig::with_compiled(false)` — and the stage-parity
-//! property suite (`tests/stage_parity.rs`) pins the two paths to identical
-//! outcomes, delegations, and blocked-read counts.
+//! A rule the classifier cannot compile is a typed error at the stage;
+//! [`WRule::validate`] refuses every such rule at install and at
+//! delegation ingest. The `Subst` interpreter stays selectable as the
+//! semantic reference via [`crate::Peer::set_compiled_stage`]`(false)` —
+//! mirroring the datalog kernel's `EvalConfig::with_compiled(false)` — and
+//! the stage-parity property suite (`tests/stage_parity.rs`) pins the two
+//! paths to identical outcomes, delegations, and blocked-read counts.
 
-use crate::{qualify, AccessControl, WAtom, WBodyItem, WRule};
+use crate::stage::EvalCtx;
+use crate::{qualify, NameTerm, Result, WAtom, WBodyItem, WLiteral, WRule, WdlError};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::hash::Hash;
 use wdl_datalog::eval::{BodyPlan, BodyScratch};
 use wdl_datalog::intern::ValueId;
 use wdl_datalog::{Atom as DAtom, BodyItem as DItem, Subst, Symbol, Term, Value};
 
-/// Where a head-position name comes from at emission time.
+/// Where a name (relation or peer position) comes from at run time.
 pub(crate) enum NameSrc {
     /// Constant name.
     Const(Symbol),
     /// Register holding a (string) value; the `Symbol` is the variable's
     /// name, kept for parity-faithful error messages.
     Reg(u16, Symbol),
+}
+
+impl NameSrc {
+    /// The source of `name` under `plan`; `None` for a variable the plan
+    /// does not bind.
+    fn of(name: &NameTerm, plan: &BodyPlan) -> Option<NameSrc> {
+        match name {
+            NameTerm::Name(s) => Some(NameSrc::Const(*s)),
+            NameTerm::Var(v) => Some(NameSrc::Reg(plan.register_of(*v)?, *v)),
+        }
+    }
 }
 
 /// Where a head-column value comes from at emission time.
@@ -65,14 +82,6 @@ pub(crate) struct HeadPlan {
 
 impl HeadPlan {
     fn build(head: &WAtom, plan: &BodyPlan) -> Option<HeadPlan> {
-        let name_src = |nt: &crate::NameTerm| -> Option<NameSrc> {
-            match nt {
-                crate::NameTerm::Name(s) => Some(NameSrc::Const(*s)),
-                crate::NameTerm::Var(v) => Some(NameSrc::Reg(plan.register_of(*v)?, *v)),
-            }
-        };
-        let rel = name_src(&head.rel)?;
-        let peer = name_src(&head.peer)?;
         let mut args = Vec::with_capacity(head.args.len());
         for t in &head.args {
             args.push(match t {
@@ -80,7 +89,11 @@ impl HeadPlan {
                 Term::Var(v) => ArgSrc::Reg(plan.register_of(*v)?),
             });
         }
-        Some(HeadPlan { rel, peer, args })
+        Some(HeadPlan {
+            rel: NameSrc::of(&head.rel, plan)?,
+            peer: NameSrc::of(&head.peer, plan)?,
+            args,
+        })
     }
 }
 
@@ -91,32 +104,30 @@ pub(crate) enum Cut {
     /// The cut literal is ACL-blocked for this origin: count one blocked
     /// read per yielded binding (hoisted per-literal read gate).
     Blocked,
-    /// The cut literal has a constant remote peer: the remainder
-    /// `body[idx..]` becomes a delegation. Identical projections of the
-    /// `live` registers instantiate identical delegations, so suspensions
-    /// are deduplicated on that projection before the remainder is built.
-    Delegate {
-        idx: usize,
-        live: Vec<(Symbol, u16)>,
-    },
-    /// Anything else (variable relation/peer names at the cut, or a body
-    /// the plan compiler rejects mid-way): resume the reference
-    /// interpreter at `idx` from the yielded bindings, once per yield (no
-    /// dedup — the continuation may fire heads, and per-binding counters
-    /// must match the interpreter exactly).
-    Resume {
-        idx: usize,
-        live: Vec<(Symbol, u16)>,
-    },
+    /// The cut literal is not local at compile time.
+    Split(Box<Split>),
 }
 
-/// One rule, classified and compiled for stage evaluation.
-pub(crate) enum StageRulePlan {
-    /// The rule runs entirely on the `Subst` interpreter (compilation not
-    /// applicable or not worthwhile).
-    Interpreted,
-    /// Compiled local prefix plus cut action.
-    Compiled(CompiledRule),
+/// A cut at `body[idx]`, a literal whose peer is a constant other than
+/// `me` or whose relation or peer name is a variable. Per yielded register
+/// file, the peer name resolves; a remote peer receives the remainder
+/// `body[idx..]` as a delegation, and `me` runs the continuation compiled
+/// for the resolved relation name.
+pub(crate) struct Split {
+    pub(crate) idx: usize,
+    /// Variables the remainder or the head reads, with their registers:
+    /// the delegation dedup key and the continuation's seed.
+    pub(crate) live: Vec<(Symbol, u16)>,
+    pub(crate) rel: NameSrc,
+    pub(crate) peer: NameSrc,
+    /// Continuations of `body[idx..]`, keyed by resolved relation name.
+    /// They live and die with this plan, so the same epochs invalidate
+    /// them.
+    pub(crate) conts: HashMap<Symbol, CompiledRule>,
+    /// Buffers for running a continuation inside the enclosing plan's
+    /// emit callback, while the enclosing run holds its own scratch.
+    pub(crate) scratch: BodyScratch,
+    pub(crate) seed: Vec<ValueId>,
 }
 
 /// The compiled form: prefix plan + what to do at the cut.
@@ -125,23 +136,20 @@ pub(crate) struct CompiledRule {
     pub(crate) cut: Cut,
 }
 
-impl CompiledRule {
-    /// Builds the projection of `live` registers used as the delegation
-    /// dedup key.
-    pub(crate) fn live_key(live: &[(Symbol, u16)], regs: &[ValueId]) -> Box<[ValueId]> {
-        live.iter().map(|&(_, r)| regs[r as usize]).collect()
-    }
+/// The projection of the `live` registers: identical projections
+/// instantiate identical remainders.
+pub(crate) fn live_key(live: &[(Symbol, u16)], regs: &[ValueId]) -> Box<[ValueId]> {
+    live.iter().map(|&(_, r)| regs[r as usize]).collect()
+}
 
-    /// Reconstructs a substitution holding exactly the `live` bindings —
-    /// what the interpreter continuation (or remainder instantiation)
-    /// reads.
-    pub(crate) fn live_subst(live: &[(Symbol, u16)], regs: &[ValueId]) -> Subst {
-        let mut s = Subst::new();
-        for &(v, r) in live {
-            s.bind(v, regs[r as usize].value());
-        }
-        s
+/// A substitution holding exactly the `live` bindings — what remainder
+/// instantiation reads.
+pub(crate) fn live_subst(live: &[(Symbol, u16)], regs: &[ValueId]) -> Subst {
+    let mut s = Subst::new();
+    for &(v, r) in live {
+        s.bind(v, regs[r as usize].value());
     }
+    s
 }
 
 /// Variables the remainder `body[idx..]` or the head can read, restricted
@@ -165,51 +173,56 @@ fn live_vars(rule: &WRule, idx: usize, plan: &BodyPlan) -> Vec<(Symbol, u16)> {
     out
 }
 
-/// Classifies and compiles one rule for evaluation at `me` (on behalf of
-/// `origin` when the rule is a delegation). Never fails: anything the
-/// compiled path cannot express exactly degrades to
-/// [`StageRulePlan::Interpreted`] or to a [`Cut::Resume`] continuation,
-/// both of which reproduce the interpreter's semantics verbatim.
-pub(crate) fn classify(
+/// Classifies and compiles one rule for evaluation at `ctx.peer` (on
+/// behalf of `ctx.origin` when the rule is a delegation). Fails only on a
+/// rule [`WRule::validate`] refuses: an item reading a variable nothing
+/// to its left binds, or a head variable the body does not bind.
+pub(crate) fn classify(rule: &WRule, ctx: &EvalCtx<'_>) -> Result<CompiledRule> {
+    classify_from(rule, 0, None, &[], ctx)
+}
+
+/// Classifies `rule.body[start..]` with the `prebound` variables already
+/// bound. `resolved`, when set, is the relation name of `body[start]`
+/// for a binding whose peer resolved to `me`: the continuation of a
+/// [`Split`].
+pub(crate) fn classify_from(
     rule: &WRule,
-    me: Symbol,
-    origin: Option<Symbol>,
-    acl: &AccessControl,
-    view_bases: &HashMap<Symbol, HashSet<Symbol>>,
-) -> StageRulePlan {
-    enum CutKind {
-        Blocked,
-        Delegate,
-        Resume,
-    }
+    start: usize,
+    resolved: Option<Symbol>,
+    prebound: &[Symbol],
+    ctx: &EvalCtx<'_>,
+) -> Result<CompiledRule> {
+    // The literal at the cut, or `None` when the cut is an ACL block.
+    let mut cut_at: Option<(usize, Option<&WLiteral>)> = None;
     let mut items: Vec<DItem> = Vec::new();
-    let mut cut_at: Option<(usize, CutKind)> = None;
-    for (i, item) in rule.body.iter().enumerate() {
+    for (i, item) in rule.body.iter().enumerate().skip(start) {
         match item {
-            WBodyItem::Literal(l) => match (l.atom.rel.as_name(), l.atom.peer.as_name()) {
-                (Some(rel), Some(p)) if p == me => {
-                    if let Some(o) = origin {
-                        if !acl.can_read(rel, o, view_bases) {
-                            cut_at = Some((i, CutKind::Blocked));
-                            break;
-                        }
+            WBodyItem::Literal(l) => {
+                let names = match resolved.filter(|_| i == start) {
+                    Some(rel) => (Some(rel), Some(ctx.peer)),
+                    None => (l.atom.rel.as_name(), l.atom.peer.as_name()),
+                };
+                let rel = match names {
+                    (Some(rel), Some(p)) if p == ctx.peer => rel,
+                    _ => {
+                        cut_at = Some((i, Some(l)));
+                        break;
                     }
-                    let datom = DAtom::new(qualify(rel, me), l.atom.args.clone());
-                    items.push(if l.negated {
-                        DItem::not_atom(datom)
-                    } else {
-                        DItem::atom(datom)
-                    });
-                }
-                (_, Some(p)) if p != me => {
-                    cut_at = Some((i, CutKind::Delegate));
+                };
+                if ctx
+                    .origin
+                    .is_some_and(|o| !ctx.acl.can_read(rel, o, ctx.view_bases))
+                {
+                    cut_at = Some((i, None));
                     break;
                 }
-                _ => {
-                    cut_at = Some((i, CutKind::Resume));
-                    break;
-                }
-            },
+                let datom = DAtom::new(qualify(rel, ctx.peer), l.atom.args.clone());
+                items.push(if l.negated {
+                    DItem::not_atom(datom)
+                } else {
+                    DItem::atom(datom)
+                });
+            }
             WBodyItem::Cmp { op, lhs, rhs } => {
                 items.push(DItem::cmp(*op, lhs.clone(), rhs.clone()));
             }
@@ -218,37 +231,46 @@ pub(crate) fn classify(
             }
         }
     }
-    let Ok(plan) = BodyPlan::compile(&items, &[]) else {
-        // An item the plan compiler rejects (e.g. a comparison over a
-        // variable no positive atom binds) raises its error at *runtime*
-        // in the interpreter, and only for bindings that reach it — keep
-        // those semantics by interpreting the whole rule.
-        return StageRulePlan::Interpreted;
-    };
+    let plan = BodyPlan::compile(&items, prebound)?;
     let cut = match cut_at {
-        None => match HeadPlan::build(&rule.head, &plan) {
-            Some(h) => Cut::Head(h),
-            // A head variable the body does not bind: the interpreter
-            // raises per-binding; fall back.
-            None => {
-                let live = live_vars(rule, rule.body.len(), &plan);
-                Cut::Resume {
-                    idx: rule.body.len(),
-                    live,
-                }
-            }
-        },
-        Some((_, CutKind::Blocked)) => Cut::Blocked,
-        Some((i, CutKind::Delegate)) => Cut::Delegate {
-            idx: i,
-            live: live_vars(rule, i, &plan),
-        },
-        Some((i, CutKind::Resume)) => Cut::Resume {
-            idx: i,
-            live: live_vars(rule, i, &plan),
-        },
+        None => Cut::Head(HeadPlan::build(&rule.head, &plan).ok_or_else(|| {
+            WdlError::UnsafeDistribution(format!("head of {rule} not fully bound"))
+        })?),
+        Some((_, None)) => Cut::Blocked,
+        Some((idx, Some(l))) => {
+            let unresolved = |what: &str| {
+                WdlError::UnsafeDistribution(format!(
+                    "{what} of {} unresolved at evaluation (rule {rule})",
+                    l.atom
+                ))
+            };
+            let peer = NameSrc::of(&l.atom.peer, &plan).ok_or_else(|| unresolved("peer"))?;
+            let rel = NameSrc::of(&l.atom.rel, &plan).ok_or_else(|| unresolved("relation"))?;
+            Cut::Split(Box::new(Split {
+                idx,
+                live: live_vars(rule, idx, &plan),
+                rel,
+                peer,
+                conts: HashMap::new(),
+                scratch: BodyScratch::new(),
+                seed: Vec::new(),
+            }))
+        }
     };
-    StageRulePlan::Compiled(CompiledRule { plan, cut })
+    Ok(CompiledRule { plan, cut })
+}
+
+/// The cached value under `key`, made by `make` on a miss. A failed `make`
+/// caches nothing.
+pub(crate) fn cached<K: Eq + Hash, V>(
+    cache: &mut HashMap<K, V>,
+    key: K,
+    make: impl FnOnce() -> Result<V>,
+) -> Result<&mut V> {
+    Ok(match cache.entry(key) {
+        Entry::Occupied(e) => e.into_mut(),
+        Entry::Vacant(e) => e.insert(make()?),
+    })
 }
 
 /// Per-peer cache of classified stage plans, invalidated when the ruleset
@@ -261,8 +283,8 @@ pub(crate) fn classify(
 pub(crate) struct StagePlans {
     pub(crate) epoch: u64,
     pub(crate) policy_epoch: u64,
-    pub(crate) own: HashMap<crate::RuleId, StageRulePlan>,
-    pub(crate) delegated: HashMap<crate::DelegationId, StageRulePlan>,
+    pub(crate) own: HashMap<crate::RuleId, CompiledRule>,
+    pub(crate) delegated: HashMap<crate::DelegationId, CompiledRule>,
     /// Shared register-file / probe-key buffers, reused across plans.
     pub(crate) scratch: BodyScratch,
 }

@@ -7,8 +7,8 @@
 //! monotone-safe (the same restriction Bloom/Bud imposes on non-monotone
 //! operations).
 
-use crate::eval::evaluate_body;
-use crate::{BodyItem, Database, DatalogError, Result, Subst, Symbol, Value};
+use crate::eval::{BodyPlan, BodyScratch};
+use crate::{BodyItem, Database, DatalogError, Result, Symbol, Value};
 use std::collections::HashMap;
 
 /// An aggregate function over the bound values of one variable.
@@ -71,27 +71,38 @@ pub struct AggRow {
 }
 
 impl AggQuery {
-    /// Runs the aggregation against `db`.
+    /// Runs the aggregation against `db`. The body runs as a compiled
+    /// register-file plan ([`BodyPlan`]); a body the plan compiler rejects,
+    /// or a `group_by`/`over` variable the body does not bind, is an error
+    /// whatever `db` holds.
     pub fn eval(&self, db: &Database) -> Result<Vec<AggRow>> {
         if self.over.is_none() && self.func != AggFunc::Count {
             return Err(DatalogError::UnboundVariable(
                 "aggregate over() variable required for non-count aggregates".into(),
             ));
         }
-        let substs = evaluate_body(db, &self.body, Subst::new())?;
+        let plan = BodyPlan::compile(&self.body, &[])?;
+        let reg = |v: Symbol, what: &str| {
+            plan.register_of(v).ok_or_else(|| {
+                DatalogError::UnboundVariable(format!("{what} ${v} unbound by body"))
+            })
+        };
+        let keys = self
+            .group_by
+            .iter()
+            .map(|&v| reg(v, "group-by variable"))
+            .collect::<Result<Vec<u16>>>()?;
+        let over = self
+            .over
+            .map(|v| reg(v, "aggregate variable"))
+            .transpose()?;
         let mut groups: HashMap<Vec<Value>, Vec<Option<Value>>> = HashMap::new();
-        for s in &substs {
-            let key = self.group_key(s)?;
-            let sample = match self.over {
-                Some(var) => Some(s.get(var).cloned().ok_or_else(|| {
-                    DatalogError::UnboundVariable(format!(
-                        "aggregate variable ${var} unbound by body"
-                    ))
-                })?),
-                None => None,
-            };
+        plan.run(db, &mut BodyScratch::new(), &[], &mut |regs| {
+            let key = keys.iter().map(|&r| regs[r as usize].value()).collect();
+            let sample = over.map(|r| regs[r as usize].value());
             groups.entry(key).or_default().push(sample);
-        }
+            Ok(())
+        })?;
         let mut rows = Vec::with_capacity(groups.len());
         for (key, samples) in groups {
             rows.push(AggRow {
@@ -102,17 +113,6 @@ impl AggQuery {
         // Deterministic output order: sort by key.
         rows.sort_by(|a, b| a.key.cmp(&b.key));
         Ok(rows)
-    }
-
-    fn group_key(&self, s: &Subst) -> Result<Vec<Value>> {
-        self.group_by
-            .iter()
-            .map(|v| {
-                s.get(*v).cloned().ok_or_else(|| {
-                    DatalogError::UnboundVariable(format!("group-by variable ${v} unbound"))
-                })
-            })
-            .collect()
     }
 }
 
@@ -286,6 +286,33 @@ mod tests {
             over: None,
         };
         assert!(q.eval(&rating_db()).is_err());
+    }
+
+    /// Malformed queries fail on any database, empty ones included: a
+    /// group-by variable the body does not bind, and a body the plan
+    /// compiler rejects.
+    #[test]
+    fn malformed_queries_fail_without_rows() {
+        let unbound_key = AggQuery {
+            body: body(),
+            group_by: vec![Symbol::intern("nowhere")],
+            func: AggFunc::Count,
+            over: None,
+        };
+        let mut cmp_first = body();
+        cmp_first.insert(0, BodyItem::cmp(CmpOp::Ge, Term::var("r"), Term::cst(4)));
+        let uncompilable = AggQuery {
+            body: cmp_first,
+            group_by: vec![],
+            func: AggFunc::Count,
+            over: None,
+        };
+        for q in [unbound_key, uncompilable] {
+            assert!(matches!(
+                q.eval(&Database::new()),
+                Err(DatalogError::UnboundVariable(_))
+            ));
+        }
     }
 
     #[test]

@@ -1,9 +1,13 @@
-//! Rule evaluation: the shared left-to-right body matcher and the two
-//! bottom-up fixpoint strategies (naive and seminaive).
+//! Rule evaluation: the left-to-right body matchers and the two bottom-up
+//! fixpoint strategies (naive and seminaive).
 //!
-//! The matcher ([`evaluate_body`]) is exported because the WebdamLog engine
-//! reuses it verbatim to evaluate the *local prefix* of a distributed rule
-//! before delegating the remainder (see `wdl-core`).
+//! Two matchers compute the same bindings. The compiled register-file
+//! plans (`plan.rs`; [`BodyPlan`] is the public prefix form the WebdamLog
+//! stage, ad-hoc queries and aggregates run on) are what production runs.
+//! The `Subst` interpreter ([`evaluate_body`]) is the semantic reference:
+//! [`EvalConfig::with_compiled`]`(false)` selects it here, and `wdl-core`'s
+//! reference stage interpreter (`Peer::set_compiled_stage(false)`) calls
+//! the exported [`evaluate_body`].
 
 mod diff;
 mod naive;

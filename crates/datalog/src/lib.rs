@@ -9,8 +9,10 @@
 //! * indexed in-memory relation storage ([`Relation`], [`Database`]),
 //! * rules with positive/negative literals and builtin predicates
 //!   ([`Rule`], [`BodyItem`]),
-//! * left-to-right body matching shared with the WebdamLog engine
-//!   ([`eval::evaluate_body`]),
+//! * left-to-right body matching as compiled register-file plans
+//!   ([`eval::BodyPlan`], which the WebdamLog stage runs on), with the
+//!   `Subst` interpreter ([`eval::evaluate_body`]) kept as the semantic
+//!   reference,
 //! * naive **and** seminaive bottom-up fixpoint evaluation with stratified
 //!   negation ([`Program::eval`]).
 //!

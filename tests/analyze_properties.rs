@@ -9,13 +9,17 @@
 //!    each peer's local stratification graph;
 //! 3. **agreement on safety**: the analyzer reports WDL001–003 on a rule
 //!    iff the runtime's `check_safety` rejects it, naming the same variable.
+//! 4. **validated ⇒ compiles**: every rule `WRule::validate` accepts runs
+//!    on the compiled stage engine exactly as on the reference interpreter.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use webdamlog::analyze::{Analyzer, PeerModel};
 use webdamlog::core::runtime::LocalRuntime;
-use webdamlog::core::{DiagCode, NameTerm, Peer, RelationKind, WAtom, WBodyItem, WRule, WdlError};
-use webdamlog::datalog::{BinOp, CmpOp, DatalogError, Expr, Term, Value};
+use webdamlog::core::{
+    DiagCode, NameTerm, Payload, Peer, RelationKind, WAtom, WBodyItem, WRule, WdlError,
+};
+use webdamlog::datalog::{BinOp, CmpOp, DatalogError, Expr, Symbol, Term, Value};
 
 const CASES: u64 = 96;
 
@@ -205,27 +209,59 @@ fn analyzer_clean_programs_never_trip_runtime_stratification() {
     assert!(ran > 0, "generator never produced an analyzer-clean case");
 }
 
-/// A random rule over [`atom`]'s vocabulary plus comparisons and
-/// assignments, each reading and binding variables in arbitrary order, so
-/// every kind of safety violation (and safe rules) turns up.
+/// A random rule over [`atom`]'s vocabulary plus comparisons,
+/// assignments, local atoms that bind a name variable from data, and
+/// atoms at a variable peer, each reading and binding variables in
+/// arbitrary order, so every kind of safety violation (and safe rules,
+/// including ones whose names resolve at run time) turns up. Reads and
+/// head variables favour variables the body binds further left, which
+/// keeps safe rules common.
 fn random_rule(rng: &mut StdRng) -> WRule {
     let rels = ["r0", "r1"];
     let peers = ["p0", "p1"];
     let vars = ["x", "y", "z", "R", "P"];
-    let pick = |rng: &mut StdRng| vars[rng.gen_range(0..vars.len())];
-    let head = atom(rng, &rels, &peers, true);
-    let body = (0..rng.gen_range(0..4usize))
-        .map(|_| match rng.gen_range(0..10) {
-            0..=4 => WBodyItem::atom(atom(rng, &rels, &peers, true)),
-            5..=6 => WBodyItem::not_atom(atom(rng, &rels, &peers, true)),
-            7 => WBodyItem::cmp(CmpOp::Lt, Term::var(pick(rng)), Term::cst(Value::from(3))),
+    let pick = |rng: &mut StdRng, bound: &[Symbol]| {
+        if !bound.is_empty() && rng.gen_bool(0.7) {
+            bound[rng.gen_range(0..bound.len())]
+        } else {
+            Symbol::intern(vars[rng.gen_range(0..vars.len())])
+        }
+    };
+    let mut head = atom(rng, &rels, &peers, true);
+    let mut bound: Vec<Symbol> = Vec::new();
+    let mut body = Vec::new();
+    for _ in 0..rng.gen_range(0..5usize) {
+        let item = match rng.gen_range(0..12) {
+            0..=2 => WBodyItem::atom(atom(rng, &rels, &peers, true)),
+            3..=4 => WBodyItem::not_atom(atom(rng, &rels, &peers, true)),
+            5..=6 => WBodyItem::cmp(
+                CmpOp::Lt,
+                Term::var(pick(rng, &bound)),
+                Term::cst(Value::from(3)),
+            ),
+            7..=8 => {
+                let rel = rels[rng.gen_range(0..rels.len())];
+                let name = ["R", "P"][rng.gen_range(0..2usize)];
+                WBodyItem::atom(WAtom::at(rel, "p0", vec![Term::var(name)]))
+            }
+            9 => {
+                let a = atom(rng, &rels, &peers, true);
+                WBodyItem::atom(WAtom::new(a.rel, NameTerm::var("P"), a.args))
+            }
             _ => {
-                let (var, input) = (pick(rng), Expr::term(Term::var(pick(rng))));
+                let (var, input) = (pick(rng, &[]), Expr::term(Term::var(pick(rng, &bound))));
                 let one = Expr::term(Term::cst(Value::from(1)));
                 WBodyItem::assign(var, Expr::bin(BinOp::Add, input, one))
             }
-        })
-        .collect();
+        };
+        item.binds(&mut bound);
+        body.push(item);
+    }
+    for t in &mut head.args {
+        if matches!(t, Term::Var(_)) {
+            *t = Term::var(pick(rng, &bound));
+        }
+    }
     WRule::new(head, body)
 }
 
@@ -272,4 +308,133 @@ fn analyzer_safety_codes_agree_with_runtime_check_safety() {
         }
     }
     assert!(safe > 0 && unsafe_ > 0, "safe {safe}, unsafe {unsafe_}");
+}
+
+/// A random fact value: small integers, and strings that resolve as the
+/// relation and peer names [`random_rule`] uses.
+fn random_value(rng: &mut StdRng) -> Value {
+    match rng.gen_range(0..8) {
+        0 => Value::from("r0"),
+        1 => Value::from("r1"),
+        2 => Value::from("p0"),
+        3 => Value::from("p1"),
+        n => Value::from(i64::from(n - 4)),
+    }
+}
+
+/// One peer's observable run of `rule` over random facts: per-stage
+/// counters and canonical messages, then the relation contents — or the
+/// error that ended the run.
+fn run_rule(rule: &WRule, seed: u64, compiled: bool) -> Vec<String> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut p = Peer::new("p0");
+    for rel in ["r0", "r1"] {
+        let arity = rng.gen_range(0..3usize);
+        p.declare(rel, arity, RelationKind::Extensional).unwrap();
+        for _ in 0..rng.gen_range(0..6usize) {
+            let row = (0..arity).map(|_| random_value(&mut rng)).collect();
+            p.insert_local(rel, row).unwrap();
+        }
+    }
+    p.add_rule(rule.clone()).unwrap();
+    p.set_compiled_stage(compiled);
+    let mut log = Vec::new();
+    for _ in 0..3 {
+        match p.run_stage() {
+            Ok(out) => {
+                log.push(format!("{:?}", out.stats));
+                let mut msgs: Vec<String> = out
+                    .messages
+                    .iter()
+                    .map(|m| {
+                        let mut parts: Vec<String> = match &m.payload {
+                            Payload::Facts {
+                                additions,
+                                retractions,
+                                ..
+                            } => additions
+                                .iter()
+                                .map(|f| format!("+{f}"))
+                                .chain(retractions.iter().map(|f| format!("-{f}")))
+                                .collect(),
+                            Payload::Delegate(ds) => {
+                                ds.iter().map(|d| d.rule.to_string()).collect()
+                            }
+                            Payload::Revoke(ids) => {
+                                ids.iter().map(|id| format!("{id:?}")).collect()
+                            }
+                            Payload::Session(b) => vec![format!("{} session bytes", b.len())],
+                        };
+                        parts.sort();
+                        format!("{}->{}: {parts:?}", m.from, m.to)
+                    })
+                    .collect();
+                msgs.sort();
+                log.extend(msgs);
+            }
+            Err(e) => {
+                log.push(format!("error: {e}"));
+                return log;
+            }
+        }
+    }
+    for rel in ["r0", "r1"] {
+        let mut rows: Vec<String> = p
+            .relation_facts(rel)
+            .iter()
+            .map(|t| format!("{t:?}"))
+            .collect();
+        rows.sort();
+        log.push(format!("{rel}: {rows:?}"));
+    }
+    log
+}
+
+/// **Validated ⇒ compiles.** Every rule [`random_rule`] generates that
+/// `WRule::validate` accepts installs on a peer holding random facts and
+/// runs stage for stage on the compiled engine exactly as on the `Subst`
+/// reference interpreter (`set_compiled_stage(false)`): the same counters,
+/// messages and relation contents. A data error (a name variable bound to
+/// a number, arithmetic on a string) ends both runs with the same error; a
+/// rule the stage classifier failed to compile would end only the compiled
+/// run.
+#[test]
+fn validated_rules_compile_and_match_the_interpreter() {
+    let (mut validated, mut clean, mut filtered_after_var_peer) = (0usize, 0usize, 0usize);
+    for seed in 0..CASES * 64 {
+        let rule = random_rule(&mut StdRng::seed_from_u64(5000 + seed));
+        if rule.validate().is_err() {
+            continue;
+        }
+        validated += 1;
+        let var_peer = rule
+            .body
+            .iter()
+            .position(|item| matches!(item, WBodyItem::Literal(l) if l.atom.peer.is_var()));
+        if var_peer.is_some_and(|i| {
+            rule.body[i..]
+                .iter()
+                .any(|item| matches!(item, WBodyItem::Cmp { .. }))
+        }) {
+            filtered_after_var_peer += 1;
+        }
+        let compiled = run_rule(&rule, 9000 + seed, true);
+        let interpreted = run_rule(&rule, 9000 + seed, false);
+        assert_eq!(
+            compiled, interpreted,
+            "seed {seed}: `{rule}` runs differently on the compiled engine"
+        );
+        if !compiled.iter().any(|line| line.starts_with("error: ")) {
+            clean += 1;
+        }
+    }
+    // The sweep must reach the shapes it exists for.
+    assert!(
+        filtered_after_var_peer > 0,
+        "no validated rule compares after a variable-peer literal"
+    );
+    assert!(
+        clean * 4 > validated,
+        "only {clean} of {validated} validated rules ran without a data error"
+    );
 }

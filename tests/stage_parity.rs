@@ -9,9 +9,13 @@
 //! plans) and once with `false` (the symbol-keyed interpreter) — drives
 //! both through identical stage/routing schedules and mutation batches,
 //! and requires identical observable behaviour at every step.
+//!
+//! `WDL_PARITY_SEED=n` replays one seed of the random-program sweep;
+//! `WDL_PARITY_SEEDS=lo..hi` widens it (CI runs `0..300`).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 use wdl_core::acl::UntrustedPolicy;
 use wdl_core::{
     Delegation, Message, NameTerm, Payload, Peer, RelationKind, StageStats, WAtom, WBodyItem, WRule,
@@ -217,6 +221,14 @@ fn random_system(seed: u64, compiled: bool) -> System {
             p.insert_local("sel", vec![Value::from(target)]).unwrap();
         }
         p.declare("sel", 1, RelationKind::Extensional).ok();
+        // Owner names for the rating-filter template: mostly the peer
+        // itself, sometimes another peer as well.
+        p.insert_local("owner", vec![Value::from(p.name().as_str())])
+            .unwrap();
+        if rng.gen_range(0..3) == 0 {
+            let target = PEERS[rng.gen_range(0..PEERS.len())];
+            p.insert_local("owner", vec![Value::from(target)]).unwrap();
+        }
         p.insert_local(
             "relname",
             vec![Value::from(if rng.gen_range(0..2) == 0 {
@@ -226,6 +238,12 @@ fn random_system(seed: u64, compiled: bool) -> System {
             })],
         )
         .unwrap();
+        // A second relation name, so one variable-relation literal
+        // resolves to two relations on the same peer.
+        if rng.gen_range(0..2) == 0 {
+            p.insert_local("relname", vec![Value::from("item")])
+                .unwrap();
+        }
     }
 
     // Random rules per peer.
@@ -234,7 +252,7 @@ fn random_system(seed: u64, compiled: bool) -> System {
         let other = PEERS[(pi + 1) % PEERS.len()];
         let n_rules = rng.gen_range(1..=4usize);
         for _ in 0..n_rules {
-            let rule = match rng.gen_range(0..7u32) {
+            let rule = match rng.gen_range(0..9u32) {
                 // Local filter + negation.
                 0 => WRule::new(
                     WAtom::at("v0", me, vec![Term::var("x")]),
@@ -294,6 +312,39 @@ fn random_system(seed: u64, compiled: bool) -> System {
                         WAtom::at("item", me, vec![Term::var("x")]).into(),
                     ],
                 ),
+                // Variable relation name in a body literal.
+                6 => WRule::new(
+                    WAtom::at("mirror", me, vec![Term::var("x")]),
+                    vec![
+                        WAtom::at("relname", me, vec![Term::var("r")]).into(),
+                        WAtom::new(NameTerm::var("r"), NameTerm::name(me), vec![Term::var("x")])
+                            .into(),
+                    ],
+                ),
+                // The rating-filter shape: a variable-peer literal that
+                // usually resolves to `me`, then a second variable-peer
+                // literal, a local join and a comparison.
+                7 => WRule::new(
+                    WAtom::at("pair", me, vec![Term::var("x"), Term::var("z")]),
+                    vec![
+                        WAtom::at("owner", me, vec![Term::var("o")]).into(),
+                        WAtom::new(
+                            NameTerm::name("e"),
+                            NameTerm::var("o"),
+                            vec![Term::var("x"), Term::var("y")],
+                        )
+                        .into(),
+                        WAtom::at("sel", me, vec![Term::var("p")]).into(),
+                        WAtom::new(
+                            NameTerm::name("item"),
+                            NameTerm::var("p"),
+                            vec![Term::var("y")],
+                        )
+                        .into(),
+                        WAtom::at("e", me, vec![Term::var("y"), Term::var("z")]).into(),
+                        WBodyItem::cmp(CmpOp::Ge, Term::var("z"), Term::var("x")),
+                    ],
+                ),
                 // Extensional head: buffered self-updates.
                 _ => WRule::new(
                     WAtom::at("arch", me, vec![Term::var("x")]),
@@ -314,7 +365,7 @@ fn random_system(seed: u64, compiled: bool) -> System {
         // here), including the empty-local-prefix and fully-local shapes.
         if rng.gen_range(0..2) == 0 {
             let origin = PEERS[(pi + 2) % PEERS.len()];
-            let rule = match rng.gen_range(0..3u32) {
+            let rule = match rng.gen_range(0..4u32) {
                 // Fully local body, remote head back to the origin.
                 0 => WRule::new(
                     WAtom::at("mirror", origin, vec![Term::var("x")]),
@@ -326,6 +377,21 @@ fn random_system(seed: u64, compiled: bool) -> System {
                     vec![
                         WAtom::at("item", me, vec![Term::var("x")]).into(),
                         WAtom::at("item", other, vec![Term::var("x")]).into(),
+                    ],
+                ),
+                // Variable peer over a relation the owner may have
+                // restricted: the read gate trips inside the continuation
+                // of every owner row naming this peer.
+                2 => WRule::new(
+                    WAtom::at("v2", origin, vec![Term::var("x")]),
+                    vec![
+                        WAtom::at("owner", me, vec![Term::var("o")]).into(),
+                        WAtom::new(
+                            NameTerm::name("item"),
+                            NameTerm::var("o"),
+                            vec![Term::var("x")],
+                        )
+                        .into(),
                     ],
                 ),
                 // Empty local prefix: the body starts non-local.
@@ -366,13 +432,28 @@ fn mutate(sys: &mut System, seed: u64) {
     }
 }
 
+/// The seeds to sweep: `WDL_PARITY_SEED=n` replays one,
+/// `WDL_PARITY_SEEDS=lo..hi` overrides the whole range (same syntax as
+/// `WDL_SIM_SEEDS` and `WDL_STORE_SEEDS`).
+fn seed_range(default: Range<u64>) -> Range<u64> {
+    if let Ok(v) = std::env::var("WDL_PARITY_SEED") {
+        if let Ok(n) = v.trim().parse::<u64>() {
+            return n..n + 1;
+        }
+    }
+    if let Ok(v) = std::env::var("WDL_PARITY_SEEDS") {
+        if let Some((lo, hi)) = v.trim().split_once("..") {
+            if let (Ok(lo), Ok(hi)) = (lo.parse::<u64>(), hi.parse::<u64>()) {
+                return lo..hi;
+            }
+        }
+    }
+    default
+}
+
 #[test]
 fn random_programs_compiled_equals_interpreted() {
-    let seeds: Vec<u64> = match std::env::var("WDL_PARITY_SEED") {
-        Ok(s) => vec![s.parse().expect("WDL_PARITY_SEED must be a u64")],
-        Err(_) => (0..25).collect(),
-    };
-    for seed in seeds {
+    for seed in seed_range(0..25) {
         let mut compiled = random_system(seed, true);
         let mut interp = random_system(seed, false);
         let label = format!("seed {seed} (rerun: WDL_PARITY_SEED={seed})");
