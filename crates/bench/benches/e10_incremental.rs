@@ -19,6 +19,7 @@
 
 use criterion::{BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::time::Instant;
 
 use wdl_bench::open_peer;
 use wdl_bench::workloads::{churn_facts, wepic_base, wepic_program};
@@ -86,8 +87,24 @@ fn wepic_peer(tag: &str, pics: usize, tags_per: usize, persons: usize) -> Peer {
     p
 }
 
+/// Rounds behind each table figure, the same count in quick and full
+/// runs: a median of this many resists the stray slow samples of a
+/// shared host that a median of 3 does not.
+const ROUNDS: usize = 21;
+
+/// Wall time of one call of `f`.
+fn time_ns(f: impl FnOnce()) -> u128 {
+    let t0 = Instant::now();
+    f();
+    t0.elapsed().as_nanos()
+}
+
+fn median(mut samples: Vec<u128>) -> u128 {
+    samples.sort();
+    samples[samples.len() / 2]
+}
+
 fn table(c: &mut Criterion) {
-    let runs = if wdl_bench::quick() { 3 } else { 9 };
     println!("\n# E10: incremental maintenance vs from-scratch recomputation");
     println!(
         "{:>8} {:>8} {:>7} {:>16} {:>16} {:>16} {:>9}",
@@ -107,17 +124,25 @@ fn table(c: &mut Criterion) {
         assert_eq!(view.database().fact_count(), reference.fact_count());
         view.apply(&Delta::insertion(tag.clone())).unwrap();
 
-        let untag_ns = wdl_bench::median_ns(runs, || {
-            view.apply(&Delta::deletion(tag.clone())).unwrap();
-            view.apply(&Delta::insertion(tag.clone())).unwrap();
-        });
-        let unfriend_ns = wdl_bench::median_ns(runs, || {
-            view.apply(&Delta::deletion(friend.clone())).unwrap();
-            view.apply(&Delta::insertion(friend.clone())).unwrap();
-        });
-        let recompute_ns = wdl_bench::median_ns(runs, || {
-            black_box(program.eval(&base).unwrap());
-        });
+        // Each round samples all three, so a host whose speed drifts
+        // during the bench slows the maintained and the recomputed side
+        // alike. A maintained pair is timed right after an untimed one,
+        // so the recompute before it does not leave it a cold cache.
+        let churn = |view: &mut MaterializedView, fact: &wdl_datalog::Fact| {
+            view.apply(&Delta::deletion(fact.clone())).unwrap();
+            view.apply(&Delta::insertion(fact.clone())).unwrap();
+        };
+        let mut samples = [(); 3].map(|_| Vec::with_capacity(ROUNDS));
+        for _ in 0..ROUNDS {
+            for (i, fact) in [&tag, &friend].into_iter().enumerate() {
+                churn(&mut view, fact);
+                samples[i].push(time_ns(|| churn(&mut view, fact)));
+            }
+            samples[2].push(time_ns(|| {
+                black_box(program.eval(&base).unwrap());
+            }));
+        }
+        let [untag_ns, unfriend_ns, recompute_ns] = samples.map(median);
         // The maintained number covers a delete *and* the re-insert that
         // undoes it, so the per-deletion speedup is at least this ratio.
         let speedup = recompute_ns as f64 / untag_ns as f64;

@@ -9,7 +9,6 @@ pub mod workloads;
 
 use wdl_core::acl::UntrustedPolicy;
 use wdl_core::Peer;
-use wepic::{ops, Conference, ConferenceConfig, Picture, PictureCorpus};
 
 /// True when the `BENCH_QUICK` environment variable is set to anything but
 /// `0`/`false`/empty: benches shrink their workloads and sampling for CI
@@ -56,53 +55,4 @@ pub fn open_peer(name: &str) -> Peer {
     let mut p = Peer::new(name);
     p.acl_mut().set_untrusted_policy(UntrustedPolicy::Accept);
     p
-}
-
-/// Builds a conference with `attendees` peers, each holding `pics_per_peer`
-/// pictures of `payload` bytes.
-pub fn loaded_conference(
-    attendees: usize,
-    pics_per_peer: usize,
-    payload: usize,
-    seed: u64,
-) -> Conference {
-    let mut conf =
-        Conference::new(&ConferenceConfig::experiment(attendees)).expect("conference builds");
-    let mut corpus = PictureCorpus::new(seed);
-    let names: Vec<String> = conf
-        .attendee_names()
-        .iter()
-        .map(|s| s.as_str().to_string())
-        .collect();
-    for name in &names {
-        for pic in corpus.pictures(name, pics_per_peer, payload) {
-            ops::upload_picture(conf.peer_mut(name.as_str()).unwrap(), &pic).expect("upload");
-        }
-    }
-    conf
-}
-
-/// Uploads a picture into any peer with a `pictures/4` relation.
-pub fn upload_raw(peer: &mut Peer, pic: &Picture) {
-    peer.insert_local("pictures", pic.to_values())
-        .expect("insert picture");
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn loaded_conference_settles() {
-        let mut conf = loaded_conference(3, 2, 16, 5);
-        let r = conf.settle(128).unwrap();
-        assert!(r.quiescent);
-        assert_eq!(
-            conf.peer("sigmod")
-                .unwrap()
-                .relation_facts("pictures")
-                .len(),
-            6
-        );
-    }
 }

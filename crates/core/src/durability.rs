@@ -9,10 +9,10 @@
 //! re-sent by the protocol after a restart and persisting it would turn
 //! admissible post-crash divergence into silent staleness. At the end of
 //! every stage the peer calls [`DurabilitySink::sync`], which is the group
-//! commit point: buffered records become durable there, and structural
-//! changes (schema, rules, delegations, the access policy with its
-//! approval queue — everything the peer image's meta part,
-//! `wdl_net::snapshot::write_meta`, carries) force a full checkpoint.
+//! commit point: buffered records become durable there, together with the
+//! peer's structure when it changed (schema, rules, delegations, the
+//! access policy with its approval queue — everything the peer image's
+//! meta part, `wdl_net::snapshot::write_meta`, carries).
 //!
 //! The engine that implements this trait lives in `wdl-store`; keeping the
 //! trait here keeps the dependency arrow pointing outward (core knows
@@ -48,15 +48,17 @@ pub trait DurabilitySink: Send {
     /// Group-commit point, called at the end of every stage (and by
     /// [`Peer::sync_durability`]). Flush buffered records; when
     /// `meta_dirty` is `true`, structural state changed since the last
-    /// sync and the sink must capture a full checkpoint of `peer`.
+    /// sync and the sink must make `peer`'s structure durable in the same
+    /// commit, ahead of the records (which may write into a relation the
+    /// change declared).
     fn sync(&mut self, peer: &Peer, meta_dirty: bool) -> Result<()>;
 }
 
 impl Peer {
     /// Attaches a durability sink. Every subsequent extensional change is
     /// recorded into it and every stage ends with a group commit. The
-    /// peer is marked structurally dirty so the first sync captures a
-    /// full checkpoint.
+    /// peer is marked structurally dirty so the first sync makes its
+    /// structure durable.
     pub fn set_durability(&mut self, sink: Box<dyn DurabilitySink>) {
         self.durability = Some(sink);
         self.meta_dirty = true;

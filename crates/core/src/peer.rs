@@ -101,7 +101,7 @@ pub struct Peer {
     /// in-memory with zero overhead on the mutation paths.
     pub(crate) durability: Option<Box<dyn crate::DurabilitySink>>,
     /// Structural (non-fact) state changed since the last durability sync;
-    /// forces a full checkpoint at the next group commit.
+    /// the next group commit logs the peer's meta image.
     pub(crate) meta_dirty: bool,
     /// Session-layer delivery watermarks, keyed by `(remote peer,
     /// direction)` where direction 0 = delivered (frames from `remote`
@@ -169,7 +169,7 @@ impl Peer {
     /// read, so it conservatively bumps the policy epoch — cached stage
     /// plans (whose per-literal read gates are hoisted to compile time)
     /// re-classify at the next stage — and marks the peer structurally
-    /// dirty, so the next group commit checkpoints the policy.
+    /// dirty, so the next group commit logs the policy.
     pub fn acl_mut(&mut self) -> &mut AccessControl {
         self.policy_epoch += 1;
         self.meta_dirty = true;
@@ -508,8 +508,7 @@ impl Peer {
             .take_pending(id)
             .ok_or_else(|| WdlError::UnknownRule(format!("pending delegation {id}")))?;
         self.meta_dirty = true;
-        self.install_delegation(d);
-        Ok(())
+        self.install_delegation(d)
     }
 
     /// Rejects (drops) a pending delegation.
@@ -522,15 +521,18 @@ impl Peer {
         }
     }
 
-    /// Installs a delegation directly, bypassing the approval queue — the
-    /// owner's prerogative (used by approval itself, by state restore, and
-    /// by tests). Remote peers can only install through messages, which are
-    /// gated by the ACL.
-    pub fn install_delegation(&mut self, d: Delegation) {
+    /// Installs a delegation directly after [`WRule::validate`], bypassing
+    /// the approval queue — the owner's prerogative (used by approval
+    /// itself, by state restore, and by tests). Remote peers can only
+    /// install through messages, which are gated by the ACL. Installing
+    /// an already installed delegation is a no-op.
+    pub fn install_delegation(&mut self, d: Delegation) -> Result<()> {
         if !self.delegated.iter().any(|x| x.id == d.id) {
+            d.rule.validate()?;
             self.delegated.push(d);
             self.meta_dirty = true;
         }
+        Ok(())
     }
 
     pub(crate) fn remove_delegation(&mut self, id: DelegationId) -> bool {

@@ -579,7 +579,7 @@ impl Peer {
                         continue;
                     }
                     match self.acl.decide(d.origin) {
-                        UntrustedPolicy::Accept => self.install_delegation(d),
+                        UntrustedPolicy::Accept => self.install_delegation(d)?,
                         UntrustedPolicy::Queue => {
                             self.meta_dirty |= self.acl.push_pending(d, self.stage);
                         }
@@ -1450,7 +1450,7 @@ mod tests {
                 vec![WAtom::at("src", "mix", vec![Term::var("x")]).into()],
             ),
         );
-        p.install_delegation(d);
+        p.install_delegation(d).unwrap();
         p.insert_local("src", vec![Value::from(7)]).unwrap();
         p.run_stage().unwrap();
         // Only the own rule compiled; the delegated one stays dynamic.
@@ -1488,7 +1488,8 @@ mod tests {
                 WAtom::at("feed", "dual", vec![Term::var("x")]),
                 vec![WAtom::at("src", "dual", vec![Term::var("x")]).into()],
             ),
-        ));
+        ))
+        .unwrap();
         p.insert_local("src", vec![Value::from(7)]).unwrap();
         // Remote contribution asserting the same fact.
         p.enqueue(Message::new(
@@ -1556,7 +1557,8 @@ mod tests {
                 WAtom::at("feed", "dual2", vec![Term::var("x")]),
                 vec![WAtom::at("src", "dual2", vec![Term::var("x")]).into()],
             ),
-        ));
+        ))
+        .unwrap();
         p.insert_local("src", vec![Value::from(1)]).unwrap();
         p.run_stage().unwrap();
         assert_eq!(p.relation_facts("feed").len(), 1);
@@ -1709,7 +1711,8 @@ mod tests {
                     WAtom::at("feed", "gate", vec![Term::var("x")]),
                     vec![WAtom::at("secret", "gate", vec![Term::var("x")]).into()],
                 ),
-            ));
+            ))
+            .unwrap();
             p
         };
         for compiled in [true, false] {
@@ -1857,25 +1860,27 @@ mod tests {
         assert!(matches!(s.conts[&Symbol::intern("item")].cut, Cut::Head(_)));
     }
 
-    /// An unsafe rule that reached the peer without validation (a direct
-    /// `install_delegation`) is a typed error at the stage on the compiled
-    /// engine, not a silent fallback.
+    /// A delegated rule that fails [`WRule::validate`] is refused at
+    /// install, however it arrives, so no stage ever meets it.
     #[test]
-    fn unvalidated_unsafe_delegation_is_a_stage_error() {
+    fn unsafe_delegation_is_refused_at_install() {
         let mut p = peer("strict");
         p.insert_local("item", vec![Value::from(1)]).unwrap();
-        p.install_delegation(Delegation::new(
+        let unsafe_rule = WRule::new(
+            WAtom::at("out", "origin", vec![Term::var("y")]),
+            vec![WAtom::at("item", "strict", vec![Term::var("x")]).into()],
+        );
+        let d = Delegation::new(
             Symbol::intern("origin"),
             Symbol::intern("strict"),
-            WRule::new(
-                WAtom::at("out", "origin", vec![Term::var("y")]),
-                vec![WAtom::at("item", "strict", vec![Term::var("x")]).into()],
-            ),
-        ));
+            unsafe_rule,
+        );
         assert!(matches!(
-            p.run_stage(),
+            p.install_delegation(d),
             Err(WdlError::UnsafeDistribution(_))
         ));
+        assert!(p.installed_delegations().is_empty());
+        p.run_stage().unwrap();
     }
 
     /// Local negation within a stage.
@@ -1940,7 +1945,8 @@ mod tests {
                 WAtom::at("view", "uncomp", vec![Term::var("x")]),
                 vec![WAtom::at("item", "uncomp", vec![Term::var("x")]).into()],
             ),
-        ));
+        ))
+        .unwrap();
         let contrib = |v: i64, add: bool| {
             let facts = vec![WFact::new("view", "uncomp", vec![Value::from(v)])];
             let (additions, retractions) = if add {

@@ -1,7 +1,7 @@
 //! Naive bottom-up fixpoint: re-derive everything from scratch each round.
 //!
-//! Kept as the baseline for the E6 ablation (seminaive vs naive, replacing
-//! the Bud engine comparison the original system could not publish).
+//! Kept as the test reference for seminaive evaluation: both strategies
+//! must reach the same fixpoint.
 
 use crate::eval::{derive_plan, match_body, PlannedRule};
 use crate::program::EvalStats;

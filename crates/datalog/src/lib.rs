@@ -16,8 +16,9 @@
 //! * naive **and** seminaive bottom-up fixpoint evaluation with stratified
 //!   negation ([`Program::eval`]).
 //!
-//! The naive evaluator is retained deliberately: it is the baseline of the
-//! E6 ablation experiment (`crates/bench/benches/e6_fixpoint.rs`).
+//! The naive evaluator is retained deliberately: it is the simplest
+//! correct fixpoint, the reference the seminaive and incremental paths
+//! are tested against (`tests/datalog_properties.rs`).
 //!
 //! [Bud]: http://www.bloom-lang.net/
 //!

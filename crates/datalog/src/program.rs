@@ -9,7 +9,7 @@ use crate::{Database, Result, Rule};
 /// Which bottom-up strategy [`Program::eval`] uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum EvalStrategy {
-    /// Re-derive everything each round (baseline for the E6 ablation).
+    /// Re-derive everything each round (the test reference).
     Naive,
     /// Delta-driven evaluation (default; mirrors Bud).
     #[default]

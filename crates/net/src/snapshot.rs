@@ -45,11 +45,12 @@
 //!
 //! A **snapshot** ([`save`]/[`load`]) is the meta image followed by one
 //! segment image per extensional relation, each prefixed by its `u32`
-//! length — the storage engine (`wdl-store`) writes the very same images
-//! to `meta-<epoch>.ck` and `rel-<epoch>-<i>.seg`, so a snapshot is a
-//! checkpoint in one buffer. The meta image's schema fixes how many
-//! segments follow, so a snapshot cut at an image boundary is rejected
-//! like any other truncation.
+//! length — the storage engine (`wdl-store`) writes the very same images,
+//! the segments to `rel-<epoch>-<i>.seg` and the meta image as the
+//! payload of the Meta record that opens the checkpoint's write-ahead
+//! log, so a snapshot is a checkpoint in one buffer. The meta image's
+//! schema fixes how many segments follow, so a snapshot cut at an image
+//! boundary is rejected like any other truncation.
 //!
 //! Transient state — in-flight messages, per-stage diffs, remote
 //! contributions and derived facts — is not in the image: a restored peer
@@ -220,7 +221,7 @@ pub fn read_meta(bytes: &[u8], label: &str) -> Result<Peer, NetError> {
         peer.add_rule(r.rule()?).map_err(&engine)?;
     }
     for _ in 0..r.len()? {
-        peer.install_delegation(r.delegation()?);
+        peer.install_delegation(r.delegation()?).map_err(&engine)?;
     }
     *peer.acl_mut() = read_policy(&mut r)?;
 
@@ -266,6 +267,10 @@ fn read_policy(r: &mut Reader<'_>) -> Result<AccessControl, NetError> {
     }
     for _ in 0..r.len()? {
         let delegation = r.delegation()?;
+        delegation
+            .rule
+            .validate()
+            .map_err(rejected("pending delegation"))?;
         acl.push_pending(delegation, r.u64()?);
     }
     Ok(acl)
@@ -411,8 +416,8 @@ pub fn crc32(data: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wdl_core::{Delegation, WRule};
-    use wdl_datalog::Value;
+    use wdl_core::{Delegation, WAtom, WRule};
+    use wdl_datalog::{Term, Value};
 
     fn sample_peer() -> Peer {
         let mut p = Peer::new("snap-sample");
@@ -436,7 +441,8 @@ mod tests {
             Symbol::intern("other"),
             Symbol::intern("snap-sample"),
             WRule::example_attendee_pictures("other"),
-        ));
+        ))
+        .unwrap();
         p.acl_mut().trust("sigmod");
         p.acl_mut().set_untrusted_policy(UntrustedPolicy::Reject);
         p.acl_mut().restrict_read("pictures");
@@ -633,6 +639,46 @@ mod tests {
         assert_eq!(q.schema().len(), p.schema().len());
         assert!(q.relation_facts("pictures").is_empty());
         assert_eq!(write_meta(&q), write_meta(&p));
+    }
+
+    /// A meta image whose delegated rule is unsafe — installed or queued
+    /// for approval — fails to load with a typed decode error, instead of
+    /// giving a peer whose every stage fails.
+    #[test]
+    fn unsafe_delegation_in_meta_image_is_rejected() {
+        let me = Symbol::intern("snap-unsafe");
+        let d = Delegation::new(
+            Symbol::intern("origin"),
+            me,
+            WRule::new(
+                WAtom::at("out", "origin", vec![Term::var("y")]),
+                vec![WAtom::at("item", "snap-unsafe", vec![Term::var("x")]).into()],
+            ),
+        );
+        let image = |installed: &[Delegation], acl: &AccessControl| {
+            let mut buf = begin_envelope(META_MAGIC, 256);
+            put_symbol(&mut buf, me);
+            buf.put_u32_le(0); // declarations
+            buf.put_u32_le(0); // rules
+            buf.put_u32_le(installed.len() as u32);
+            for d in installed {
+                put_delegation(&mut buf, d);
+            }
+            put_policy(&mut buf, acl);
+            buf.put_u32_le(0); // watermarks
+            seal_envelope(buf)
+        };
+        let open = AccessControl::new();
+        assert!(read_meta(&image(&[], &open), "meta").is_ok());
+        let mut queued = AccessControl::new();
+        queued.push_pending(d.clone(), 1);
+        for bad in [image(std::slice::from_ref(&d), &open), image(&[], &queued)] {
+            let err = read_meta(&bad, "meta").unwrap_err();
+            assert!(
+                matches!(&err, NetError::Codec(m) if m.contains("unsafe distribution")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -6,18 +6,21 @@
 //! * [`Engine::record`] buffers a base change in memory — free, called
 //!   from the hot mutation path.
 //! * [`Engine::sync`] is the group commit, called at stage boundaries.
-//!   It either appends the buffered batch to the WAL (one write + fsync)
-//!   or, when structural state changed or the checkpoint policy fires,
-//!   folds everything into a fresh checkpoint.
-//! * [`Engine::checkpoint`] writes the peer image of
-//!   [`wdl_net::snapshot`] — the meta image and one segment image per
-//!   extensional relation, one file each — plus a fresh WAL under the
-//!   next epoch, and commits them with an atomic manifest rename.
-//! * [`Engine::recover`] rebuilds a peer: manifest → meta → segments
-//!   (the same `read_meta` / `read_segment` / `import_extensional` calls
-//!   as `snapshot::load`) → WAL tail replayed through
-//!   `insert_local`/`delete_local` (the incremental-maintenance path),
-//!   truncating at the first torn record.
+//!   It appends the buffered batch to the WAL (one write + fsync), led by
+//!   a Meta record — the peer's meta image — when structural state
+//!   changed; or, when no WAL is open or the log reached its size
+//!   thresholds, folds everything into a fresh checkpoint.
+//! * [`Engine::checkpoint`] writes one segment image of
+//!   [`wdl_net::snapshot`] per extensional relation, one file each, plus a
+//!   fresh WAL under the next epoch that opens with the Meta record, and
+//!   commits them with an atomic manifest rename.
+//! * [`Engine::recover`] rebuilds a peer: manifest → the WAL's last valid
+//!   Meta record (`read_meta`) → segments (`read_segment` /
+//!   `import_extensional`, as `snapshot::load` does) → the WAL's fact and
+//!   watermark records replayed through `insert_local`/`delete_local`
+//!   (the incremental-maintenance path), stopping at the first torn
+//!   record. It leaves no WAL open, so the first sync after it
+//!   checkpoints.
 //!
 //! Crash injection comes in two flavors: [`IoFaults`] fails the engine
 //! after a budgeted number of file operations (so a sweep can kill a
@@ -37,10 +40,6 @@ use std::path::{Path, PathBuf};
 use wdl_core::Peer;
 use wdl_datalog::{Symbol, Tuple, Value};
 use wdl_net::snapshot::{read_meta, read_segment, write_meta, write_segment_bytes};
-
-/// A buffered-but-not-yet-durable entry (alias of the WAL entry — the
-/// buffer is exactly the unwritten WAL suffix).
-pub type BufferedRecord = WalEntry;
 
 /// Where and how aggressively a peer persists.
 #[derive(Clone, Debug)]
@@ -157,11 +156,6 @@ impl Engine {
         })
     }
 
-    /// The peer this engine stores.
-    pub fn peer_name(&self) -> Symbol {
-        self.peer
-    }
-
     /// The storage directory.
     pub fn dir(&self) -> &Path {
         &self.dir
@@ -175,11 +169,6 @@ impl Engine {
     /// `(records, payload bytes)` durable in the current WAL.
     pub fn wal_stats(&self) -> (usize, u64) {
         (self.wal_records, self.wal_bytes)
-    }
-
-    /// Number of buffered (not yet durable) records.
-    pub fn buffered(&self) -> usize {
-        self.buffer.len()
     }
 
     /// Installs an injected-fault budget (see [`IoFaults`]).
@@ -213,34 +202,32 @@ impl Engine {
         });
     }
 
-    /// Group commit. Chooses between a WAL append and a full checkpoint:
-    /// structural changes (`meta_dirty`), a missing WAL (first sync, or
-    /// post-crash), or the checkpoint policy thresholds force the latter.
+    /// Group commit: appends the buffered batch to the WAL with one write
+    /// and one fsync. When `meta_dirty` is set the batch opens with a
+    /// Meta record, ahead of the rows, because a stage may declare a
+    /// relation and write into it in the same commit. Checkpoints instead
+    /// when no WAL is open (first sync, or after recovery) or the WAL
+    /// reached the records/bytes thresholds.
     pub fn sync(&mut self, peer: &Peer, meta_dirty: bool) -> Result<()> {
-        let policy_due = meta_dirty
-            || self.wal_records + self.buffer.len() >= self.checkpoint_records
+        let due = self.wal_records + self.buffer.len() >= self.checkpoint_records
             || self.wal_bytes >= self.checkpoint_bytes;
-        match self.wal.as_mut() {
-            Some(wal) if !policy_due => {
-                if !self.buffer.is_empty() {
-                    self.wal_bytes += flush_wal(wal, &self.buffer, &mut self.faults)?;
-                    self.wal_records += self.buffer.len();
-                    self.buffer.clear();
-                }
-                Ok(())
-            }
-            _ => self.checkpoint(peer),
-        }
+        let Some(wal) = self.wal.as_mut().filter(|_| !due) else {
+            return self.checkpoint(peer);
+        };
+        let meta = meta_dirty.then(|| WalEntry::Meta(write_meta(peer)));
+        self.wal_bytes += flush_wal(wal, meta.iter().chain(&self.buffer), &mut self.faults)?;
+        self.wal_records += self.buffer.len() + usize::from(meta_dirty);
+        self.buffer.clear();
+        Ok(())
     }
 
     /// Writes a full checkpoint of `peer` under the next epoch and
     /// commits it. The buffered records are *not* appended — the store
-    /// they describe is already inside the segments being written.
+    /// they describe is already inside the segments being written, and
+    /// the structure inside the new WAL's opening Meta record, which
+    /// belongs to the checkpoint (the WAL counters start after it).
     pub fn checkpoint(&mut self, peer: &Peer) -> Result<()> {
         let epoch = self.epoch + 1;
-
-        let meta_file = format!("meta-{epoch:016x}.ck");
-        self.write_file(&meta_file, &write_meta(peer))?;
 
         let mut segments = Vec::new();
         for (i, (rel, dump)) in peer.export_extensional().into_iter().enumerate() {
@@ -250,13 +237,14 @@ impl Engine {
         }
 
         let wal_file = format!("wal-{epoch:016x}.log");
-        self.write_file(&wal_file, &wal::encode_header(epoch, self.peer))?;
+        let mut log = wal::encode_header(epoch, self.peer);
+        log.extend(wal::encode_record(&WalEntry::Meta(write_meta(peer))));
+        self.write_file(&wal_file, &log)?;
 
         // The commit point: everything above is fsynced and unreferenced
         // until this rename lands.
         self.commit_manifest(&Manifest {
             epoch,
-            meta_file,
             segments,
             wal_file: wal_file.clone(),
         })?;
@@ -280,27 +268,44 @@ impl Engine {
         Ok(())
     }
 
-    /// Rebuilds the peer from disk: committed checkpoint plus the valid
-    /// WAL prefix, replayed through the incremental-maintenance path.
-    /// Truncates a torn WAL tail so subsequent appends are clean.
+    /// Rebuilds the peer from disk: the structure of the WAL's last valid
+    /// Meta record, the committed segments, then the WAL's rows replayed
+    /// through the incremental-maintenance path up to the first torn
+    /// record. Leaves no WAL open: the next [`Engine::sync`] checkpoints,
+    /// folding the replayed log, and only then is anything appended.
     pub fn recover(&mut self) -> Result<Peer> {
         self.wal = None;
         self.buffer.clear();
 
         let manifest = self.manifest()?;
-        let meta_bytes = self.read_ref(&manifest.meta_file)?;
-        let mut peer = read_meta(&meta_bytes, "meta image")
-            .map_err(StoreError::decoding(&manifest.meta_file))?;
-        if peer.name() != self.peer {
+        let wal_file = &manifest.wal_file;
+        let tail = wal::scan(&self.read_ref(wal_file)?, wal_file)?;
+        if tail.epoch != manifest.epoch {
             return Err(StoreError::corrupt(
-                &manifest.meta_file,
+                wal_file,
                 format!(
-                    "meta checkpoint is for peer {}, this directory belongs to {}",
-                    peer.name(),
-                    self.peer
+                    "wal is for epoch {}, manifest commits epoch {} (stale manifest or spliced log)",
+                    tail.epoch, manifest.epoch
                 ),
             ));
         }
+        if tail.peer != self.peer {
+            return Err(StoreError::corrupt(
+                wal_file,
+                format!(
+                    "wal belongs to peer {}, this directory belongs to {} (spliced log)",
+                    tail.peer, self.peer
+                ),
+            ));
+        }
+        // The schema only grows, so the last structure declares every
+        // relation the segments and the logged rows write into.
+        let meta = tail.records.iter().rev().find_map(|entry| match entry {
+            WalEntry::Meta(image) => Some(image),
+            _ => None,
+        });
+        let meta = meta.ok_or_else(|| StoreError::corrupt(wal_file, "wal holds no meta record"))?;
+        let mut peer = read_meta(meta, "meta record").map_err(StoreError::decoding(wal_file))?;
 
         for (rel, file) in &manifest.segments {
             let bytes = self.read_ref(file)?;
@@ -315,32 +320,6 @@ impl Engine {
             peer.import_extensional(*rel, &dump)?;
         }
 
-        let wal_path = self.dir.join(&manifest.wal_file);
-        let wal_bytes = self.read_ref(&manifest.wal_file)?;
-        let tail = wal::scan(&wal_bytes, &manifest.wal_file)?;
-        if tail.epoch != manifest.epoch {
-            return Err(StoreError::corrupt(
-                &manifest.wal_file,
-                format!(
-                    "wal is for epoch {}, manifest commits epoch {} (stale manifest or spliced log)",
-                    tail.epoch, manifest.epoch
-                ),
-            ));
-        }
-        if tail.peer != self.peer {
-            return Err(StoreError::corrupt(
-                &manifest.wal_file,
-                format!(
-                    "wal belongs to peer {}, this directory belongs to {} (spliced log)",
-                    tail.peer, self.peer
-                ),
-            ));
-        }
-        if tail.valid_len < wal_bytes.len() {
-            let f = OpenOptions::new().write(true).open(&wal_path)?;
-            f.set_len(tail.valid_len as u64)?;
-            f.sync_all()?;
-        }
         for entry in &tail.records {
             match entry {
                 WalEntry::Fact(rec) => {
@@ -360,13 +339,10 @@ impl Engine {
                     // sink would re-log an entry we are replaying.
                     peer.restore_session_watermark(*remote, *dir, *inc, *seq);
                 }
+                WalEntry::Meta(_) => {}
             }
         }
-
-        self.wal = Some(OpenOptions::new().append(true).open(&wal_path)?);
         self.epoch = manifest.epoch;
-        self.wal_records = tail.records.len();
-        self.wal_bytes = (tail.valid_len - tail.header_len) as u64;
         Ok(peer)
     }
 
@@ -484,12 +460,19 @@ impl Engine {
     }
 }
 
-/// Appends `batch` to the open WAL as one write + fsync; returns the
-/// bytes written.
-fn flush_wal(wal: &mut File, batch: &[WalEntry], faults: &mut IoFaults) -> Result<u64> {
+/// Appends `batch` to the open WAL as one write + fsync (nothing for an
+/// empty batch); returns the bytes written.
+fn flush_wal<'a>(
+    wal: &mut File,
+    batch: impl Iterator<Item = &'a WalEntry>,
+    faults: &mut IoFaults,
+) -> Result<u64> {
     let mut bytes = Vec::new();
-    for rec in batch {
-        bytes.extend_from_slice(&wal::encode_record(rec));
+    for entry in batch {
+        bytes.extend_from_slice(&wal::encode_record(entry));
+    }
+    if bytes.is_empty() {
+        return Ok(0);
     }
     faults.tick()?;
     wal.write_all(&bytes)?;
@@ -498,12 +481,11 @@ fn flush_wal(wal: &mut File, batch: &[WalEntry], faults: &mut IoFaults) -> Resul
     Ok(bytes.len() as u64)
 }
 
-/// Extracts the epoch from `meta-<hex>.ck` / `rel-<hex>-<i>.seg` /
-/// `wal-<hex>.log` file names.
+/// Extracts the epoch from `rel-<hex>-<i>.seg` / `wal-<hex>.log` file
+/// names.
 fn parse_epoch(name: &str) -> Option<u64> {
     let rest = name
-        .strip_prefix("meta-")
-        .or_else(|| name.strip_prefix("rel-"))
+        .strip_prefix("rel-")
         .or_else(|| name.strip_prefix("wal-"))?;
     u64::from_str_radix(rest.get(..16)?, 16).ok()
 }
@@ -570,9 +552,10 @@ mod tests {
         images
     }
 
-    /// One format: the committed checkpoint files are byte-equal to the
-    /// images inside `snapshot::save`, and recovering from disk restores
-    /// the same peer as loading the snapshot.
+    /// One format: the committed segment files and the payload of the
+    /// WAL's opening Meta record are byte-equal to the images inside
+    /// `snapshot::save`, and recovering from disk restores the same peer
+    /// as loading the snapshot.
     #[test]
     fn checkpoint_files_are_the_snapshot_images() {
         use wdl_core::acl::UntrustedPolicy;
@@ -596,7 +579,8 @@ mod tests {
             Symbol::intern("engp7origin"),
             name,
             rule.clone(),
-        ));
+        ))
+        .unwrap();
         p.acl_mut().trust("engp7friend");
         p.acl_mut().set_untrusted_policy(UntrustedPolicy::Reject);
         p.acl_mut().restrict_read("pictures");
@@ -612,11 +596,24 @@ mod tests {
         let images = snapshot_images(&saved);
         let manifest = eng.manifest().unwrap();
         let on_disk = |file: &str| fs::read(eng.dir().join(file)).unwrap();
-        assert_eq!(on_disk(&manifest.meta_file), images[0]);
+        let log = wal::scan(&on_disk(&manifest.wal_file), &manifest.wal_file).unwrap();
+        assert_eq!(log.records, vec![WalEntry::Meta(images[0].clone())]);
         assert_eq!(manifest.segments.len(), images.len() - 1);
         for ((_, file), image) in manifest.segments.iter().zip(&images[1..]) {
             assert_eq!(&on_disk(file), image, "{file}");
         }
+        let mut in_dir: Vec<String> = fs::read_dir(eng.dir())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        let mut committed: Vec<String> = manifest.segments.iter().map(|(_, f)| f.clone()).collect();
+        committed.extend([manifest.wal_file.clone(), MANIFEST_FILE.into()]);
+        in_dir.sort();
+        committed.sort();
+        assert_eq!(
+            in_dir, committed,
+            "a checkpoint is its segments, its WAL and the manifest"
+        );
 
         let recovered = Engine::open(&cfg, name).unwrap().recover().unwrap();
         let loaded = snapshot::load(&saved).unwrap();
@@ -685,19 +682,36 @@ mod tests {
         let _ = fs::remove_dir_all(&root);
     }
 
+    /// A structural change is one Meta record ahead of its commit's rows,
+    /// not a checkpoint: the epoch stays, and recovery restores both the
+    /// relation the commit declared and the row it wrote there.
     #[test]
-    fn meta_dirty_forces_checkpoint() {
+    fn structural_change_is_one_meta_record() {
         let root = tmp_root("meta");
         let cfg = DurabilityConfig::new(&root);
         let name = Symbol::intern("engp3");
-        let p = sample_peer("engp3");
+        let mut p = sample_peer("engp3");
         let mut eng = Engine::open(&cfg, name).unwrap();
         eng.sync(&p, true).unwrap();
-        assert_eq!(eng.epoch(), 1);
+        assert_eq!(eng.epoch(), 1, "no WAL yet: the first sync checkpoints");
+
+        p.declare("album", 1, RelationKind::Extensional).unwrap();
+        p.insert_local("album", vec![Value::from(5)]).unwrap();
+        eng.record(Symbol::intern("album"), vec![Value::from(5)].into(), true);
         eng.sync(&p, true).unwrap();
-        assert_eq!(eng.epoch(), 2);
+        assert_eq!(eng.epoch(), 1, "a structural change does not checkpoint");
+        assert_eq!(eng.wal_stats().0, 2, "one Meta record, then the row");
         eng.sync(&p, false).unwrap();
-        assert_eq!(eng.epoch(), 2, "clean empty sync is a no-op");
+        assert_eq!(eng.wal_stats().0, 2, "clean empty sync is a no-op");
+
+        let file = eng.manifest().unwrap().wal_file;
+        let log = wal::scan(&fs::read(eng.dir().join(&file)).unwrap(), &file).unwrap();
+        assert!(matches!(
+            &log.records[..],
+            [WalEntry::Meta(_), WalEntry::Meta(image), WalEntry::Fact(_)] if *image == write_meta(&p)
+        ));
+        let q = Engine::open(&cfg, name).unwrap().recover().unwrap();
+        assert_eq!(q.relation_facts("album"), p.relation_facts("album"));
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -5,22 +5,24 @@
 //! clean restarts and crashes. This crate is the storage engine behind the
 //! [`wdl_core::DurabilitySink`] seam:
 //!
-//! * **Checkpoint files** — a meta file and one segment file per
-//!   extensional relation, holding exactly the images of
-//!   [`wdl_net::snapshot`] (a snapshot is the same images in one buffer).
+//! * **Checkpoint files** — one segment file per extensional relation,
+//!   holding exactly the segment images of [`wdl_net::snapshot`].
 //!   Segments carry the slice of the value interner the relation
 //!   references, so they are process-independent. Written whole,
 //!   fsynced, and committed atomically by a manifest rename.
-//! * **Delta WAL** (`wal`) — between checkpoints, extensional base
-//!   changes append to a write-ahead log as length-prefixed, CRC'd
-//!   records. Appends are group-committed at stage boundaries: a peer
-//!   never tells the network about state it could still lose.
-//! * **Recovery** ([`Engine::recover`]) — decode the manifest's meta
-//!   image and segments through the same calls as `snapshot::load`, then
-//!   replay the WAL tail through the peer's incremental-maintenance
-//!   path (`insert_local`/`delete_local`), truncating at the first torn
-//!   or corrupt record. Everything acked before the crash survives;
-//!   nothing is invented.
+//! * **Write-ahead log** (`wal`) — the only durable home of the peer's
+//!   structure, and the delta log of its rows between checkpoints:
+//!   extensional base changes append length-prefixed, CRC'd records, and
+//!   a structural change (schema, rules, delegations, policy) appends one
+//!   Meta record carrying the snapshot's meta image. Every checkpoint's
+//!   log opens with one. Appends are group-committed at stage boundaries:
+//!   a peer never tells the network about state it could still lose.
+//! * **Recovery** ([`Engine::recover`]) — decode the log's last Meta
+//!   record and the manifest's segments through the same calls as
+//!   `snapshot::load`, then replay the log's rows through the peer's
+//!   incremental-maintenance path (`insert_local`/`delete_local`),
+//!   stopping at the first torn or corrupt record. Everything acked
+//!   before the crash survives; nothing is invented.
 //!
 //! [`DurableStore`] wires engines onto peers and runtimes;
 //! [`DurablePersistence`] plugs the engine into the simulator's
@@ -34,7 +36,7 @@ mod manifest;
 mod persistence;
 mod wal;
 
-pub use engine::{BufferedRecord, DurabilityConfig, Engine, IoFaults};
+pub use engine::{DurabilityConfig, Engine, IoFaults};
 pub use error::{Result, StoreError};
 pub use manifest::{Manifest, MANIFEST_FILE};
 pub use persistence::{DurablePersistence, DurableStore};

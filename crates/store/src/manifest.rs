@@ -1,15 +1,14 @@
 //! The manifest: the atomic commit point of a checkpoint.
 //!
-//! A checkpoint writes its meta file, every segment, and a fresh WAL
-//! under epoch-unique names, fsyncs them, then writes `MANIFEST.tmp` and
-//! renames it over [`MANIFEST_FILE`]. The rename is the commit: before
+//! A checkpoint writes every segment and a fresh WAL (opening with the
+//! peer's Meta record) under epoch-unique names, fsyncs them, then writes
+//! `MANIFEST.tmp` and renames it over [`MANIFEST_FILE`]. The rename is the commit: before
 //! it, recovery sees the old manifest and ignores the half-written new
 //! epoch; after it, the new epoch is fully referenced. Stale files from
 //! older epochs are deleted only after the rename lands.
 //!
 //! ```text
 //! u32 magic "WMAN" | u8 version | u64 epoch
-//! str meta-file
 //! u32 #segments | (str rel, str file)*
 //! str wal-file
 //! u32 CRC-32
@@ -32,8 +31,6 @@ const MANIFEST_MAGIC: u32 = u32::from_le_bytes(*b"WMAN");
 pub struct Manifest {
     /// Checkpoint epoch; strictly increasing per peer.
     pub epoch: u64,
-    /// Meta checkpoint file name (relative to the peer directory).
-    pub meta_file: String,
     /// `(unqualified relation, segment file name)`, sorted by relation.
     pub segments: Vec<(Symbol, String)>,
     /// WAL file extending this checkpoint.
@@ -45,7 +42,6 @@ impl Manifest {
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = begin_envelope(MANIFEST_MAGIC, 128);
         buf.put_u64_le(self.epoch);
-        put_str(&mut buf, &self.meta_file);
         buf.put_u32_le(self.segments.len() as u32);
         for (rel, file) in &self.segments {
             put_str(&mut buf, rel.as_str());
@@ -60,7 +56,6 @@ impl Manifest {
         let err = StoreError::decoding(file);
         let mut r = Reader::new(check_envelope(bytes, MANIFEST_MAGIC, "manifest").map_err(err)?);
         let epoch = r.u64().map_err(err)?;
-        let meta_file = r.str().map_err(err)?.to_string();
         let n = r.len().map_err(err)?;
         let mut segments = Vec::with_capacity(n);
         for _ in 0..n {
@@ -72,7 +67,6 @@ impl Manifest {
         r.expect_end().map_err(err)?;
         Ok(Manifest {
             epoch,
-            meta_file,
             segments,
             wal_file,
         })
@@ -86,7 +80,6 @@ mod tests {
     fn sample() -> Manifest {
         Manifest {
             epoch: 42,
-            meta_file: "meta-000000000000002a.ck".into(),
             segments: vec![
                 (Symbol::intern("album"), "rel-000000000000002a-0.seg".into()),
                 (
@@ -118,5 +111,18 @@ mod tests {
                 "cut {cut}"
             );
         }
+    }
+
+    /// A manifest from before the meta file went (it named one after the
+    /// epoch) never decodes: the name's length reads as a segment count
+    /// and its first bytes as a length far past the end.
+    #[test]
+    fn manifest_naming_a_meta_file_is_rejected() {
+        let mut buf = begin_envelope(MANIFEST_MAGIC, 64);
+        buf.put_u64_le(42);
+        put_str(&mut buf, "meta-000000000000002a.ck");
+        buf.put_u32_le(0);
+        put_str(&mut buf, "wal-000000000000002a.log");
+        assert!(Manifest::decode(&seal_envelope(buf), "MANIFEST").is_err());
     }
 }

@@ -2,10 +2,11 @@
 //!
 //! [`DurableStore`] manages one [`Engine`] per peer under a shared root
 //! directory and attaches them through the [`wdl_core::DurabilitySink`]
-//! seam: after [`DurableStore::attach`], every extensional change the
-//! peer commits is recorded and group-committed at its stage boundaries,
-//! starting from an immediate initial checkpoint (so even a peer that
-//! crashes before its first stage recovers with its schema intact).
+//! seam: after [`DurableStore::attach`], every extensional change and
+//! every structural change the peer commits is logged and group-committed
+//! at its stage boundaries, starting from an immediate initial checkpoint
+//! (so even a peer that crashes before its first stage recovers with its
+//! schema intact).
 //!
 //! [`DurablePersistence`] implements the simulator's
 //! [`wdl_net::sim::CrashPersistence`]: crash = drop the peer, lose the
@@ -111,9 +112,9 @@ impl DurableStore {
     }
 
     /// Recovers `name` from disk and re-attaches its sink. The recovered
-    /// peer immediately re-checkpoints (folding the replayed WAL into
-    /// fresh segments), so repeated crash/recover cycles never replay an
-    /// ever-growing log.
+    /// peer immediately re-checkpoints ([`Engine::recover`] leaves no WAL
+    /// open), folding the replayed log into fresh segments, so repeated
+    /// crash/recover cycles never replay an ever-growing log.
     pub fn recover(&mut self, name: impl Into<Symbol>) -> Result<Peer> {
         let name = name.into();
         let engine = self.engine(name)?;
@@ -192,7 +193,8 @@ impl CrashPersistence for DurablePersistence {
                 // A lost watermark is not a client op: the session layer
                 // simply re-delivers the frames it covered (they were
                 // never acked) and the peer dedups nothing it should not.
-                WalEntry::Watermark { .. } => None,
+                // Nor is a Meta entry, which `Engine::sync` never buffers.
+                WalEntry::Watermark { .. } | WalEntry::Meta(_) => None,
                 WalEntry::Fact(rec) if rec.added => Some(SimOp::Insert {
                     rel: rec.rel,
                     tuple: rec.tuple.to_vec(),
@@ -244,6 +246,41 @@ mod tests {
         let q = store2.recover("perp1").unwrap();
         assert_eq!(q.relation_facts("pictures").len(), 1);
         assert!(q.durable());
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// Both ways back from disk end in a fresh checkpoint, because
+    /// recovery leaves no WAL open: `DurableStore::recover`, and a bare
+    /// `Engine::recover` followed by attaching a sink and syncing.
+    #[test]
+    fn both_recovery_routes_end_in_a_fresh_checkpoint() {
+        let root = tmp_root("routes");
+        let mut store = DurableStore::new(DurabilityConfig::new(&root));
+        let mut p = Peer::new("perp5");
+        p.declare("pictures", 1, RelationKind::Extensional).unwrap();
+        store.attach(&mut p).unwrap();
+        p.declare("album", 1, RelationKind::Extensional).unwrap();
+        p.insert_local("album", vec![Value::from(1)]).unwrap();
+        p.run_stage().unwrap();
+        let engine = store.engine("perp5").unwrap();
+        assert_eq!(engine.lock().epoch(), 1, "the structural change was logged");
+        drop(p);
+
+        let q = store.recover("perp5").unwrap();
+        assert_eq!(engine.lock().epoch(), 2);
+        drop(q);
+
+        let mut r = engine.lock().recover().unwrap();
+        let sink = EngineSink {
+            engine: Arc::clone(&engine),
+            peer: r.name(),
+        };
+        r.set_durability(Box::new(sink));
+        r.sync_durability().unwrap();
+        let engine = engine.lock();
+        assert_eq!(engine.epoch(), 3);
+        assert_eq!(engine.wal_stats(), (0, 0));
+        assert_eq!(r.relation_facts("album").len(), 1);
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -1,28 +1,30 @@
-//! The delta write-ahead log.
-//!
-//! Between checkpoints, every extensional base change (and every session
-//! delivery watermark) appends one record:
+//! The write-ahead log: the only durable home of a peer's structure, and
+//! the delta log of its rows between checkpoints. Every base change,
+//! session watermark and structural change appends one record; the last
+//! is a Meta record holding the whole meta image
+//! ([`wdl_net::snapshot::write_meta`]), and every log opens with one:
 //!
 //! ```text
-//! file header:  u32 magic "WWAL" | u8 version | u64 epoch | str peer | u32 CRC
+//! file header:  u32 magic "WWAL" | u8 version (2) | u64 epoch | str peer | u32 CRC
 //! record:       u32 payload-len  | u32 payload-CRC | payload
 //! fact payload: u8 tag (1=insert, 0=delete) | str rel | u32 arity | values
 //! mark payload: u8 tag (2)      | str remote | u8 dir | u64 inc | u64 seq
+//! meta payload: u8 tag (3)      | meta image
 //! ```
 //!
 //! The header's epoch and peer name tie the log to the exact checkpoint
 //! it extends — a WAL spliced in from another epoch *or another peer's
 //! directory* (stale manifest, copied file) is rejected outright, even
-//! when every record in it is individually well-formed. Records are framed with their own length and CRC so
-//! a scan can tell exactly where durable history ends: the first record
-//! that is short, overlong, or fails its CRC marks the **torn tail**, and
-//! recovery truncates there. A record is only ever torn if the crash hit
-//! mid-append — i.e. before the group commit acked it — so truncation
+//! when every record in it is individually well-formed. Records are
+//! framed with their own length and CRC so a scan can tell exactly where
+//! durable history ends: the first record that is short, overlong, or
+//! fails its CRC marks the **torn tail**, and recovery stops there. A record is only ever torn if the crash hit
+//! mid-append — i.e. before the group commit acked it — so stopping
 //! never loses acknowledged state.
 //!
 //! Relations are stored *unqualified* (the log belongs to one peer; its
-//! name is in the meta checkpoint), and values by content, same argument
-//! as segments: replay re-interns into whatever the recovering process's
+//! name is in the header), and values by content, same argument as
+//! segments: replay re-interns into whatever the recovering process's
 //! interner looks like.
 
 use crate::error::{Result, StoreError};
@@ -33,8 +35,9 @@ use wdl_net::snapshot::crc32;
 
 /// WAL file magic ("WWAL", little-endian).
 const WAL_MAGIC: u32 = u32::from_le_bytes(*b"WWAL");
-/// WAL format version.
-const WAL_VERSION: u8 = 1;
+/// WAL format version. v2 added the Meta record; v1 logs, whose
+/// structure lived in a separate meta file, are rejected.
+const WAL_VERSION: u8 = 2;
 /// Fixed part of the file header: magic + version + epoch (the peer
 /// name and CRC follow).
 const WAL_FIXED_LEN: usize = 4 + 1 + 8;
@@ -50,7 +53,8 @@ pub struct WalRecord {
     pub added: bool,
 }
 
-/// One logged entry: a base change or a session delivery watermark.
+/// One logged entry: a base change, a session delivery watermark or the
+/// peer's meta image.
 ///
 /// Watermarks ride in the same log as the facts they cover, so one group
 /// commit makes both durable together — the session layer's ack can then
@@ -72,6 +76,9 @@ pub enum WalEntry {
         /// The cumulative sequence watermark.
         seq: u64,
     },
+    /// The peer's meta image, logged by each commit of a structural
+    /// change and at the head of each checkpoint's log.
+    Meta(Vec<u8>),
 }
 
 /// Result of scanning a WAL file: the decodable prefix and where (and
@@ -84,9 +91,8 @@ pub struct WalTail {
     pub peer: Symbol,
     /// Entries of the valid prefix, in append order.
     pub records: Vec<WalEntry>,
-    /// Byte length of the header (where records start).
-    pub header_len: usize,
-    /// Byte length of the valid prefix (truncate the file to this).
+    /// Byte length of the valid prefix (where the torn tail, if any,
+    /// begins).
     pub valid_len: usize,
     /// Why the scan stopped early, if it did (torn or corrupt tail).
     pub torn: Option<String>,
@@ -129,6 +135,10 @@ pub(crate) fn encode_record(entry: &WalEntry) -> Vec<u8> {
             payload.put_u64_le(*inc);
             payload.put_u64_le(*seq);
         }
+        WalEntry::Meta(image) => {
+            payload.put_u8(3);
+            payload.put_slice(image);
+        }
     }
     let payload = payload.freeze().to_vec();
     let mut out = Vec::with_capacity(payload.len() + 8);
@@ -139,6 +149,10 @@ pub(crate) fn encode_record(entry: &WalEntry) -> Vec<u8> {
 }
 
 fn decode_payload(payload: &[u8], file: &str) -> Result<WalEntry> {
+    // The image is checked where it is read, by `snapshot::read_meta`.
+    if let [3, image @ ..] = payload {
+        return Ok(WalEntry::Meta(image.to_vec()));
+    }
     let mut r = Reader::new(payload);
     let err = |e: wdl_net::NetError| StoreError::corrupt(file, format!("wal record: {e}"));
     let entry = match r.u8().map_err(err)? {
@@ -260,7 +274,6 @@ pub(crate) fn scan(bytes: &[u8], file: &str) -> Result<WalTail> {
         epoch,
         peer,
         records,
-        header_len,
         valid_len: offset,
         torn,
     })
@@ -272,6 +285,7 @@ mod tests {
 
     fn recs() -> Vec<WalEntry> {
         vec![
+            WalEntry::Meta(b"WMET-image".to_vec()),
             WalEntry::Fact(WalRecord {
                 rel: Symbol::intern("pictures"),
                 tuple: vec![Value::from(1), Value::from("a.jpg")].into(),
@@ -314,7 +328,6 @@ mod tests {
         assert_eq!(tail.epoch, 7);
         assert_eq!(tail.peer, owner());
         assert_eq!(tail.records, recs());
-        assert_eq!(tail.header_len, header_len());
         assert_eq!(tail.valid_len, img.len());
         assert!(tail.torn.is_none());
     }
@@ -333,7 +346,7 @@ mod tests {
                 Ok(tail) => {
                     assert!(cut >= hlen);
                     // The valid prefix is a prefix of the true records.
-                    assert!(tail.records.len() <= 3);
+                    assert!(tail.records.len() <= recs().len());
                     assert_eq!(tail.records, recs()[..tail.records.len()]);
                     assert!(tail.valid_len <= cut);
                     if cut < hlen + first_len {

@@ -72,8 +72,8 @@ fn tmp_root(tag: &str) -> PathBuf {
 }
 
 /// The same through the storage engine: the stage that queues the
-/// delegation checkpoints it, and `Engine::recover` restores it. A
-/// rejection is durable too.
+/// delegation logs it in a Meta record, and `Engine::recover` restores
+/// it. A rejection is durable too.
 #[test]
 fn queued_delegation_survives_engine_recover() {
     let root = tmp_root("engine");

@@ -401,7 +401,7 @@ fn random_system(seed: u64, compiled: bool) -> System {
                 ),
             };
             let d = Delegation::new(Symbol::intern(origin), Symbol::intern(me), rule);
-            peers[pi].install_delegation(d);
+            peers[pi].install_delegation(d).unwrap();
         }
     }
 
@@ -548,7 +548,8 @@ fn delegated_rule_with_empty_local_prefix_parity() {
                 WAtom::at("out", "origin-peer", vec![Term::var("x")]),
                 vec![WAtom::at("src", "third-peer", vec![Term::var("x")]).into()],
             ),
-        ));
+        ))
+        .unwrap();
         p
     };
     let mut outs = Vec::new();
@@ -581,7 +582,8 @@ fn fully_local_delegated_rule_parity() {
                 WAtom::at("feed", "worker", vec![Term::var("x")]),
                 vec![WAtom::at("src", "worker", vec![Term::var("x")]).into()],
             ),
-        ));
+        ))
+        .unwrap();
         // ...and a remote head (ships derived facts back).
         p.install_delegation(Delegation::new(
             Symbol::intern("origin-peer"),
@@ -590,7 +592,8 @@ fn fully_local_delegated_rule_parity() {
                 WAtom::at("mirror", "origin-peer", vec![Term::var("x")]),
                 vec![WAtom::at("src", "worker", vec![Term::var("x")]).into()],
             ),
-        ));
+        ))
+        .unwrap();
         p
     };
     let mut logs = Vec::new();

@@ -17,6 +17,7 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 use webdamlog::core::{Peer, RelationKind};
 use webdamlog::datalog::Value;
+use webdamlog::net::snapshot::crc32;
 use webdamlog::store::{DurabilityConfig, DurableStore};
 
 use rand::rngs::StdRng;
@@ -290,8 +291,9 @@ fn cross_peer_wal_splice_is_rejected() {
     let _ = fs::remove_dir_all(&root);
 }
 
-/// MANIFEST swapped wholesale between two peers: caught by the meta
-/// checkpoint's peer-name binding.
+/// MANIFEST swapped wholesale between two peers: caught by the
+/// peer-name binding of the WAL header, the log that also carries the
+/// peer's structure.
 #[test]
 fn cross_peer_manifest_splice_is_rejected() {
     let root = tmp_root("xman", 0);
@@ -304,7 +306,7 @@ fn cross_peer_manifest_splice_is_rejected() {
     let m_a = fs::read(root.join("xmanA").join("MANIFEST")).unwrap();
     fs::write(root.join("xmanB").join("MANIFEST"), &m_a).unwrap();
     // xmanA's files referenced by the manifest are not in xmanB's dir —
-    // same names though, so the meta decodes and names the wrong peer.
+    // same names though, so the log decodes and names the wrong peer.
     for f in storage_files_for(&root, "xmanA") {
         let name = f.file_name().unwrap();
         let _ = fs::copy(&f, root.join("xmanB").join(name));
@@ -324,4 +326,47 @@ fn storage_files_for(root: &Path, peer: &str) -> Vec<PathBuf> {
         .map(|e| e.path())
         .filter(|p| p.is_file())
         .collect()
+}
+
+/// The Meta record opening the log is the peer's structure. Any byte of
+/// it flipped — in its frame, or inside its image behind a re-sealed
+/// frame — is a clean corruption error, never a panic and never a peer
+/// recovered without its schema.
+#[test]
+fn corrupted_opening_meta_record_is_a_clean_error() {
+    let root = tmp_root("meta", 0);
+    build_durable_state(&root);
+    let wal = storage_files(&root)
+        .into_iter()
+        .find(|p| p.file_name().unwrap().to_str().unwrap().starts_with("wal-"))
+        .unwrap();
+    let log = fs::read(&wal).unwrap();
+    // Header: magic, version, epoch, peer name (u32 length + bytes), CRC.
+    let name_len = u32::from_le_bytes(log[13..17].try_into().unwrap()) as usize;
+    let start = 17 + name_len + 4;
+    let payload_len = u32::from_le_bytes(log[start..start + 4].try_into().unwrap()) as usize;
+    let payload = start + 8..start + 8 + payload_len;
+    assert_eq!(log[payload.start], 3, "the log opens with a Meta record");
+
+    let expect_corrupt = |bytes: &[u8], ctx: String| {
+        fs::write(&wal, bytes).unwrap();
+        let mut store = DurableStore::new(DurabilityConfig::new(&root));
+        match store.recover(PEER) {
+            Ok(_) => panic!("{ctx}: recovered from a damaged Meta record"),
+            Err(e) => assert!(e.is_corrupt(), "{ctx}: {e}"),
+        }
+    };
+    for i in start..payload.end {
+        let mut bad = log.clone();
+        bad[i] ^= 0x04;
+        expect_corrupt(&bad, format!("flip at byte {i}"));
+    }
+    for i in payload.start + 1..payload.end {
+        let mut bad = log.clone();
+        bad[i] ^= 0x04;
+        let crc = crc32(&bad[payload.clone()]);
+        bad[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+        expect_corrupt(&bad, format!("re-sealed flip at byte {i}"));
+    }
+    let _ = fs::remove_dir_all(&root);
 }

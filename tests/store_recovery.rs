@@ -4,9 +4,11 @@
 //! indistinguishable from one that never crashed**, given the same
 //! client behavior (a client whose op was not yet acked retries it).
 //! Each seed derives a random interleaving of inserts, deletes, group
-//! commits, forced checkpoints, and crashes; after the schedule the
-//! recovered subject must equal an oracle peer that executed the same
-//! ops in memory.
+//! commits, forced checkpoints, structural changes (declarations, rule
+//! edits, policy edits, delegations installed, queued, approved and
+//! revoked) and crashes; after the schedule the recovered subject must
+//! equal an oracle peer that executed the same ops in memory — rows,
+//! views, rules, delegations, schema and policy.
 //!
 //! On failure the harness prints the seed and the reproduction command:
 //!
@@ -20,10 +22,10 @@
 use std::fs;
 use std::ops::Range;
 use std::path::PathBuf;
-use webdamlog::core::{Peer, RelationKind};
-use webdamlog::datalog::{Symbol, Value};
+use webdamlog::core::{Delegation, Message, Payload, Peer, RelationKind, WAtom, WBodyItem, WRule};
+use webdamlog::datalog::{Symbol, Term, Value};
 use webdamlog::net::sim::SimOp;
-use webdamlog::store::{DurabilityConfig, DurablePersistence, IoFaults};
+use webdamlog::store::{DurabilityConfig, DurablePersistence, Engine, IoFaults};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -76,13 +78,143 @@ fn sweep(test: &str, seeds: Range<u64>, body: impl Fn(u64)) {
 }
 
 const RELS: [&str; 3] = ["album", "pictures", "tags"];
+/// Intensional views the random rules and delegations derive into.
+const VIEWS: [&str; 2] = ["v0", "v1"];
+/// Extensional relations a schedule may declare along the way.
+const EXTRAS: [&str; 3] = ["extra0", "extra1", "extra2"];
 
 fn build_peer(name: &str) -> Peer {
     let mut p = Peer::new(name);
     for rel in RELS {
         p.declare(rel, 2, RelationKind::Extensional).unwrap();
     }
+    for rel in VIEWS {
+        p.declare(rel, 2, RelationKind::Intensional).unwrap();
+    }
     p
+}
+
+/// One change to a peer's structure, drawn against the oracle's state
+/// and applied alike to subject and oracle.
+#[derive(Clone, Debug)]
+enum Structural {
+    Declare(Symbol),
+    AddRule(WRule),
+    ReplaceRule(usize, WRule),
+    RemoveRule(usize),
+    Trust(Symbol),
+    RestrictRead(Symbol, Symbol),
+    Install(Delegation),
+    Queue(Delegation, u64),
+    Approve(usize),
+    Revoke(Delegation),
+}
+
+/// `head(x, y) :- body(x, y)` over `me`'s relations, optionally
+/// guarded by a negated third relation.
+fn random_rule(rng: &mut StdRng, me: &str, head_peer: &str) -> WRule {
+    let xy = || vec![Term::var("x"), Term::var("y")];
+    let body = RELS[rng.gen_range(0..RELS.len())];
+    let head = VIEWS[rng.gen_range(0..VIEWS.len())];
+    let mut items: Vec<WBodyItem> = vec![WAtom::at(body, me, xy()).into()];
+    if rng.gen_range(0..2u32) == 1 {
+        let guard = RELS[rng.gen_range(0..RELS.len())];
+        items.push(WBodyItem::not_atom(WAtom::at(guard, me, xy())));
+    }
+    WRule::new(WAtom::at(head, head_peer, xy()), items)
+}
+
+fn random_structural(rng: &mut StdRng, oracle: &Peer) -> Structural {
+    let me = oracle.name();
+    let origin = ["recorigin", "recstranger"][rng.gen_range(0..2usize)];
+    let delegation = |rng: &mut StdRng| {
+        // A local head feeds the target's own views; a remote one ships
+        // back to the origin.
+        let head_peer = if rng.gen_range(0..2u32) == 0 {
+            me.as_str()
+        } else {
+            origin
+        };
+        Delegation::new(
+            Symbol::intern(origin),
+            me,
+            random_rule(rng, me.as_str(), head_peer),
+        )
+    };
+    let rules = oracle.rules().len();
+    let pending = oracle.pending_delegations().len();
+    let revocable: Vec<Delegation> = oracle
+        .installed_delegations()
+        .iter()
+        .cloned()
+        .chain(
+            oracle
+                .pending_delegations()
+                .iter()
+                .map(|p| p.delegation.clone()),
+        )
+        .collect();
+    match rng.gen_range(0..10u32) {
+        0 => {
+            let rel = EXTRAS[rng.gen_range(0..EXTRAS.len())];
+            Structural::Declare(Symbol::intern(rel))
+        }
+        1 if rules > 0 => Structural::ReplaceRule(
+            rng.gen_range(0..rules),
+            random_rule(rng, me.as_str(), me.as_str()),
+        ),
+        2 if rules > 0 => Structural::RemoveRule(rng.gen_range(0..rules)),
+        3 => Structural::Trust(Symbol::intern(origin)),
+        4 => Structural::RestrictRead(
+            Symbol::intern(RELS[rng.gen_range(0..RELS.len())]),
+            Symbol::intern(origin),
+        ),
+        5 => Structural::Install(delegation(rng)),
+        6 => Structural::Queue(delegation(rng), rng.gen_range(0..100)),
+        7 if pending > 0 => Structural::Approve(rng.gen_range(0..pending)),
+        8 if !revocable.is_empty() => {
+            Structural::Revoke(revocable[rng.gen_range(0..revocable.len())].clone())
+        }
+        _ => Structural::AddRule(random_rule(rng, me.as_str(), me.as_str())),
+    }
+}
+
+fn apply_structural(p: &mut Peer, op: &Structural) {
+    match op {
+        Structural::Declare(rel) => p.declare(*rel, 2, RelationKind::Extensional).unwrap(),
+        Structural::AddRule(rule) => {
+            p.add_rule(rule.clone()).unwrap();
+        }
+        Structural::ReplaceRule(i, rule) => {
+            let id = p.rules()[*i].id;
+            p.replace_rule(id, rule.clone()).unwrap();
+        }
+        Structural::RemoveRule(i) => {
+            let id = p.rules()[*i].id;
+            p.remove_rule(id).unwrap();
+        }
+        Structural::Trust(peer) => p.acl_mut().trust(*peer),
+        Structural::RestrictRead(rel, peer) => {
+            p.acl_mut().restrict_read(*rel);
+            p.acl_mut().grant_read(*rel, *peer);
+        }
+        Structural::Install(d) => p.install_delegation(d.clone()).unwrap(),
+        Structural::Queue(d, stage) => {
+            p.acl_mut().push_pending(d.clone(), *stage);
+        }
+        Structural::Approve(i) => {
+            let id = p.pending_delegations()[*i].delegation.id;
+            p.approve_delegation(id).unwrap();
+        }
+        // Through the stage, as a revocation arrives from its origin.
+        Structural::Revoke(d) => {
+            p.enqueue(Message::new(
+                d.origin,
+                p.name(),
+                Payload::Revoke(vec![d.id]),
+            ));
+        }
+    }
 }
 
 fn random_tuple(rng: &mut StdRng) -> Vec<Value> {
@@ -108,13 +240,36 @@ fn apply_op(p: &mut Peer, op: &SimOp) {
 }
 
 fn assert_same_state(subject: &Peer, oracle: &Peer, context: &str) {
-    for rel in RELS {
-        let mut a = subject.relation_facts(rel);
-        let mut b = oracle.relation_facts(rel);
+    for rel in RELS.iter().chain(&VIEWS).chain(&EXTRAS) {
+        let mut a = subject.relation_facts(*rel);
+        let mut b = oracle.relation_facts(*rel);
         a.sort();
         b.sort();
         assert_eq!(a, b, "{context}: relation {rel} diverged");
     }
+}
+
+/// Everything a Meta record carries but the rows: schema, rules,
+/// delegations and the policy with its approval queue.
+fn assert_same_structure(subject: &Peer, oracle: &Peer, context: &str) {
+    let decls = |p: &Peer| {
+        let mut d: Vec<_> = p
+            .schema()
+            .iter()
+            .map(|d| (d.rel.to_string(), d.arity, d.kind))
+            .collect();
+        d.sort_by(|a, b| a.0.cmp(&b.0));
+        d
+    };
+    let rules = |p: &Peer| p.rules().iter().map(|e| e.rule.clone()).collect::<Vec<_>>();
+    assert_eq!(decls(subject), decls(oracle), "{context}: schema diverged");
+    assert_eq!(rules(subject), rules(oracle), "{context}: rules diverged");
+    assert_eq!(
+        subject.installed_delegations(),
+        oracle.installed_delegations(),
+        "{context}: delegations diverged"
+    );
+    assert_eq!(subject.acl(), oracle.acl(), "{context}: policy diverged");
 }
 
 // ---------------------------------------------------------------------
@@ -139,11 +294,12 @@ fn random_crash_schedules_recover_exactly() {
 
         let steps = rng.gen_range(30..90);
         let mut crashes = 0;
+        let mut rels: Vec<&str> = RELS.to_vec();
         for _ in 0..steps {
             match rng.gen_range(0..100u32) {
                 // Mutation, mirrored on both peers.
-                0..=54 => {
-                    let rel = Symbol::intern(RELS[rng.gen_range(0..RELS.len())]);
+                0..=49 => {
+                    let rel = Symbol::intern(rels[rng.gen_range(0..rels.len())]);
                     let tuple = random_tuple(&mut rng);
                     let op = if rng.gen_range(0..10u32) < 7 {
                         SimOp::Insert { rel, tuple }
@@ -154,12 +310,27 @@ fn random_crash_schedules_recover_exactly() {
                     apply_op(&mut oracle, &op);
                 }
                 // Stage boundary = group commit.
-                55..=79 => {
+                50..=69 => {
+                    subject.run_stage().unwrap();
+                    oracle.run_stage().unwrap();
+                }
+                // Structural change, committed by a stage before the next
+                // crash point (the lost-op retry replays rows only).
+                70..=81 => {
+                    let op = random_structural(&mut rng, &oracle);
+                    if let Structural::Declare(rel) = op {
+                        if rels.contains(&rel.as_str()) {
+                            continue;
+                        }
+                        rels.push(rel.as_str());
+                    }
+                    apply_structural(&mut subject, &op);
+                    apply_structural(&mut oracle, &op);
                     subject.run_stage().unwrap();
                     oracle.run_stage().unwrap();
                 }
                 // Forced full checkpoint.
-                80..=87 => {
+                82..=88 => {
                     let engine = persist.store_mut().engine(sym).unwrap();
                     let mut engine = engine.lock();
                     engine.checkpoint(&subject).unwrap();
@@ -186,11 +357,9 @@ fn random_crash_schedules_recover_exactly() {
         subject.run_stage().unwrap();
         oracle.run_stage().unwrap();
 
-        assert_same_state(
-            &subject,
-            &oracle,
-            &format!("after {steps} steps, {} crashes", crashes + 1),
-        );
+        let context = format!("after {steps} steps, {} crashes", crashes + 1);
+        assert_same_state(&subject, &oracle, &context);
+        assert_same_structure(&subject, &oracle, &context);
         let _ = fs::remove_dir_all(&root);
     });
 }
@@ -341,5 +510,117 @@ fn wal_truncation_never_resurrects_deleted_facts() {
         q.sync_durability().unwrap();
         drop(q);
     }
+    let _ = fs::remove_dir_all(&root);
+}
+
+// ---------------------------------------------------------------------
+// Goldens: a structural change is a WAL record.
+// ---------------------------------------------------------------------
+
+fn view_rule(me: &str) -> WRule {
+    let xy = || vec![Term::var("x"), Term::var("y")];
+    WRule::new(
+        WAtom::at("v0", me, xy()),
+        vec![WAtom::at("album", me, xy()).into()],
+    )
+}
+
+fn row(a: i64, b: i64) -> Vec<Value> {
+    vec![Value::from(a), Value::from(b)]
+}
+
+/// A crash after a structural change's commit and before the next fact
+/// commit recovers both the change and the rows: those acked before it,
+/// and the one its own commit wrote into the relation it declared. The
+/// uncommitted row comes back as a lost op, whatever the crash leaves on
+/// disk.
+#[test]
+fn crash_after_structural_commit_recovers_both() {
+    for crash_seed in 0..8u64 {
+        let root = tmp_root("structural", crash_seed);
+        let name = "structp";
+        let mut persist = DurablePersistence::new(DurabilityConfig::new(&root));
+        let mut p = build_peer(name);
+        persist.store_mut().attach(&mut p).unwrap();
+        p.insert_local("album", row(1, 1)).unwrap();
+        p.run_stage().unwrap();
+
+        p.declare("extra0", 2, RelationKind::Extensional).unwrap();
+        p.insert_local("extra0", row(2, 2)).unwrap();
+        p.add_rule(view_rule(name)).unwrap();
+        p.run_stage().unwrap();
+        p.insert_local("album", row(3, 3)).unwrap();
+
+        let (token, lost) = persist.crash(p, crash_seed).unwrap();
+        assert_eq!(lost.len(), 1, "seed {crash_seed}: the uncommitted row");
+        let mut q = persist.restart(Symbol::intern(name), &token).unwrap();
+        let rules: Vec<WRule> = q.rules().iter().map(|e| e.rule.clone()).collect();
+        assert_eq!(rules, vec![view_rule(name)], "seed {crash_seed}");
+        assert_eq!(q.relation_facts("extra0").len(), 1, "seed {crash_seed}");
+        assert_eq!(q.relation_facts("album").len(), 1, "seed {crash_seed}");
+        for op in &lost {
+            apply_op(&mut q, op);
+        }
+        q.run_stage().unwrap();
+        assert_eq!(q.relation_facts("v0").len(), 2, "seed {crash_seed}");
+        let _ = fs::remove_dir_all(&root);
+    }
+}
+
+/// A torn Meta record is a torn tail: a cut anywhere in the Meta record
+/// that opens the last commit recovers the state acked before it, with
+/// neither the commit's rule nor its row. A cut in the row behind it
+/// recovers the valid prefix, as for any unacked batch: the rule alone.
+#[test]
+fn torn_meta_record_ends_at_the_previous_acked_state() {
+    let root = tmp_root("tornmeta", 0);
+    let name = "tornmetap";
+    let sym = Symbol::intern(name);
+    let cfg = DurabilityConfig::new(&root)
+        .checkpoint_records(10_000)
+        .checkpoint_bytes(u64::MAX);
+    let mut persist = DurablePersistence::new(cfg.clone());
+    let mut p = build_peer(name);
+    p.insert_local("album", row(1, 1)).unwrap();
+    persist.store_mut().attach(&mut p).unwrap();
+    p.insert_local("album", row(2, 2)).unwrap();
+    p.sync_durability().unwrap();
+
+    let engine = persist.store_mut().engine(sym).unwrap();
+    let wal_path = {
+        let engine = engine.lock();
+        engine.dir().join(engine.manifest().unwrap().wal_file)
+    };
+    let acked_len = fs::metadata(&wal_path).unwrap().len() as usize;
+    p.add_rule(view_rule(name)).unwrap();
+    p.insert_local("pictures", row(3, 3)).unwrap();
+    p.sync_durability().unwrap();
+    let full = fs::read(&wal_path).unwrap();
+    drop(p);
+
+    let recover = |bytes: &[u8]| {
+        fs::write(&wal_path, bytes).unwrap();
+        Engine::open(&cfg, sym).unwrap().recover().unwrap()
+    };
+    let meta_len = u32::from_le_bytes(full[acked_len..acked_len + 4].try_into().unwrap());
+    let meta_end = acked_len + 8 + meta_len as usize;
+    assert!(meta_end < full.len(), "the row follows the Meta record");
+    for cut in acked_len..full.len() {
+        let q = recover(&full[..cut]);
+        let rule_landed = !q.rules().is_empty();
+        assert_eq!(rule_landed, cut >= meta_end, "cut {cut}: Meta record");
+        assert_eq!(
+            q.relation_facts("album").len(),
+            2,
+            "cut {cut}: acked rows lost"
+        );
+        assert!(
+            q.relation_facts("pictures").is_empty(),
+            "cut {cut}: torn row replayed"
+        );
+    }
+    let q = recover(&full);
+    assert_eq!(q.rules().len(), 1);
+    assert_eq!(q.relation_facts("pictures").len(), 1);
     let _ = fs::remove_dir_all(&root);
 }
