@@ -7,9 +7,10 @@
 //! real engine. History is therefore much larger than the surviving
 //! state — the regime checkpoints exist for.
 //!
-//! * **`checkpoint_ms`** (informational): one full checkpoint —
-//!   per-relation segments + a fresh WAL opening with the Meta record +
-//!   manifest rename, all fsynced — of the final surviving state.
+//! * **`checkpoint_ms`** (informational): one full checkpoint — one
+//!   `wal-<epoch>.tmp` file holding the snapshot images, fsynced, renamed
+//!   to `wal-<epoch>.log`, directory fsynced — of the final surviving
+//!   state.
 //! * **`wal_append_krecs_per_s`** (informational): group-commit append
 //!   throughput over the `sync` calls alone (insert-side work untimed).
 //! * **Cold-start recovery vs WAL-tail length**: the same final state
@@ -127,8 +128,8 @@ fn build_dir(root: &Path, fold: usize) -> u128 {
 }
 
 /// Min cold-start recovery latency over `runs` samples: fresh
-/// `Engine::open` + `Engine::recover` each time (manifest, WAL scan,
-/// the last Meta record, segments, replay). The page cache stays warm across
+/// `Engine::open` + `Engine::recover` each time (log scan, the meta
+/// image, segments, replay of the commits). The page cache stays warm across
 /// samples on every directory alike, so the tail-length comparison is
 /// like for like. Each sample's recovered state is verified.
 fn recovery_ns(root: &Path, runs: usize) -> u128 {

@@ -12,11 +12,13 @@
 //! commit point: buffered records become durable there, together with the
 //! peer's structure when it changed (schema, rules, delegations, the
 //! access policy with its approval queue — everything the peer image's
-//! meta part, `wdl_net::snapshot::write_meta`, carries).
+//! meta part, `wdl_net::snapshot::write_meta`, carries). A commit is
+//! atomic: a crash keeps all of it or none, so a recovered session
+//! watermark never outruns the facts it covers.
 //!
 //! The engine that implements this trait lives in `wdl-store`; keeping the
 //! trait here keeps the dependency arrow pointing outward (core knows
-//! nothing about files, segments or WALs).
+//! nothing about files, checkpoints or logs).
 
 use crate::{Peer, Result};
 use wdl_datalog::{Symbol, Tuple};

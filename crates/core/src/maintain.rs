@@ -153,15 +153,15 @@ pub(crate) fn compile_local(peer: &Peer) -> crate::Result<(Program, HashSet<Rule
             Program::new(Vec::new())?
         }
     };
-    // The peer's stage-level fixpoint cap bounds the compiled layer too —
-    // set_fixpoint_limit must keep meaning what it says. The peer-level
-    // engine toggle (`Peer::set_compiled_stage`) rides along: an
-    // interpreted peer runs its maintained view on the interpreter too, so
-    // the whole stage is one semantic reference.
+    // The stage-level fixpoint cap (`stage::FIXPOINT_LIMIT`) bounds the
+    // compiled layer too. The peer-level engine toggle
+    // (`Peer::set_compiled_stage`) rides along: an interpreted peer runs
+    // its maintained view on the interpreter too, so the whole stage is one
+    // semantic reference.
     let config = wdl_datalog::EvalConfig::default().with_compiled(peer.compiled_stage);
     Ok((
         program
-            .with_iteration_limit(peer.fixpoint_limit)
+            .with_iteration_limit(crate::stage::FIXPOINT_LIMIT)
             .with_eval_config(config),
         compiled,
     ))

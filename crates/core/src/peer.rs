@@ -63,7 +63,6 @@ pub struct Peer {
     /// Derived facts sent to each target at the previous stage (for diffing).
     pub(crate) prev_sent: HashMap<Symbol, HashSet<WFact>>,
     pub(crate) stage: u64,
-    pub(crate) fixpoint_limit: usize,
     /// The maintained view every stage runs on, and the peer's only
     /// database: the materialization of the compilable (fully local)
     /// rules — the empty program when none compile — over every base fact
@@ -130,7 +129,6 @@ impl Peer {
             prev_delegations: HashMap::new(),
             prev_sent: HashMap::new(),
             stage: 0,
-            fixpoint_limit: 10_000,
             incr: Default::default(),
             ruleset_epoch: 0,
             prev_dynamic: HashSet::new(),
@@ -187,11 +185,10 @@ impl Peer {
     /// engine. Ad-hoc reads ([`Peer::query`], [`Peer::aggregate`]) always
     /// run compiled plans.
     ///
-    /// Like [`Peer::set_fixpoint_limit`], this is a runtime tuning knob,
-    /// **not durable state**: the peer image (`wdl_net::snapshot`) carries
-    /// semantic state only, so a restored peer starts back on the default
-    /// (compiled) engine — re-apply the toggle after restore when pinning
-    /// the interpreter matters.
+    /// This is a runtime setting, **not durable state**: the peer image
+    /// (`wdl_net::snapshot`) carries semantic state only, so a restored
+    /// peer starts back on the default (compiled) engine — re-apply the
+    /// toggle after restore when pinning the interpreter matters.
     pub fn set_compiled_stage(&mut self, compiled: bool) {
         if self.compiled_stage != compiled {
             self.compiled_stage = compiled;
@@ -301,11 +298,6 @@ impl Peer {
     /// The peer's schema.
     pub fn schema(&self) -> &Schema {
         &self.schema
-    }
-
-    /// Caps the per-stage local fixpoint round count (default 10,000).
-    pub fn set_fixpoint_limit(&mut self, limit: usize) {
-        self.fixpoint_limit = limit;
     }
 
     /// Declares a local relation.
@@ -805,23 +797,24 @@ impl Peer {
     /// forwarded to the durability sink so the next group commit makes it
     /// crash-safe together with the facts it covers.
     pub fn note_session_watermark(&mut self, remote: Symbol, dir: u8, inc: u64, seq: u64) {
-        let key = (remote, dir);
-        let newer = match self.session_watermarks.get(&key) {
-            Some(&(old_inc, old_seq)) => inc > old_inc || (inc == old_inc && seq > old_seq),
-            None => true,
-        };
-        if !newer {
+        if !self.restore_session_watermark(remote, dir, inc, seq) {
             return;
         }
-        self.session_watermarks.insert(key, (inc, seq));
         if let Some(sink) = &mut self.durability {
             sink.record_watermark(remote, dir, inc, seq);
         }
     }
 
-    /// Restores a watermark during recovery (snapshot load or WAL
-    /// replay) without echoing it back into the durability sink.
-    pub fn restore_session_watermark(&mut self, remote: Symbol, dir: u8, inc: u64, seq: u64) {
+    /// Restores a watermark during recovery (snapshot load or log replay)
+    /// without echoing it back into the durability sink. Monotone like
+    /// [`Peer::note_session_watermark`]; returns whether it advanced.
+    pub fn restore_session_watermark(
+        &mut self,
+        remote: Symbol,
+        dir: u8,
+        inc: u64,
+        seq: u64,
+    ) -> bool {
         let key = (remote, dir);
         let newer = match self.session_watermarks.get(&key) {
             Some(&(old_inc, old_seq)) => inc > old_inc || (inc == old_inc && seq > old_seq),
@@ -830,6 +823,7 @@ impl Peer {
         if newer {
             self.session_watermarks.insert(key, (inc, seq));
         }
+        newer
     }
 
     /// The peer's session watermarks: `(remote, direction) -> (remote

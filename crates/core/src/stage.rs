@@ -27,6 +27,11 @@ use wdl_datalog::intern::ValueId;
 use wdl_datalog::{eval, Atom as DAtom, Database, Fact as DFact, Subst, Symbol};
 use wdl_obs::TraceEvent;
 
+/// The cap on local fixpoint rounds in one stage, over the stage loop and
+/// the compiled maintained view alike: a program that has not converged
+/// by then fails the stage with `IterationLimit`.
+pub(crate) const FIXPOINT_LIMIT: usize = 10_000;
+
 /// Counters describing one stage, for observability and the bench harness.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StageStats {
@@ -399,9 +404,9 @@ impl Peer {
         let mut rounds = 0usize;
         loop {
             rounds += 1;
-            if rounds > self.fixpoint_limit {
+            if rounds > FIXPOINT_LIMIT {
                 return Err(WdlError::Datalog(
-                    wdl_datalog::DatalogError::IterationLimit(self.fixpoint_limit),
+                    wdl_datalog::DatalogError::IterationLimit(FIXPOINT_LIMIT),
                 ));
             }
             let mut new_local: Vec<DFact> = Vec::new();

@@ -320,11 +320,20 @@ impl<'a> Reader<'a> {
         Ok(n)
     }
 
+    /// Reads a `u32`-length-prefixed byte string.
+    pub fn blob(&mut self) -> Result<&'a [u8], NetError> {
+        let n = self.len()?;
+        self.take(n)
+    }
+
+    /// The bytes not read yet.
+    pub fn remaining(&self) -> &'a [u8] {
+        &self.data[self.pos..]
+    }
+
     /// Reads a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<&'a str, NetError> {
-        let n = self.len()?;
-        std::str::from_utf8(self.take(n)?)
-            .map_err(|e| NetError::Codec(format!("invalid utf8: {e}")))
+        std::str::from_utf8(self.blob()?).map_err(|e| NetError::Codec(format!("invalid utf8: {e}")))
     }
 
     /// Reads a length-prefixed string and interns it as a [`Symbol`].
@@ -501,10 +510,7 @@ impl<'a> Reader<'a> {
                 }
                 Ok(Payload::Revoke(ids))
             }
-            3 => {
-                let n = self.len()?;
-                Ok(Payload::Session(self.take(n)?.to_vec()))
-            }
+            3 => Ok(Payload::Session(self.blob()?.to_vec())),
             t => Err(NetError::Codec(format!("bad payload tag {t}"))),
         }
     }

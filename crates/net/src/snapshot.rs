@@ -43,77 +43,109 @@
 //!   loading re-interns every value, so an image written in one process
 //!   loads correctly into another whose interner assigned different ids.
 //!
-//! A **snapshot** ([`save`]/[`load`]) is the meta image followed by one
-//! segment image per extensional relation, each prefixed by its `u32`
-//! length — the storage engine (`wdl-store`) writes the very same images,
-//! the segments to `rel-<epoch>-<i>.seg` and the meta image as the
-//! payload of the Meta record that opens the checkpoint's write-ahead
-//! log, so a snapshot is a checkpoint in one buffer. The meta image's
-//! schema fixes how many segments follow, so a snapshot cut at an image
-//! boundary is rejected like any other truncation.
+//! A **snapshot** ([`save`]/[`load`]) is the image sequence: the meta
+//! image followed by one segment image per extensional relation, each
+//! prefixed by its `u32` length. One writer ([`write_images`]) and one
+//! reader ([`read_images`] + [`import_segments`]) serve both the `.snap`
+//! buffer and the storage engine (`wdl-store`), whose checkpoint log
+//! `wal-<epoch>.log` holds exactly these bytes between its header and its
+//! first commit — a snapshot is a checkpoint without the log around it.
+//! The meta image's schema fixes how many segments follow, so a snapshot
+//! cut at an image boundary is rejected like any other truncation.
 //!
 //! Transient state — in-flight messages, per-stage diffs, remote
 //! contributions and derived facts — is not in the image: a restored peer
 //! re-derives its views at its first stage and its correspondents' diff
-//! protocols resynchronize from their side. Runtime tuning knobs (fixpoint
-//! limit, compiled-vs-interpreted stage engine, trace sink) are not state
+//! protocols resynchronize from their side. Runtime settings
+//! (compiled-vs-interpreted stage engine, trace sink) are not state
 //! either: a restored peer comes back on the defaults.
 
 use crate::codec::{put_delegation, put_rule, put_str, put_symbol, put_value, Reader};
 use crate::NetError;
 use bytes::{BufMut, Bytes, BytesMut};
+use std::convert::Infallible;
 use wdl_core::acl::UntrustedPolicy;
 use wdl_core::{AccessControl, Peer, RelationDecl, RelationKind, WdlError};
 use wdl_datalog::{ColumnExport, Symbol};
 
-/// Version of every envelope: the meta and segment images here and the
-/// storage engine's manifest. v3 added the approval queue to the meta
-/// image's policy section; v2 had dropped the nested snapshot header and
-/// the (always empty) fact list. Older images are rejected.
+/// Version of every envelope, the meta and segment images. v3 added the
+/// approval queue to the meta image's policy section; v2 had dropped the
+/// nested snapshot header and the (always empty) fact list. Older images
+/// are rejected.
 pub const FORMAT_VERSION: u8 = 3;
 /// Meta image magic ("WMET", little-endian).
 const META_MAGIC: u32 = u32::from_le_bytes(*b"WMET");
 /// Segment image magic ("WSEG", little-endian).
 const SEG_MAGIC: u32 = u32::from_le_bytes(*b"WSEG");
 
-/// Serializes a peer: its meta image, then one segment image per
-/// [`Peer::export_extensional`] entry, each length-prefixed.
+/// Serializes a peer: the image sequence of [`write_images`] in one
+/// buffer.
 pub fn save(peer: &Peer) -> Bytes {
     let mut buf = BytesMut::with_capacity(1024);
-    put_image(&mut buf, &write_meta(peer));
-    for (rel, dump) in peer.export_extensional() {
-        put_image(&mut buf, &write_segment_bytes(rel, &dump));
-    }
+    let Ok(()) = write_images::<Infallible>(peer, |bytes| {
+        buf.put_slice(bytes);
+        Ok(())
+    });
     buf.freeze()
 }
 
-fn put_image(buf: &mut BytesMut, image: &[u8]) {
-    buf.put_u32_le(image.len() as u32);
-    buf.put_slice(image);
+/// Writes a peer's image sequence through `put`, one piece at a time:
+/// each image's `u32` length, then the image — the meta image first, then
+/// one segment image per [`Peer::export_extensional`] entry. Each image
+/// is encoded when its turn comes, so no buffer holds more than one.
+pub fn write_images<E>(peer: &Peer, mut put: impl FnMut(&[u8]) -> Result<(), E>) -> Result<(), E> {
+    let mut put_image = |image: &[u8]| {
+        put(&(image.len() as u32).to_le_bytes())?;
+        put(image)
+    };
+    put_image(&write_meta(peer))?;
+    for (rel, dump) in peer.export_extensional() {
+        put_image(&write_segment_bytes(rel, &dump))?;
+    }
+    Ok(())
 }
 
-/// Deserializes a snapshot back into a runnable peer. Never panics: a
-/// truncated, bit-flipped or foreign buffer is an error.
-pub fn load(data: &[u8]) -> Result<Peer, NetError> {
+/// A peer's image sequence, split but not yet decoded.
+#[derive(Debug)]
+pub struct Images<'a> {
+    /// The meta image.
+    pub meta: &'a [u8],
+    /// One segment image per extensional relation the meta image declares.
+    pub segments: Vec<&'a [u8]>,
+}
+
+/// Splits the image sequence at the head of `data`; returns it and the
+/// bytes after it.
+pub fn read_images(data: &[u8]) -> Result<(Images<'_>, &[u8]), NetError> {
     let mut r = Reader::new(data);
-    let mut peer = read_meta(take_image(&mut r)?, "snapshot meta")?;
-    let relations = peer
-        .schema()
-        .iter()
-        .filter(|d| d.kind == RelationKind::Extensional)
-        .count();
-    for _ in 0..relations {
-        let (rel, dump) = read_segment(take_image(&mut r)?, "snapshot segment")?;
+    let meta = r.blob()?;
+    let relations = extensional_count(meta)?;
+    let segments = (0..relations)
+        .map(|_| r.blob())
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok((Images { meta, segments }, r.remaining()))
+}
+
+/// Decodes segment images into `peer`, whose schema must declare their
+/// relations.
+pub fn import_segments(peer: &mut Peer, segments: &[&[u8]]) -> Result<(), NetError> {
+    for image in segments {
+        let (rel, dump) = read_segment(image, "snapshot segment")?;
         peer.import_extensional(rel, &dump)
             .map_err(rejected("snapshot segment"))?;
     }
-    r.expect_end()?;
-    Ok(peer)
+    Ok(())
 }
 
-fn take_image<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], NetError> {
-    let n = r.len()?;
-    r.take(n)
+/// Deserializes a snapshot back into a runnable peer. Never panics: a
+/// truncated, bit-flipped or foreign buffer, or one with bytes after its
+/// last image, is an error.
+pub fn load(data: &[u8]) -> Result<Peer, NetError> {
+    let (images, rest) = read_images(data)?;
+    Reader::new(rest).expect_end()?;
+    let mut peer = read_meta(images.meta, "snapshot meta")?;
+    import_segments(&mut peer, &images.segments)?;
+    Ok(peer)
 }
 
 /// Writes a snapshot to a file.
@@ -206,15 +238,7 @@ pub fn read_meta(bytes: &[u8], label: &str) -> Result<Peer, NetError> {
     let mut r = Reader::new(check_envelope(bytes, META_MAGIC, label)?);
     let engine = rejected(label);
     let mut peer = Peer::new(r.symbol()?);
-
-    for _ in 0..r.len()? {
-        let rel = r.symbol()?;
-        let arity = r.u32()? as usize;
-        let kind = match r.u8()? {
-            0 => RelationKind::Extensional,
-            1 => RelationKind::Intensional,
-            t => return Err(NetError::Codec(format!("bad relation kind {t}"))),
-        };
+    for (rel, arity, kind) in read_decls(&mut r)? {
         peer.declare(rel, arity, kind).map_err(&engine)?;
     }
     for _ in 0..r.len()? {
@@ -234,6 +258,35 @@ pub fn read_meta(bytes: &[u8], label: &str) -> Result<Peer, NetError> {
     }
     r.expect_end()?;
     Ok(peer)
+}
+
+/// The number of extensional relations a meta image declares: how many
+/// segment images follow it in the image sequence.
+fn extensional_count(meta: &[u8]) -> Result<usize, NetError> {
+    let mut r = Reader::new(check_envelope(meta, META_MAGIC, "snapshot meta")?);
+    r.symbol()?;
+    let decls = read_decls(&mut r)?;
+    Ok(decls
+        .iter()
+        .filter(|(_, _, kind)| *kind == RelationKind::Extensional)
+        .count())
+}
+
+/// Decodes the meta image's declarations section.
+fn read_decls(r: &mut Reader<'_>) -> Result<Vec<(Symbol, usize, RelationKind)>, NetError> {
+    let n = r.len()?;
+    let mut decls = Vec::with_capacity(n);
+    for _ in 0..n {
+        let rel = r.symbol()?;
+        let arity = r.u32()? as usize;
+        let kind = match r.u8()? {
+            0 => RelationKind::Extensional,
+            1 => RelationKind::Intensional,
+            t => return Err(NetError::Codec(format!("bad relation kind {t}"))),
+        };
+        decls.push((rel, arity, kind));
+    }
+    Ok(decls)
 }
 
 /// Decodes the policy section [`put_policy`] wrote.
@@ -332,7 +385,7 @@ pub fn read_segment(bytes: &[u8], label: &str) -> Result<(Symbol, ColumnExport),
 }
 
 /// Starts an envelope: `magic` and [`FORMAT_VERSION`], ready for a body.
-pub fn begin_envelope(magic: u32, capacity: usize) -> BytesMut {
+fn begin_envelope(magic: u32, capacity: usize) -> BytesMut {
     let mut buf = BytesMut::with_capacity(capacity + 9);
     buf.put_u32_le(magic);
     buf.put_u8(FORMAT_VERSION);
@@ -340,7 +393,7 @@ pub fn begin_envelope(magic: u32, capacity: usize) -> BytesMut {
 }
 
 /// Ends an envelope: appends the CRC-32 of everything written so far.
-pub fn seal_envelope(buf: BytesMut) -> Vec<u8> {
+fn seal_envelope(buf: BytesMut) -> Vec<u8> {
     let mut out = Vec::from(buf);
     let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
@@ -350,7 +403,7 @@ pub fn seal_envelope(buf: BytesMut) -> Vec<u8> {
 /// Validates an envelope's magic, version and CRC trailer and returns
 /// its body (between the version byte and the trailer). `label` names
 /// the image in errors.
-pub fn check_envelope<'a>(bytes: &'a [u8], magic: u32, label: &str) -> Result<&'a [u8], NetError> {
+fn check_envelope<'a>(bytes: &'a [u8], magic: u32, label: &str) -> Result<&'a [u8], NetError> {
     let corrupt = |detail: String| Err(NetError::Codec(format!("{label}: {detail}")));
     if bytes.len() < 9 {
         return corrupt(format!("too short ({} bytes)", bytes.len()));
@@ -403,8 +456,8 @@ const fn build_crc_table() -> [u32; 256] {
 }
 
 /// CRC-32 checksum of `data` (IEEE, as used by zlib/gzip/ethernet). Every
-/// on-disk unit — image, manifest, WAL record — carries one so a reader
-/// can tell a torn or bit-flipped unit from valid data.
+/// on-disk unit — image, log header, group commit — carries one so a
+/// reader can tell a torn or bit-flipped unit from valid data.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = !0u32;
     for &b in data {

@@ -1,36 +1,41 @@
-//! The per-peer storage engine: checkpoint + WAL + recovery.
+//! The per-peer storage engine: one checkpoint log, group commits and
+//! recovery.
 //!
 //! One [`Engine`] owns one peer's storage directory
-//! (`<root>/<peer-name>/`). Its life cycle mirrors the durability seam:
+//! (`<root>/<peer-name>/`). After every checkpoint the directory holds one
+//! file, `wal-<epoch>.log` (format in `wal.rs`): the peer's snapshot
+//! image, then the group commits appended since. Its life cycle mirrors
+//! the durability seam:
 //!
 //! * [`Engine::record`] buffers a base change in memory — free, called
 //!   from the hot mutation path.
 //! * [`Engine::sync`] is the group commit, called at stage boundaries.
-//!   It appends the buffered batch to the WAL (one write + fsync), led by
-//!   a Meta record — the peer's meta image — when structural state
-//!   changed; or, when no WAL is open or the log reached its size
-//!   thresholds, folds everything into a fresh checkpoint.
-//! * [`Engine::checkpoint`] writes one segment image of
-//!   [`wdl_net::snapshot`] per extensional relation, one file each, plus a
-//!   fresh WAL under the next epoch that opens with the Meta record, and
-//!   commits them with an atomic manifest rename.
-//! * [`Engine::recover`] rebuilds a peer: manifest → the WAL's last valid
-//!   Meta record (`read_meta`) → segments (`read_segment` /
-//!   `import_extensional`, as `snapshot::load` does) → the WAL's fact and
-//!   watermark records replayed through `insert_local`/`delete_local`
-//!   (the incremental-maintenance path), stopping at the first torn
-//!   record. It leaves no WAL open, so the first sync after it
-//!   checkpoints.
+//!   It appends the buffered batch to the log as one frame (one write +
+//!   fsync), led by a Meta entry — the peer's meta image — when
+//!   structural state changed; or, when no log is open or the log reached
+//!   its size thresholds, folds everything into a fresh checkpoint.
+//! * [`Engine::checkpoint`] writes `wal-<epoch>.tmp` under the next epoch
+//!   — the header, then the images of [`wdl_net::snapshot::write_images`]
+//!   one at a time — fsyncs it, renames it to `wal-<epoch>.log` (the
+//!   commit point) and fsyncs the directory. Only then does it remove the
+//!   older files and reopen the log for append.
+//! * [`Engine::recover`] rebuilds a peer from the highest committed log:
+//!   the structure of its last whole Meta entry, or of the snapshot's meta
+//!   image when no commit changed it; the snapshot's segments
+//!   ([`wdl_net::snapshot::import_segments`], as `snapshot::load` does);
+//!   then the rows and watermarks of its whole commits, replayed through
+//!   `insert_local`/`delete_local` (the incremental-maintenance path) up
+//!   to the first torn frame. It leaves no log open, so the first sync
+//!   after it checkpoints.
 //!
 //! Crash injection comes in two flavors: [`IoFaults`] fails the engine
 //! after a budgeted number of file operations (so a sweep can kill a
-//! checkpoint between any two writes), and [`Engine::simulate_crash`]
-//! models what an OS-level crash leaves behind — a torn WAL append, the
-//! litter of an uncommitted checkpoint — driven by a seed so simulator
-//! runs replay exactly.
+//! checkpoint between any two of them), and [`Engine::simulate_crash`]
+//! models what an OS-level crash leaves behind — a torn prefix of the
+//! unacked commit, the litter of an uncommitted checkpoint — driven by a
+//! seed so simulator runs replay exactly.
 
 use crate::error::{Result, StoreError};
-use crate::manifest::{Manifest, MANIFEST_FILE};
 use crate::wal::{self, WalEntry, WalRecord};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -38,17 +43,17 @@ use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use wdl_core::Peer;
-use wdl_datalog::{Symbol, Tuple, Value};
-use wdl_net::snapshot::{read_meta, read_segment, write_meta, write_segment_bytes};
+use wdl_datalog::{Symbol, Tuple};
+use wdl_net::snapshot::{import_segments, read_meta, write_images, write_meta};
 
 /// Where and how aggressively a peer persists.
 #[derive(Clone, Debug)]
 pub struct DurabilityConfig {
     /// Directory under which each peer gets `<root>/<peer-name>/`.
     pub root: PathBuf,
-    /// Checkpoint once the WAL holds this many records.
+    /// Checkpoint once the log holds this many entries past its snapshot.
     pub checkpoint_records: usize,
-    /// Checkpoint once the WAL payload reaches this many bytes.
+    /// Checkpoint once the log's commits reach this many bytes.
     pub checkpoint_bytes: u64,
 }
 
@@ -68,7 +73,7 @@ impl DurabilityConfig {
         self
     }
 
-    /// Sets the WAL-bytes checkpoint threshold.
+    /// Sets the log-bytes checkpoint threshold.
     pub fn checkpoint_bytes(mut self, n: u64) -> DurabilityConfig {
         self.checkpoint_bytes = n;
         self
@@ -76,11 +81,11 @@ impl DurabilityConfig {
 }
 
 /// Budgeted fault injection: every file operation (create, write, fsync,
-/// rename) spends one unit; when the budget hits zero the operation
-/// fails with [`StoreError::Injected`] instead of touching disk. Sweeping
-/// the budget over `0..N` kills the engine between every pair of file
-/// operations — including mid-checkpoint, after segments exist but
-/// before the manifest rename.
+/// rename, directory fsync, open) spends one unit; when the budget hits
+/// zero the operation fails with [`StoreError::Injected`] instead of
+/// touching disk. Sweeping the budget over `0..N` kills the engine between
+/// every pair of file operations — including mid-checkpoint, after the
+/// images are written but before the rename commits them.
 #[derive(Clone, Debug, Default)]
 pub struct IoFaults {
     remaining: Option<u64>,
@@ -109,20 +114,20 @@ impl IoFaults {
     }
 }
 
-/// One peer's durable storage: segment checkpoints plus a delta WAL.
+/// One peer's durable storage: a checkpoint log per epoch.
 #[derive(Debug)]
 pub struct Engine {
     dir: PathBuf,
     peer: Symbol,
     checkpoint_records: usize,
     checkpoint_bytes: u64,
-    /// Epoch of the committed manifest (0 = never checkpointed).
+    /// Epoch of the committed log (0 = never checkpointed).
     epoch: u64,
-    /// Append handle for the current WAL, open between checkpoints.
+    /// Append handle for the committed log, open between checkpoints.
     wal: Option<File>,
-    /// Records already durable in the current WAL.
+    /// Entries appended to the committed log since its snapshot.
     wal_records: usize,
-    /// Payload bytes already durable in the current WAL.
+    /// Commit bytes appended to the committed log since its snapshot.
     wal_bytes: u64,
     /// Buffered changes since the last group commit.
     buffer: Vec<WalEntry>,
@@ -130,24 +135,18 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Opens (creating if needed) the storage directory for `peer`.
-    /// Reads the committed epoch from the manifest when one exists; does
-    /// not load any data — call [`Engine::recover`] for that.
+    /// Opens (creating if needed) the storage directory for `peer`, at the
+    /// epoch of its highest committed log. Does not load any data — call
+    /// [`Engine::recover`] for that.
     pub fn open(config: &DurabilityConfig, peer: Symbol) -> Result<Engine> {
         let dir = config.root.join(peer.as_str());
         fs::create_dir_all(&dir)?;
-        let epoch = match fs::read(dir.join(MANIFEST_FILE)) {
-            Ok(bytes) => Manifest::decode(&bytes, MANIFEST_FILE)
-                .map(|m| m.epoch)
-                .unwrap_or_else(|_| detect_epoch(&dir)),
-            Err(_) => detect_epoch(&dir),
-        };
         Ok(Engine {
+            epoch: committed_epoch(&dir),
             dir,
             peer,
             checkpoint_records: config.checkpoint_records,
             checkpoint_bytes: config.checkpoint_bytes,
-            epoch,
             wal: None,
             wal_records: 0,
             wal_bytes: 0,
@@ -166,7 +165,8 @@ impl Engine {
         self.epoch
     }
 
-    /// `(records, payload bytes)` durable in the current WAL.
+    /// `(entries, commit bytes)` durable in the current log past its
+    /// snapshot.
     pub fn wal_stats(&self) -> (usize, u64) {
         (self.wal_records, self.wal_bytes)
     }
@@ -174,12 +174,6 @@ impl Engine {
     /// Installs an injected-fault budget (see [`IoFaults`]).
     pub fn set_faults(&mut self, faults: IoFaults) {
         self.faults = faults;
-    }
-
-    /// Reads and validates the committed manifest.
-    pub fn manifest(&self) -> Result<Manifest> {
-        let bytes = self.read_ref(MANIFEST_FILE)?;
-        Manifest::decode(&bytes, MANIFEST_FILE)
     }
 
     /// Buffers one base change. Pure memory; durability is decided at
@@ -202,12 +196,13 @@ impl Engine {
         });
     }
 
-    /// Group commit: appends the buffered batch to the WAL with one write
-    /// and one fsync. When `meta_dirty` is set the batch opens with a
-    /// Meta record, ahead of the rows, because a stage may declare a
-    /// relation and write into it in the same commit. Checkpoints instead
-    /// when no WAL is open (first sync, or after recovery) or the WAL
-    /// reached the records/bytes thresholds.
+    /// Group commit: appends the buffered batch to the log as one frame,
+    /// with one write and one fsync. When `meta_dirty` is set the frame
+    /// opens with a Meta entry, ahead of the rows, because a stage may
+    /// declare a relation and write into it in the same commit.
+    /// Checkpoints instead when no log is open (first sync, after recovery
+    /// or after a failed append) or the log reached the records/bytes
+    /// thresholds.
     pub fn sync(&mut self, peer: &Peer, meta_dirty: bool) -> Result<()> {
         let due = self.wal_records + self.buffer.len() >= self.checkpoint_records
             || self.wal_bytes >= self.checkpoint_bytes;
@@ -215,43 +210,43 @@ impl Engine {
             return self.checkpoint(peer);
         };
         let meta = meta_dirty.then(|| WalEntry::Meta(write_meta(peer)));
-        self.wal_bytes += flush_wal(wal, meta.iter().chain(&self.buffer), &mut self.faults)?;
+        let Some(frame) = wal::encode_commit(meta.iter().chain(&self.buffer)) else {
+            return Ok(());
+        };
+        if let Err(e) = append(wal, &frame, &mut self.faults) {
+            // Part of the frame may be on disk: never append behind it.
+            self.wal = None;
+            return Err(e);
+        }
+        self.wal_bytes += frame.len() as u64;
         self.wal_records += self.buffer.len() + usize::from(meta_dirty);
         self.buffer.clear();
         Ok(())
     }
 
-    /// Writes a full checkpoint of `peer` under the next epoch and
-    /// commits it. The buffered records are *not* appended — the store
-    /// they describe is already inside the segments being written, and
-    /// the structure inside the new WAL's opening Meta record, which
-    /// belongs to the checkpoint (the WAL counters start after it).
+    /// Writes a full checkpoint of `peer` under the next epoch and commits
+    /// it. The buffered records are *not* appended — the state they
+    /// describe is already inside the snapshot being written.
     pub fn checkpoint(&mut self, peer: &Peer) -> Result<()> {
         let epoch = self.epoch + 1;
-
-        let mut segments = Vec::new();
-        for (i, (rel, dump)) in peer.export_extensional().into_iter().enumerate() {
-            let file = format!("rel-{epoch:016x}-{i}.seg");
-            self.write_file(&file, &write_segment_bytes(rel, &dump))?;
-            segments.push((rel, file));
-        }
-
-        let wal_file = format!("wal-{epoch:016x}.log");
-        let mut log = wal::encode_header(epoch, self.peer);
-        log.extend(wal::encode_record(&WalEntry::Meta(write_meta(peer))));
-        self.write_file(&wal_file, &log)?;
-
-        // The commit point: everything above is fsynced and unreferenced
-        // until this rename lands.
-        self.commit_manifest(&Manifest {
-            epoch,
-            segments,
-            wal_file: wal_file.clone(),
-        })?;
-        // The commit is on disk — advance the in-memory epoch *before*
-        // anything that can still fail, or a crash between here and the
-        // WAL reopen would treat the committed epoch as uncommitted
-        // litter and damage it.
+        let log = self.dir.join(log_name(epoch));
+        let tmp = log.with_extension("tmp");
+        let faults = &mut self.faults;
+        faults.tick()?;
+        let mut file = File::create(&tmp)?;
+        let mut put = |bytes: &[u8]| -> Result<()> {
+            faults.tick()?;
+            file.write_all(bytes)?;
+            Ok(())
+        };
+        put(&wal::encode_header(epoch, self.peer))?;
+        write_images(peer, &mut put)?;
+        self.faults.tick()?;
+        file.sync_all()?;
+        self.faults.tick()?;
+        fs::rename(&tmp, &log)?;
+        // The commit point: from here on the new log is the durable state,
+        // whatever fails below, so the in-memory epoch follows it now.
         self.epoch = epoch;
         self.wal_records = 0;
         self.wal_bytes = 0;
@@ -259,68 +254,68 @@ impl Engine {
         self.wal = None;
 
         self.faults.tick()?;
-        self.wal = Some(
-            OpenOptions::new()
-                .append(true)
-                .open(self.dir.join(&wal_file))?,
-        );
+        File::open(&self.dir)?.sync_all()?;
         self.remove_stale();
+        self.faults.tick()?;
+        self.wal = Some(OpenOptions::new().append(true).open(&log)?);
         Ok(())
     }
 
-    /// Rebuilds the peer from disk: the structure of the WAL's last valid
-    /// Meta record, the committed segments, then the WAL's rows replayed
-    /// through the incremental-maintenance path up to the first torn
-    /// record. Leaves no WAL open: the next [`Engine::sync`] checkpoints,
-    /// folding the replayed log, and only then is anything appended.
+    /// Rebuilds the peer from the highest committed log: the structure of
+    /// its last whole Meta entry (or of its snapshot's meta image), the
+    /// snapshot's segments, then the rows and watermarks of its whole
+    /// commits, replayed through the incremental-maintenance path up to the
+    /// first torn frame. Leaves no log open: the next [`Engine::sync`]
+    /// checkpoints, folding the replayed log, and only then is anything
+    /// appended.
     pub fn recover(&mut self) -> Result<Peer> {
         self.wal = None;
         self.buffer.clear();
 
-        let manifest = self.manifest()?;
-        let wal_file = &manifest.wal_file;
-        let tail = wal::scan(&self.read_ref(wal_file)?, wal_file)?;
-        if tail.epoch != manifest.epoch {
+        let epoch = committed_epoch(&self.dir);
+        if epoch == 0 {
             return Err(StoreError::corrupt(
-                wal_file,
+                self.dir.display().to_string(),
+                "no committed log",
+            ));
+        }
+        let file = log_name(epoch);
+        let bytes = fs::read(self.dir.join(&file))?;
+        let log = wal::scan(&bytes, &file)?;
+        if log.epoch != epoch {
+            return Err(StoreError::corrupt(
+                &file,
                 format!(
-                    "wal is for epoch {}, manifest commits epoch {} (stale manifest or spliced log)",
-                    tail.epoch, manifest.epoch
+                    "log header is for epoch {}, its name for epoch {epoch} (stale or renamed log)",
+                    log.epoch
                 ),
             ));
         }
-        if tail.peer != self.peer {
+        if log.peer != self.peer {
             return Err(StoreError::corrupt(
-                wal_file,
+                &file,
                 format!(
-                    "wal belongs to peer {}, this directory belongs to {} (spliced log)",
-                    tail.peer, self.peer
+                    "log belongs to peer {}, this directory belongs to {} (spliced log)",
+                    log.peer, self.peer
                 ),
             ));
         }
         // The schema only grows, so the last structure declares every
         // relation the segments and the logged rows write into.
-        let meta = tail.records.iter().rev().find_map(|entry| match entry {
-            WalEntry::Meta(image) => Some(image),
-            _ => None,
-        });
-        let meta = meta.ok_or_else(|| StoreError::corrupt(wal_file, "wal holds no meta record"))?;
-        let mut peer = read_meta(meta, "meta record").map_err(StoreError::decoding(wal_file))?;
+        let meta = log
+            .records
+            .iter()
+            .rev()
+            .find_map(|entry| match entry {
+                WalEntry::Meta(image) => Some(&image[..]),
+                _ => None,
+            })
+            .unwrap_or(log.snapshot.meta);
+        let decoding = StoreError::decoding(&file);
+        let mut peer = read_meta(meta, "meta image").map_err(decoding)?;
+        import_segments(&mut peer, &log.snapshot.segments).map_err(decoding)?;
 
-        for (rel, file) in &manifest.segments {
-            let bytes = self.read_ref(file)?;
-            let (seg_rel, dump) =
-                read_segment(&bytes, "segment").map_err(StoreError::decoding(file))?;
-            if seg_rel != *rel {
-                return Err(StoreError::corrupt(
-                    file,
-                    format!("segment is for {seg_rel}, manifest says {rel}"),
-                ));
-            }
-            peer.import_extensional(*rel, &dump)?;
-        }
-
-        for entry in &tail.records {
+        for entry in &log.records {
             match entry {
                 WalEntry::Fact(rec) => {
                     if rec.added {
@@ -342,14 +337,14 @@ impl Engine {
                 WalEntry::Meta(_) => {}
             }
         }
-        self.epoch = manifest.epoch;
+        self.epoch = epoch;
         Ok(peer)
     }
 
     /// Models a process crash, seeded for deterministic replay. The
     /// in-memory buffer is lost (returned so a client-retry layer can
     /// re-submit); the seed decides what half-finished I/O the crash
-    /// leaves on disk — a torn WAL append, the litter of an uncommitted
+    /// leaves on disk — a torn commit, the litter of an uncommitted
     /// checkpoint, both, or nothing. Only *unacknowledged* bytes are ever
     /// damaged: everything a past `sync` acked stays intact.
     pub fn simulate_crash(&mut self, seed: u64) -> Vec<WalEntry> {
@@ -358,7 +353,7 @@ impl Engine {
         let mut rng = StdRng::seed_from_u64(seed);
         let choice: u32 = rng.gen_range(0..4);
         if choice & 1 != 0 {
-            self.tear_wal_tail(&mut rng);
+            self.tear_commit(&lost, &mut rng);
         }
         if choice & 2 != 0 {
             self.litter_partial_checkpoint(&mut rng);
@@ -366,140 +361,83 @@ impl Engine {
         lost
     }
 
-    /// Appends a torn (cut or CRC-broken) record to the current WAL, as
-    /// if the crash interrupted an append that was never acked.
-    fn tear_wal_tail(&self, rng: &mut StdRng) {
-        if self.epoch == 0 {
-            return;
-        }
-        let path = self.dir.join(format!("wal-{:016x}.log", self.epoch));
-        let Ok(mut f) = OpenOptions::new().append(true).open(&path) else {
+    /// Appends the frame the interrupted sync of `lost` would have
+    /// written, torn: cut short, or whole with a broken CRC.
+    fn tear_commit(&self, lost: &[WalEntry], rng: &mut StdRng) {
+        let Some(mut frame) = wal::encode_commit(lost.iter()) else {
             return;
         };
-        let mut fake = wal::encode_record(&WalEntry::Fact(WalRecord {
-            rel: Symbol::intern("tornWrite"),
-            tuple: vec![Value::from(rng.gen_range(0..1_000_000_i64))].into(),
-            added: true,
-        }));
-        let cut = rng.gen_range(1..=fake.len());
-        if cut == fake.len() {
+        let path = self.dir.join(log_name(self.epoch));
+        let Ok(mut f) = OpenOptions::new().append(true).open(path) else {
+            return;
+        };
+        let cut = rng.gen_range(1..=frame.len());
+        if cut == frame.len() {
             // Full-length write with a mangled CRC instead of a short one.
-            fake[5] ^= 0xff;
+            frame[5] ^= 0xff;
         }
-        let _ = f.write_all(&fake[..cut]);
+        let _ = f.write_all(&frame[..cut]);
     }
 
     /// Drops the on-disk litter of a checkpoint that died before its
-    /// manifest rename: a half-written segment, an uncommitted
-    /// `MANIFEST.tmp`, maybe a fragment of the next WAL header. Recovery
-    /// must ignore all of it — only the committed manifest is truth.
+    /// rename: a prefix of the next epoch's `.tmp` file. Recovery must
+    /// ignore it — only a committed `.log` name is truth.
     fn litter_partial_checkpoint(&self, rng: &mut StdRng) {
-        let next = self.epoch + 1;
-        let _ = fs::write(
-            self.dir.join(format!("rel-{next:016x}-0.seg")),
-            b"WS", // half a magic
-        );
-        let _ = fs::write(self.dir.join("MANIFEST.tmp"), b"uncommitted");
-        if rng.gen_range(0..2u32) == 1 {
-            let header = wal::encode_header(next, self.peer);
-            let cut = rng.gen_range(1..header.len());
-            let _ = fs::write(
-                self.dir.join(format!("wal-{next:016x}.log")),
-                &header[..cut],
-            );
-        }
+        let next = log_name(self.epoch + 1);
+        let header = wal::encode_header(self.epoch + 1, self.peer);
+        let cut = rng.gen_range(0..=header.len());
+        let tmp = self.dir.join(next).with_extension("tmp");
+        let _ = fs::write(tmp, &header[..cut]);
     }
 
-    fn write_file(&mut self, name: &str, bytes: &[u8]) -> Result<()> {
-        self.faults.tick()?;
-        let mut f = File::create(self.dir.join(name))?;
-        f.write_all(bytes)?;
-        self.faults.tick()?;
-        f.sync_all()?;
-        Ok(())
-    }
-
-    fn commit_manifest(&mut self, m: &Manifest) -> Result<()> {
-        let tmp = "MANIFEST.tmp";
-        self.write_file(tmp, &m.encode())?;
-        self.faults.tick()?;
-        fs::rename(self.dir.join(tmp), self.dir.join(MANIFEST_FILE))?;
-        // Make the rename itself durable.
-        if let Ok(d) = File::open(&self.dir) {
-            let _ = d.sync_all();
-        }
-        Ok(())
-    }
-
-    /// Reads a manifest-referenced file; a missing one is corruption
-    /// (stale manifest), not a plain I/O error.
-    fn read_ref(&self, file: &str) -> Result<Vec<u8>> {
-        fs::read(self.dir.join(file)).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::NotFound {
-                StoreError::corrupt(file, "referenced file is missing")
-            } else {
-                StoreError::Io(e)
-            }
-        })
-    }
-
-    /// Best-effort removal of files from superseded epochs.
+    /// Best-effort removal of every other `wal-*` file: older logs, and the
+    /// `.tmp` litter of checkpoints that died before their rename.
     fn remove_stale(&self) {
+        let current = log_name(self.epoch);
         let Ok(entries) = fs::read_dir(&self.dir) else {
             return;
         };
         for entry in entries.flatten() {
             let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if let Some(epoch) = parse_epoch(name) {
-                if epoch < self.epoch {
-                    let _ = fs::remove_file(entry.path());
-                }
+            if name
+                .to_str()
+                .is_some_and(|n| n.starts_with("wal-") && n != current)
+            {
+                let _ = fs::remove_file(entry.path());
             }
         }
     }
 }
 
-/// Appends `batch` to the open WAL as one write + fsync (nothing for an
-/// empty batch); returns the bytes written.
-fn flush_wal<'a>(
-    wal: &mut File,
-    batch: impl Iterator<Item = &'a WalEntry>,
-    faults: &mut IoFaults,
-) -> Result<u64> {
-    let mut bytes = Vec::new();
-    for entry in batch {
-        bytes.extend_from_slice(&wal::encode_record(entry));
-    }
-    if bytes.is_empty() {
-        return Ok(0);
-    }
+/// Appends one commit frame to the open log with one write and one fsync.
+fn append(wal: &mut File, frame: &[u8], faults: &mut IoFaults) -> Result<()> {
     faults.tick()?;
-    wal.write_all(&bytes)?;
+    wal.write_all(frame)?;
     faults.tick()?;
     wal.sync_all()?;
-    Ok(bytes.len() as u64)
+    Ok(())
 }
 
-/// Extracts the epoch from `rel-<hex>-<i>.seg` / `wal-<hex>.log` file
-/// names.
-fn parse_epoch(name: &str) -> Option<u64> {
-    let rest = name
-        .strip_prefix("rel-")
-        .or_else(|| name.strip_prefix("wal-"))?;
-    u64::from_str_radix(rest.get(..16)?, 16).ok()
+/// The committed log file of `epoch`.
+fn log_name(epoch: u64) -> String {
+    format!("wal-{epoch:016x}.log")
 }
 
-/// Fallback epoch detection when the manifest is unreadable: the highest
-/// epoch any file name mentions (so a fresh checkpoint never reuses a
-/// possibly-littered epoch).
-fn detect_epoch(dir: &Path) -> u64 {
+/// The highest epoch a committed `wal-<epoch>.log` name in `dir` carries
+/// (0 if none).
+pub(crate) fn committed_epoch(dir: &Path) -> u64 {
     let Ok(entries) = fs::read_dir(dir) else {
         return 0;
     };
     entries
         .flatten()
-        .filter_map(|e| e.file_name().to_str().and_then(parse_epoch))
+        .filter_map(|e| {
+            let name = e.file_name();
+            let hex = name.to_str()?.strip_prefix("wal-")?.strip_suffix(".log")?;
+            u64::from_str_radix(hex, 16)
+                .ok()
+                .filter(|_| hex.len() == 16)
+        })
         .max()
         .unwrap_or(0)
 }
@@ -508,6 +446,7 @@ fn detect_epoch(dir: &Path) -> u64 {
 mod tests {
     use super::*;
     use wdl_core::RelationKind;
+    use wdl_datalog::Value;
 
     fn tmp_root(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("wdl-store-eng-{tag}-{}", std::process::id()));
@@ -540,22 +479,20 @@ mod tests {
         let _ = fs::remove_dir_all(&root);
     }
 
-    /// Splits a `snapshot::save` buffer into its length-prefixed images.
-    fn snapshot_images(mut buf: &[u8]) -> Vec<Vec<u8>> {
-        let mut images = Vec::new();
-        while !buf.is_empty() {
-            let (len, rest) = buf.split_at(4);
-            let len = u32::from_le_bytes(len.try_into().unwrap()) as usize;
-            images.push(rest[..len].to_vec());
-            buf = &rest[len..];
-        }
-        images
+    /// The names of the files in `dir`, sorted.
+    fn files_in(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
     }
 
-    /// One format: the committed segment files and the payload of the
-    /// WAL's opening Meta record are byte-equal to the images inside
-    /// `snapshot::save`, and recovering from disk restores the same peer
-    /// as loading the snapshot.
+    /// One format, one file: after a checkpoint the directory holds one
+    /// `wal-<epoch>.log`, whose bytes after the header (and before any
+    /// commit) are `snapshot::save`, and recovering from disk restores the
+    /// same peer as loading the snapshot.
     #[test]
     fn checkpoint_files_are_the_snapshot_images() {
         use wdl_core::acl::UntrustedPolicy;
@@ -593,27 +530,14 @@ mod tests {
         let mut eng = Engine::open(&cfg, name).unwrap();
         eng.checkpoint(&p).unwrap();
         let saved = snapshot::save(&p);
-        let images = snapshot_images(&saved);
-        let manifest = eng.manifest().unwrap();
-        let on_disk = |file: &str| fs::read(eng.dir().join(file)).unwrap();
-        let log = wal::scan(&on_disk(&manifest.wal_file), &manifest.wal_file).unwrap();
-        assert_eq!(log.records, vec![WalEntry::Meta(images[0].clone())]);
-        assert_eq!(manifest.segments.len(), images.len() - 1);
-        for ((_, file), image) in manifest.segments.iter().zip(&images[1..]) {
-            assert_eq!(&on_disk(file), image, "{file}");
-        }
-        let mut in_dir: Vec<String> = fs::read_dir(eng.dir())
-            .unwrap()
-            .map(|e| e.unwrap().file_name().into_string().unwrap())
-            .collect();
-        let mut committed: Vec<String> = manifest.segments.iter().map(|(_, f)| f.clone()).collect();
-        committed.extend([manifest.wal_file.clone(), MANIFEST_FILE.into()]);
-        in_dir.sort();
-        committed.sort();
         assert_eq!(
-            in_dir, committed,
-            "a checkpoint is its segments, its WAL and the manifest"
+            files_in(eng.dir()),
+            vec![log_name(1)],
+            "a checkpoint is one file"
         );
+        let header = wal::encode_header(1, name);
+        let log = fs::read(eng.dir().join(log_name(1))).unwrap();
+        assert_eq!(log, [&header[..], &saved[..]].concat());
 
         let recovered = Engine::open(&cfg, name).unwrap().recover().unwrap();
         let loaded = snapshot::load(&saved).unwrap();
@@ -682,7 +606,7 @@ mod tests {
         let _ = fs::remove_dir_all(&root);
     }
 
-    /// A structural change is one Meta record ahead of its commit's rows,
+    /// A structural change is one Meta entry ahead of its commit's rows,
     /// not a checkpoint: the epoch stays, and recovery restores both the
     /// relation the commit declared and the row it wrote there.
     #[test]
@@ -700,18 +624,46 @@ mod tests {
         eng.record(Symbol::intern("album"), vec![Value::from(5)].into(), true);
         eng.sync(&p, true).unwrap();
         assert_eq!(eng.epoch(), 1, "a structural change does not checkpoint");
-        assert_eq!(eng.wal_stats().0, 2, "one Meta record, then the row");
+        assert_eq!(eng.wal_stats().0, 2, "one Meta entry, then the row");
         eng.sync(&p, false).unwrap();
         assert_eq!(eng.wal_stats().0, 2, "clean empty sync is a no-op");
 
-        let file = eng.manifest().unwrap().wal_file;
-        let log = wal::scan(&fs::read(eng.dir().join(&file)).unwrap(), &file).unwrap();
+        let file = log_name(1);
+        let bytes = fs::read(eng.dir().join(&file)).unwrap();
+        let log = wal::scan(&bytes, &file).unwrap();
         assert!(matches!(
             &log.records[..],
-            [WalEntry::Meta(_), WalEntry::Meta(image), WalEntry::Fact(_)] if *image == write_meta(&p)
+            [WalEntry::Meta(image), WalEntry::Fact(_)] if *image == write_meta(&p)
         ));
         let q = Engine::open(&cfg, name).unwrap().recover().unwrap();
         assert_eq!(q.relation_facts("album"), p.relation_facts("album"));
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// An append that failed may have left part of its frame in the log,
+    /// and a commit behind a torn frame would never replay: the next sync
+    /// checkpoints instead of appending.
+    #[test]
+    fn failed_append_checkpoints_next() {
+        let root = tmp_root("failappend");
+        let cfg = DurabilityConfig::new(&root);
+        let name = Symbol::intern("engp8");
+        let mut p = sample_peer("engp8");
+        let mut eng = Engine::open(&cfg, name).unwrap();
+        eng.checkpoint(&p).unwrap();
+
+        let row = vec![Value::from(2), Value::from("b.jpg")];
+        p.insert_local("pictures", row.clone()).unwrap();
+        eng.record(Symbol::intern("pictures"), row.into(), true);
+        eng.set_faults(IoFaults::fail_after(1)); // the write lands, its fsync fails
+        assert!(eng.sync(&p, false).is_err());
+        eng.set_faults(IoFaults::none());
+        eng.sync(&p, false).unwrap();
+        assert_eq!(eng.epoch(), 2, "the sync after a failed append checkpoints");
+        assert_eq!(files_in(eng.dir()), vec![log_name(2)]);
+
+        let q = Engine::open(&cfg, name).unwrap().recover().unwrap();
+        assert_eq!(q.relation_facts("pictures"), p.relation_facts("pictures"));
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -757,15 +709,21 @@ mod tests {
                 true,
             );
             eng.sync(&p, false).unwrap();
+            // An unacked change the crash may tear on disk.
+            eng.record(
+                Symbol::intern("pictures"),
+                vec![Value::from(10), Value::from("y.jpg")].into(),
+                true,
+            );
 
             let lost = eng.simulate_crash(seed);
-            assert!(lost.is_empty(), "acked batch is not lost");
+            assert_eq!(lost.len(), 1, "only the unacked batch is lost");
             let mut eng2 = Engine::open(&cfg, name).unwrap();
             let q = eng2.recover().expect("recovery after simulated crash");
             assert_eq!(
                 q.relation_facts("pictures").len(),
                 2,
-                "seed {seed} lost acked facts"
+                "seed {seed}: acked facts lost or a torn commit replayed"
             );
             let _ = fs::remove_dir_all(&root);
         }

@@ -1,8 +1,8 @@
 //! Storage-engine errors.
 //!
 //! Corruption is a *value*, never a panic: every malformed byte the engine
-//! can encounter on disk — torn tails, flipped bits, stale manifests,
-//! spliced files — surfaces as [`StoreError::Corrupt`] with the file and
+//! can encounter on disk — flipped bits, cut snapshots, stale, spliced or
+//! missing logs — surfaces as [`StoreError::Corrupt`] with the file and
 //! what failed, so callers (and the corruption fuzz suite) can rely on
 //! clean failure.
 

@@ -5,24 +5,26 @@
 //! clean restarts and crashes. This crate is the storage engine behind the
 //! [`wdl_core::DurabilitySink`] seam:
 //!
-//! * **Checkpoint files** — one segment file per extensional relation,
-//!   holding exactly the segment images of [`wdl_net::snapshot`].
-//!   Segments carry the slice of the value interner the relation
-//!   references, so they are process-independent. Written whole,
-//!   fsynced, and committed atomically by a manifest rename.
-//! * **Write-ahead log** (`wal`) — the only durable home of the peer's
-//!   structure, and the delta log of its rows between checkpoints:
-//!   extensional base changes append length-prefixed, CRC'd records, and
-//!   a structural change (schema, rules, delegations, policy) appends one
-//!   Meta record carrying the snapshot's meta image. Every checkpoint's
-//!   log opens with one. Appends are group-committed at stage boundaries:
-//!   a peer never tells the network about state it could still lose.
-//! * **Recovery** ([`Engine::recover`]) — decode the log's last Meta
-//!   record and the manifest's segments through the same calls as
-//!   `snapshot::load`, then replay the log's rows through the peer's
+//! * **Checkpoint log** (`wal`) — one file per checkpoint,
+//!   `wal-<epoch>.log`: a header binding the epoch and the owning peer,
+//!   then exactly the image sequence of [`wdl_net::snapshot::save`] (the
+//!   meta image and one segment image per extensional relation; segments
+//!   carry the slice of the value interner the relation references, so
+//!   they are process-independent), then the group commits since. Written
+//!   as `wal-<epoch>.tmp`, fsynced once, and committed by its rename.
+//! * **Group commits** — each stage boundary appends the stage's base
+//!   changes, session watermarks and, after a structural change (schema,
+//!   rules, delegations, policy), the meta image as one length-prefixed,
+//!   CRC'd frame: one write and one fsync. A peer never tells the network
+//!   about state it could still lose, and a commit lands whole or not at
+//!   all.
+//! * **Recovery** ([`Engine::recover`]) — split the highest committed log
+//!   with the same reader as `snapshot::load`, build the peer from its
+//!   last Meta entry (or the snapshot's meta image), import the segments,
+//!   then replay the whole commits' rows through the peer's
 //!   incremental-maintenance path (`insert_local`/`delete_local`),
-//!   stopping at the first torn or corrupt record. Everything acked
-//!   before the crash survives; nothing is invented.
+//!   stopping at the first torn frame. Everything acked before the crash
+//!   survives; nothing is invented.
 //!
 //! [`DurableStore`] wires engines onto peers and runtimes;
 //! [`DurablePersistence`] plugs the engine into the simulator's
@@ -30,14 +32,15 @@
 //! README's "Durability" section for the file formats and the
 //! crash-safety matrix.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+
 mod engine;
 mod error;
-mod manifest;
 mod persistence;
 mod wal;
 
 pub use engine::{DurabilityConfig, Engine, IoFaults};
 pub use error::{Result, StoreError};
-pub use manifest::{Manifest, MANIFEST_FILE};
 pub use persistence::{DurablePersistence, DurableStore};
-pub use wal::{WalEntry, WalRecord, WalTail};
+pub use wal::{WalEntry, WalRecord};

@@ -10,14 +10,14 @@
 //!
 //! [`DurablePersistence`] implements the simulator's
 //! [`wdl_net::sim::CrashPersistence`]: crash = drop the peer, lose the
-//! unacked buffer (returned as client-retry ops), seed-tear the disk;
+//! unacked buffer (returned as client-retry ops), seed-tear the disk (a
+//! torn prefix of the unacked commit, a half-written next checkpoint);
 //! restart = real recovery through [`Engine::recover`]. Plugged into a
 //! conformance sweep, this makes the oracle grade genuine
 //! crash-recovery, not snapshot copying.
 
-use crate::engine::{DurabilityConfig, Engine};
+use crate::engine::{committed_epoch, DurabilityConfig, Engine};
 use crate::error::{Result, StoreError};
-use crate::manifest::MANIFEST_FILE;
 use crate::wal::WalEntry;
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -94,11 +94,7 @@ impl DurableStore {
 
     /// Whether a committed checkpoint exists on disk for `name`.
     pub fn has_data(&self, name: impl Into<Symbol>) -> bool {
-        self.config
-            .root
-            .join(name.into().as_str())
-            .join(MANIFEST_FILE)
-            .exists()
+        committed_epoch(&self.config.root.join(name.into().as_str())) > 0
     }
 
     /// Makes `peer` durable: attaches a sink and takes the initial
@@ -112,8 +108,8 @@ impl DurableStore {
     }
 
     /// Recovers `name` from disk and re-attaches its sink. The recovered
-    /// peer immediately re-checkpoints ([`Engine::recover`] leaves no WAL
-    /// open), folding the replayed log into fresh segments, so repeated
+    /// peer immediately re-checkpoints ([`Engine::recover`] leaves no log
+    /// open), folding the replayed log into a fresh snapshot, so repeated
     /// crash/recover cycles never replay an ever-growing log.
     pub fn recover(&mut self, name: impl Into<Symbol>) -> Result<Peer> {
         let name = name.into();
@@ -127,7 +123,9 @@ impl DurableStore {
     /// Attaches every peer currently in a [`LocalRuntime`].
     pub fn attach_runtime(&mut self, rt: &mut LocalRuntime) -> Result<()> {
         for name in rt.peer_names() {
-            let peer = rt.peer_mut(name).expect("peer_names listed it");
+            let peer = rt.peer_mut(name).ok_or_else(|| {
+                StoreError::Engine(wdl_core::WdlError::UnknownPeer(name.to_string()))
+            })?;
             self.attach(peer)?;
         }
         Ok(())

@@ -1,46 +1,48 @@
-//! The write-ahead log: the only durable home of a peer's structure, and
-//! the delta log of its rows between checkpoints. Every base change,
-//! session watermark and structural change appends one record; the last
-//! is a Meta record holding the whole meta image
-//! ([`wdl_net::snapshot::write_meta`]), and every log opens with one:
+//! The checkpoint log: one file per checkpoint, `wal-<epoch>.log`, holding
+//! the peer's snapshot image and every group commit since.
 //!
 //! ```text
-//! file header:  u32 magic "WWAL" | u8 version (2) | u64 epoch | str peer | u32 CRC
-//! record:       u32 payload-len  | u32 payload-CRC | payload
-//! fact payload: u8 tag (1=insert, 0=delete) | str rel | u32 arity | values
-//! mark payload: u8 tag (2)      | str remote | u8 dir | u64 inc | u64 seq
-//! meta payload: u8 tag (3)      | meta image
+//! header:     u32 magic "WWAL" | u8 version (3) | u64 epoch | str peer | u32 CRC
+//! snapshot:   the image sequence of `wdl_net::snapshot::save` — the meta
+//!             image, then one segment image per extensional relation,
+//!             each prefixed by its u32 length
+//! commit:     u32 len | u32 CRC | entry*          (one per group commit)
+//! fact entry: u8 tag (1=insert, 0=delete) | str rel | u32 arity | values
+//! mark entry: u8 tag (2) | str remote | u8 dir | u64 inc | u64 seq
+//! meta entry: u8 tag (3) | u32 len | meta image
 //! ```
 //!
-//! The header's epoch and peer name tie the log to the exact checkpoint
-//! it extends — a WAL spliced in from another epoch *or another peer's
-//! directory* (stale manifest, copied file) is rejected outright, even
-//! when every record in it is individually well-formed. Records are
-//! framed with their own length and CRC so a scan can tell exactly where
-//! durable history ends: the first record that is short, overlong, or
-//! fails its CRC marks the **torn tail**, and recovery stops there. A record is only ever torn if the crash hit
-//! mid-append — i.e. before the group commit acked it — so stopping
-//! never loses acknowledged state.
+//! The header's epoch and peer name tie the log to its file name and its
+//! directory — a log renamed from another epoch *or copied from another
+//! peer's directory* is rejected outright, even when every byte after the
+//! header is well-formed. The snapshot part is not framed again: each
+//! image carries its own envelope CRC, and a cut or flip inside it is
+//! corruption, because the file was fsynced whole before its rename
+//! committed it. A group commit is one frame with its own length and CRC,
+//! so a scan can tell exactly where durable history ends: the first frame
+//! that is short, overlong, fails its CRC or does not decode marks the
+//! **torn tail**, and recovery stops there. A frame is only ever torn if
+//! the crash hit mid-append — before the group commit acked it — so
+//! stopping never loses acknowledged state, and a commit is replayed
+//! whole or not at all: never a watermark without the facts it covers,
+//! nor a rule without the rows written beside it.
 //!
 //! Relations are stored *unqualified* (the log belongs to one peer; its
-//! name is in the header), and values by content, same argument as
-//! segments: replay re-interns into whatever the recovering process's
-//! interner looks like.
+//! name is in the header), and values by content, as in segments: replay
+//! re-interns into whatever the recovering process's interner looks like.
 
 use crate::error::{Result, StoreError};
 use bytes::{BufMut, BytesMut};
 use wdl_datalog::{Symbol, Tuple, Value};
 use wdl_net::codec::{put_str, put_value, Reader};
-use wdl_net::snapshot::crc32;
+use wdl_net::snapshot::{crc32, read_images, Images};
 
-/// WAL file magic ("WWAL", little-endian).
+/// Log file magic ("WWAL", little-endian).
 const WAL_MAGIC: u32 = u32::from_le_bytes(*b"WWAL");
-/// WAL format version. v2 added the Meta record; v1 logs, whose
-/// structure lived in a separate meta file, are rejected.
-const WAL_VERSION: u8 = 2;
-/// Fixed part of the file header: magic + version + epoch (the peer
-/// name and CRC follow).
-const WAL_FIXED_LEN: usize = 4 + 1 + 8;
+/// Log format version. v3 opened the log with the snapshot images and
+/// made a group commit one frame; v2 logs, which opened with a Meta
+/// record beside per-relation segment files, are rejected.
+const WAL_VERSION: u8 = 3;
 
 /// One logged base change.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -56,10 +58,10 @@ pub struct WalRecord {
 /// One logged entry: a base change, a session delivery watermark or the
 /// peer's meta image.
 ///
-/// Watermarks ride in the same log as the facts they cover, so one group
-/// commit makes both durable together — the session layer's ack can then
-/// never advertise a delivery whose facts were lost, and recovery never
-/// dedups a frame whose facts never made it to disk.
+/// Watermarks ride in the same commit as the facts they cover, so one
+/// group commit makes both durable together — the session layer's ack can
+/// then never advertise a delivery whose facts were lost, and recovery
+/// never dedups a frame whose facts never made it to disk.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WalEntry {
     /// An extensional base change.
@@ -76,51 +78,63 @@ pub enum WalEntry {
         /// The cumulative sequence watermark.
         seq: u64,
     },
-    /// The peer's meta image, logged by each commit of a structural
-    /// change and at the head of each checkpoint's log.
+    /// The peer's meta image, leading each commit of a structural change.
     Meta(Vec<u8>),
 }
 
-/// Result of scanning a WAL file: the decodable prefix and where (and
-/// why) it ends.
+/// A scanned log: its header, its snapshot images and the entries of its
+/// whole commits.
 #[derive(Debug)]
-pub struct WalTail {
-    /// Epoch from the header — must match the manifest's.
+pub(crate) struct WalTail<'a> {
+    /// Epoch from the header — must match the file name's.
     pub epoch: u64,
     /// Peer name from the header — must match the directory's owner.
     pub peer: Symbol,
-    /// Entries of the valid prefix, in append order.
+    /// The checkpoint's snapshot images.
+    pub snapshot: Images<'a>,
+    /// Entries of the whole commits before the torn tail, if any, in
+    /// append order.
     pub records: Vec<WalEntry>,
-    /// Byte length of the valid prefix (where the torn tail, if any,
-    /// begins).
-    pub valid_len: usize,
-    /// Why the scan stopped early, if it did (torn or corrupt tail).
-    pub torn: Option<String>,
 }
 
-/// Encodes the file header for a fresh WAL of the given epoch and peer.
+/// Encodes the header of a fresh log of the given epoch and peer.
 pub(crate) fn encode_header(epoch: u64, peer: Symbol) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(WAL_FIXED_LEN + 16);
+    let mut buf = BytesMut::with_capacity(32);
     buf.put_u32_le(WAL_MAGIC);
     buf.put_u8(WAL_VERSION);
     buf.put_u64_le(epoch);
     put_str(&mut buf, peer.as_str());
-    let body = buf.freeze().to_vec();
-    let mut out = body.clone();
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
+    let mut out = Vec::from(buf);
+    out.extend_from_slice(&crc32(&out).to_le_bytes());
     out
 }
 
-/// Encodes one framed record (length prefix + CRC + payload).
-pub(crate) fn encode_record(entry: &WalEntry) -> Vec<u8> {
-    let mut payload = BytesMut::with_capacity(32);
+/// Encodes one group commit as a frame (length prefix + CRC + entries);
+/// `None` for an empty commit.
+pub(crate) fn encode_commit<'a>(entries: impl Iterator<Item = &'a WalEntry>) -> Option<Vec<u8>> {
+    let mut frame = BytesMut::with_capacity(64);
+    frame.put_u64_le(0); // length and CRC, filled in below
+    for entry in entries {
+        put_entry(&mut frame, entry);
+    }
+    let mut frame = Vec::from(frame);
+    let (head, payload) = frame.split_at_mut(8);
+    if payload.is_empty() {
+        return None;
+    }
+    head[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    head[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    Some(frame)
+}
+
+fn put_entry(buf: &mut BytesMut, entry: &WalEntry) {
     match entry {
         WalEntry::Fact(rec) => {
-            payload.put_u8(u8::from(rec.added));
-            put_str(&mut payload, rec.rel.as_str());
-            payload.put_u32_le(rec.tuple.len() as u32);
+            buf.put_u8(u8::from(rec.added));
+            put_str(buf, rec.rel.as_str());
+            buf.put_u32_le(rec.tuple.len() as u32);
             for v in rec.tuple.iter() {
-                put_value(&mut payload, v);
+                put_value(buf, v);
             }
         }
         WalEntry::Watermark {
@@ -129,179 +143,146 @@ pub(crate) fn encode_record(entry: &WalEntry) -> Vec<u8> {
             inc,
             seq,
         } => {
-            payload.put_u8(2);
-            put_str(&mut payload, remote.as_str());
-            payload.put_u8(*dir);
-            payload.put_u64_le(*inc);
-            payload.put_u64_le(*seq);
+            buf.put_u8(2);
+            put_str(buf, remote.as_str());
+            buf.put_u8(*dir);
+            buf.put_u64_le(*inc);
+            buf.put_u64_le(*seq);
         }
         WalEntry::Meta(image) => {
-            payload.put_u8(3);
-            payload.put_slice(image);
+            buf.put_u8(3);
+            buf.put_u32_le(image.len() as u32);
+            buf.put_slice(image);
         }
     }
-    let payload = payload.freeze().to_vec();
-    let mut out = Vec::with_capacity(payload.len() + 8);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
 }
 
-fn decode_payload(payload: &[u8], file: &str) -> Result<WalEntry> {
-    // The image is checked where it is read, by `snapshot::read_meta`.
-    if let [3, image @ ..] = payload {
-        return Ok(WalEntry::Meta(image.to_vec()));
-    }
+/// Decodes every entry of one commit's payload.
+fn decode_commit(payload: &[u8]) -> std::result::Result<Vec<WalEntry>, wdl_net::NetError> {
     let mut r = Reader::new(payload);
-    let err = |e: wdl_net::NetError| StoreError::corrupt(file, format!("wal record: {e}"));
-    let entry = match r.u8().map_err(err)? {
-        tag @ (0 | 1) => {
-            let rel = r.symbol().map_err(err)?;
-            let arity = r.u32().map_err(err)? as usize;
-            let mut values: Vec<Value> = Vec::with_capacity(arity.min(64));
-            for _ in 0..arity {
-                values.push(r.value().map_err(err)?);
+    let mut entries = Vec::new();
+    while !r.remaining().is_empty() {
+        entries.push(match r.u8()? {
+            tag @ (0 | 1) => {
+                let rel = r.symbol()?;
+                let arity = r.u32()? as usize;
+                let mut values: Vec<Value> = Vec::with_capacity(arity.min(64));
+                for _ in 0..arity {
+                    values.push(r.value()?);
+                }
+                WalEntry::Fact(WalRecord {
+                    rel,
+                    tuple: values.into(),
+                    added: tag == 1,
+                })
             }
-            WalEntry::Fact(WalRecord {
-                rel,
-                tuple: values.into(),
-                added: tag == 1,
-            })
-        }
-        2 => {
-            let remote = r.symbol().map_err(err)?;
-            let dir = r.u8().map_err(err)?;
-            let inc = r.u64().map_err(err)?;
-            let seq = r.u64().map_err(err)?;
-            WalEntry::Watermark {
-                remote,
-                dir,
-                inc,
-                seq,
-            }
-        }
-        t => {
-            return Err(StoreError::corrupt(
-                file,
-                format!("wal record: bad tag {t}"),
-            ))
-        }
-    };
-    r.expect_end().map_err(err)?;
-    Ok(entry)
+            2 => WalEntry::Watermark {
+                remote: r.symbol()?,
+                dir: r.u8()?,
+                inc: r.u64()?,
+                seq: r.u64()?,
+            },
+            // The image is checked where it is read, by `snapshot::read_meta`.
+            3 => WalEntry::Meta(r.blob()?.to_vec()),
+            t => return Err(wdl_net::NetError::Codec(format!("bad entry tag {t}"))),
+        });
+    }
+    Ok(entries)
 }
 
-/// Scans a WAL file image: validates the header, decodes records until
-/// the first torn/corrupt one, and reports where the valid prefix ends.
-///
-/// A bad *header* is unrecoverable corruption (the whole file is
-/// untrustworthy) and errors; a bad *record* just ends the tail.
-pub(crate) fn scan(bytes: &[u8], file: &str) -> Result<WalTail> {
-    if bytes.len() < WAL_FIXED_LEN + 4 {
-        return Err(StoreError::corrupt(
-            file,
-            format!("wal header truncated ({} bytes)", bytes.len()),
-        ));
+/// Splits the first commit off `bytes`: its entries and the frame's
+/// length, or `None` if the frame is torn — short, failing its CRC or not
+/// decoding.
+fn split_commit(bytes: &[u8]) -> Option<(Vec<WalEntry>, usize)> {
+    let mut r = Reader::new(bytes);
+    let len = r.u32().ok()? as usize;
+    let crc = r.u32().ok()?;
+    let payload = r.remaining().get(..len)?;
+    if crc32(payload) != crc {
+        return None;
     }
-    let magic = u32::from_le_bytes(bytes[..4].try_into().unwrap());
+    Some((decode_commit(payload).ok()?, 8 + len))
+}
+
+/// Scans a log file image: validates the header, splits the snapshot
+/// images, then decodes commits up to the first torn one.
+///
+/// A bad header or snapshot part is unrecoverable corruption (the file
+/// was fsynced whole before it was committed) and errors; a torn commit
+/// just ends the tail.
+pub(crate) fn scan<'a>(bytes: &'a [u8], file: &str) -> Result<WalTail<'a>> {
+    let mut r = Reader::new(bytes);
+    let header = |e: wdl_net::NetError| StoreError::corrupt(file, format!("log header: {e}"));
+    let magic = r.u32().map_err(header)?;
     if magic != WAL_MAGIC {
         return Err(StoreError::corrupt(
             file,
-            format!("wal magic mismatch: got {magic:#010x}"),
+            format!("log magic mismatch: got {magic:#010x}"),
         ));
     }
-    if bytes[4] != WAL_VERSION {
+    let version = r.u8().map_err(header)?;
+    if version != WAL_VERSION {
         return Err(StoreError::corrupt(
             file,
-            format!("wal version mismatch: got {}", bytes[4]),
+            format!("log version mismatch: got {version}, want {WAL_VERSION}"),
         ));
     }
-    let epoch = u64::from_le_bytes(bytes[5..13].try_into().unwrap());
-    let name_len = u32::from_le_bytes(bytes[13..17].try_into().unwrap()) as usize;
-    let header_len = WAL_FIXED_LEN + 4 + name_len + 4;
-    if bytes.len() < header_len {
-        return Err(StoreError::corrupt(
-            file,
-            format!("wal header truncated ({} bytes)", bytes.len()),
-        ));
-    }
-    let peer = std::str::from_utf8(&bytes[17..17 + name_len])
-        .map_err(|_| StoreError::corrupt(file, "wal peer name is not utf-8"))?;
-    let peer = Symbol::intern(peer);
-    let stored = u32::from_le_bytes(bytes[header_len - 4..header_len].try_into().unwrap());
-    let computed = crc32(&bytes[..header_len - 4]);
+    let epoch = r.u64().map_err(header)?;
+    let peer = r.symbol().map_err(header)?;
+    let covered = &bytes[..bytes.len() - r.remaining().len()];
+    let stored = r.u32().map_err(header)?;
+    let computed = crc32(covered);
     if stored != computed {
         return Err(StoreError::corrupt(
             file,
-            format!("wal header CRC mismatch: computed {computed:#010x}, stored {stored:#010x}"),
+            format!("log header CRC mismatch: computed {computed:#010x}, stored {stored:#010x}"),
         ));
     }
+    let (snapshot, mut rest) = read_images(r.remaining())
+        .map_err(|e| StoreError::corrupt(file, format!("snapshot: {e}")))?;
 
     let mut records = Vec::new();
-    let mut offset = header_len;
-    let mut torn = None;
-    while offset < bytes.len() {
-        let rest = &bytes[offset..];
-        if rest.len() < 8 {
-            torn = Some(format!("torn frame header at byte {offset}"));
-            break;
-        }
-        let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
-        let want_crc = u32::from_le_bytes(rest[4..8].try_into().unwrap());
-        if rest.len() < 8 + len {
-            torn = Some(format!(
-                "torn record at byte {offset}: {len}-byte payload, {} present",
-                rest.len() - 8
-            ));
-            break;
-        }
-        let payload = &rest[8..8 + len];
-        if crc32(payload) != want_crc {
-            torn = Some(format!("record CRC mismatch at byte {offset}"));
-            break;
-        }
-        match decode_payload(payload, file) {
-            Ok(rec) => records.push(rec),
-            Err(e) => {
-                torn = Some(format!("undecodable record at byte {offset}: {e}"));
-                break;
-            }
-        }
-        offset += 8 + len;
+    while let Some((entries, len)) = split_commit(rest) {
+        records.extend(entries);
+        rest = &rest[len..];
     }
     Ok(WalTail {
         epoch,
         peer,
+        snapshot,
         records,
-        valid_len: offset,
-        torn,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wdl_core::{Peer, RelationKind};
+    use wdl_net::snapshot;
 
-    fn recs() -> Vec<WalEntry> {
+    fn commits() -> Vec<Vec<WalEntry>> {
         vec![
-            WalEntry::Meta(b"WMET-image".to_vec()),
-            WalEntry::Fact(WalRecord {
-                rel: Symbol::intern("pictures"),
-                tuple: vec![Value::from(1), Value::from("a.jpg")].into(),
-                added: true,
-            }),
-            WalEntry::Fact(WalRecord {
-                rel: Symbol::intern("album"),
-                tuple: vec![Value::bytes(&[9, 9])].into(),
-                added: false,
-            }),
-            WalEntry::Watermark {
-                remote: Symbol::intern("walremote"),
-                dir: 0,
-                inc: 3,
-                seq: 41,
-            },
+            vec![
+                WalEntry::Meta(b"WMET-image".to_vec()),
+                WalEntry::Fact(WalRecord {
+                    rel: Symbol::intern("pictures"),
+                    tuple: vec![Value::from(1), Value::from("a.jpg")].into(),
+                    added: true,
+                }),
+            ],
+            vec![
+                WalEntry::Watermark {
+                    remote: Symbol::intern("walremote"),
+                    dir: 0,
+                    inc: 3,
+                    seq: 41,
+                },
+                WalEntry::Fact(WalRecord {
+                    rel: Symbol::intern("album"),
+                    tuple: vec![Value::bytes(&[9, 9])].into(),
+                    added: false,
+                }),
+            ],
         ]
     }
 
@@ -309,49 +290,51 @@ mod tests {
         Symbol::intern("walpeer")
     }
 
-    fn header_len() -> usize {
-        encode_header(0, owner()).len()
+    fn snapshot_part() -> Vec<u8> {
+        let mut p = Peer::new(owner());
+        p.declare("pictures", 2, RelationKind::Extensional).unwrap();
+        p.insert_local("pictures", vec![Value::from(1), Value::from("a.jpg")])
+            .unwrap();
+        snapshot::save(&p).to_vec()
     }
 
-    fn file_image(epoch: u64, records: &[WalEntry]) -> Vec<u8> {
+    /// Header + snapshot: where the first commit starts.
+    fn checkpoint_len() -> usize {
+        encode_header(0, owner()).len() + snapshot_part().len()
+    }
+
+    fn file_image(epoch: u64, commits: &[Vec<WalEntry>]) -> Vec<u8> {
         let mut out = encode_header(epoch, owner());
-        for r in records {
-            out.extend_from_slice(&encode_record(r));
+        out.extend_from_slice(&snapshot_part());
+        for c in commits {
+            out.extend_from_slice(&encode_commit(c.iter()).unwrap());
         }
         out
     }
 
     #[test]
     fn round_trip() {
-        let img = file_image(7, &recs());
+        let img = file_image(7, &commits());
         let tail = scan(&img, "w.log").unwrap();
         assert_eq!(tail.epoch, 7);
         assert_eq!(tail.peer, owner());
-        assert_eq!(tail.records, recs());
-        assert_eq!(tail.valid_len, img.len());
-        assert!(tail.torn.is_none());
+        assert_eq!(tail.snapshot.segments.len(), 1);
+        assert_eq!(tail.records, commits().concat());
     }
 
+    /// Every cut inside the header or the snapshot is an error; every cut
+    /// after them recovers whole commits only.
     #[test]
     fn truncation_at_every_byte_never_panics_or_invents() {
-        let img = file_image(3, &recs());
-        let hlen = header_len();
-        let first_len = encode_record(&recs()[0]).len();
+        let img = file_image(3, &commits());
+        let first_end = checkpoint_len() + encode_commit(commits()[0].iter()).unwrap().len();
         for cut in 0..img.len() {
             match scan(&img[..cut], "w.log") {
-                Err(e) => {
-                    // Only header damage may hard-error.
-                    assert!(cut < hlen, "hard error at cut {cut}: {e}");
-                }
+                Err(e) => assert!(cut < checkpoint_len(), "hard error at cut {cut}: {e}"),
                 Ok(tail) => {
-                    assert!(cut >= hlen);
-                    // The valid prefix is a prefix of the true records.
-                    assert!(tail.records.len() <= recs().len());
-                    assert_eq!(tail.records, recs()[..tail.records.len()]);
-                    assert!(tail.valid_len <= cut);
-                    if cut < hlen + first_len {
-                        assert!(tail.records.is_empty());
-                    }
+                    assert!(cut >= checkpoint_len(), "cut {cut} inside the snapshot");
+                    let whole = usize::from(cut >= first_end);
+                    assert_eq!(tail.records, commits()[..whole].concat(), "cut {cut}");
                 }
             }
         }
@@ -359,20 +342,21 @@ mod tests {
 
     #[test]
     fn mid_record_corruption_truncates_there() {
-        let img = file_image(1, &recs());
+        let img = file_image(1, &commits());
         let mut bad = img.clone();
-        // Flip a bit inside the first record's payload.
-        bad[header_len() + 9] ^= 0x80;
+        // Flip a bit inside the first commit's payload.
+        bad[checkpoint_len() + 9] ^= 0x80;
         let tail = scan(&bad, "w.log").unwrap();
-        assert!(tail.records.is_empty());
-        assert_eq!(tail.valid_len, header_len());
-        assert!(tail.torn.is_some());
+        assert!(
+            tail.records.is_empty(),
+            "nothing after a torn commit replays"
+        );
     }
 
     #[test]
     fn header_corruption_is_a_hard_error() {
-        let img = file_image(1, &recs());
-        for i in 0..header_len() {
+        let img = file_image(1, &commits());
+        for i in 0..encode_header(1, owner()).len() {
             let mut bad = img.clone();
             bad[i] ^= 0x01;
             assert!(scan(&bad, "w.log").is_err(), "byte {i}");
@@ -382,7 +366,7 @@ mod tests {
     #[test]
     fn another_peers_log_is_detected() {
         let mut img = encode_header(1, Symbol::intern("someoneElse"));
-        img.extend_from_slice(&encode_record(&recs()[0]));
+        img.extend_from_slice(&snapshot_part());
         let tail = scan(&img, "w.log").unwrap();
         assert_eq!(tail.peer, Symbol::intern("someoneElse"));
         assert_ne!(tail.peer, owner());

@@ -1,10 +1,10 @@
 //! Corruption fuzzing for the durable storage engine.
 //!
 //! Recovery must treat the disk as hostile: random bit flips, truncations,
-//! cross-file splices, deleted files, and stale manifests must all produce
-//! either a clean [`StoreError`] or a *sound* recovery (a subset of the
-//! true facts after WAL-tail truncation) — never a panic, and never
-//! silently invented state.
+//! splices, a deleted log, stale and foreign logs must all produce either
+//! a clean [`StoreError`] or a *sound* recovery (a subset of the true facts
+//! after the log's torn tail is cut) — never a panic, and never silently
+//! invented state.
 //!
 //! Reproduce a failing seed with:
 //!
@@ -17,7 +17,6 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 use webdamlog::core::{Peer, RelationKind};
 use webdamlog::datalog::Value;
-use webdamlog::net::snapshot::crc32;
 use webdamlog::store::{DurabilityConfig, DurableStore};
 
 use rand::rngs::StdRng;
@@ -47,8 +46,8 @@ fn tmp_root(tag: &str, seed: u64) -> PathBuf {
 
 const PEER: &str = "fuzzp";
 
-/// Builds a durable peer with a checkpoint, a WAL tail, and a known
-/// fact universe (insert-only, so soundness is a subset check). Returns
+/// Builds a durable peer with a checkpoint, five commits behind it, and a
+/// known fact universe (insert-only, so soundness is a subset check). Returns
 /// the storage root and the true final fact count per relation.
 fn build_durable_state(root: &Path) -> (usize, usize) {
     let mut store = DurableStore::new(
@@ -63,11 +62,11 @@ fn build_durable_state(root: &Path) -> (usize, usize) {
         p.insert_local("pictures", vec![Value::from(i), Value::from("ck")])
             .unwrap();
     }
-    store.attach(&mut p).unwrap(); // checkpoint: 8 facts in segments
+    store.attach(&mut p).unwrap(); // checkpoint: 8 facts in the snapshot
     for i in 0..5i64 {
         p.insert_local("album", vec![Value::from(i), Value::from(i)])
             .unwrap();
-        p.sync_durability().unwrap(); // one WAL record batch each
+        p.sync_durability().unwrap(); // one commit each
     }
     (8, 5)
 }
@@ -98,8 +97,7 @@ fn storage_files(root: &Path) -> Vec<PathBuf> {
 }
 
 /// The soundness check shared by every fuzz case: recovery either fails
-/// cleanly or yields a subset of the true insert-only universe, with the
-/// WAL-derived relation a prefix of the acked batches.
+/// cleanly or yields a subset of the true insert-only universe.
 fn assert_sound(outcome: Result<(usize, usize), String>, ctx: &str) {
     match outcome {
         Ok((pictures, album)) => {
@@ -169,23 +167,25 @@ fn random_splices_never_panic_or_invent() {
         build_durable_state(&root);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x59_11CE);
         let files = storage_files(&root);
-        // Overwrite one file with (a prefix of) another — e.g. a segment
-        // where the WAL should be, or vice versa.
-        let a = rng.gen_range(0..files.len());
-        let mut b = rng.gen_range(0..files.len());
-        while b == a && files.len() > 1 {
-            b = rng.gen_range(0..files.len());
-        }
-        let donor = fs::read(&files[b]).unwrap();
-        let keep = rng.gen_range(0..=donor.len());
-        fs::write(&files[a], &donor[..keep]).unwrap();
+        let victim = &files[rng.gen_range(0..files.len())];
+        // Overwrite one range of the file with another range of it — e.g.
+        // one commit where another should be, or a segment image over the
+        // meta image.
+        let bytes = fs::read(victim).unwrap();
+        let from = rng.gen_range(0..bytes.len());
+        let len = rng.gen_range(1..=bytes.len() - from);
+        let to = rng.gen_range(0..bytes.len());
+        let mut spliced = bytes[..to].to_vec();
+        spliced.extend_from_slice(&bytes[from..from + len]);
+        spliced.extend_from_slice(&bytes[(to + len).min(bytes.len())..]);
+        fs::write(victim, &spliced).unwrap();
         let outcome = try_recover(&root);
         assert_sound(
             outcome,
             &format!(
-                "seed {seed}: {} spliced into {}",
-                files[b].display(),
-                files[a].display()
+                "seed {seed}: bytes {from}..{} spliced in at {to} of {}",
+                from + len,
+                victim.display()
             ),
         );
         let _ = fs::remove_dir_all(&root);
@@ -210,34 +210,61 @@ fn missing_files_error_cleanly() {
     }
 }
 
-/// A manifest from an older epoch must not quietly revive: its files are
-/// gone (superseded epochs are cleaned), so recovery reports corruption
-/// instead of silently time-traveling.
+/// An older epoch's log must not quietly revive: its bytes written under
+/// the current log's name are corruption, because the header's epoch is
+/// not the name's, while an older log merely left beside the current one
+/// is ignored.
 #[test]
-fn stale_manifest_is_rejected() {
+fn stale_log_is_rejected() {
     let root = tmp_root("stale", 0);
     let mut store = DurableStore::new(DurabilityConfig::new(&root));
     let mut p = Peer::new(PEER);
     p.declare("pictures", 1, RelationKind::Extensional).unwrap();
     store.attach(&mut p).unwrap(); // epoch 1
-    let manifest_path = root.join(PEER).join("MANIFEST");
-    let stale = fs::read(&manifest_path).unwrap();
+    let old_log = root.join(PEER).join("wal-0000000000000001.log");
+    let stale = fs::read(&old_log).unwrap();
 
     p.insert_local("pictures", vec![Value::from(1)]).unwrap();
     {
         let engine = store.engine(PEER).unwrap();
         let mut engine = engine.lock();
-        engine.checkpoint(&p).unwrap(); // epoch 2, epoch-1 files removed
+        engine.checkpoint(&p).unwrap(); // epoch 2, the epoch-1 log removed
     }
     drop(p);
-    fs::write(&manifest_path, &stale).unwrap(); // the stale splice
+    let names: Vec<String> = storage_files(&root)
+        .iter()
+        .map(|f| f.file_name().unwrap().to_str().unwrap().to_string())
+        .collect();
+    assert_eq!(names, ["wal-0000000000000002.log"]);
 
+    fs::write(&old_log, &stale).unwrap(); // left beside the newer log
+    assert_eq!(try_recover(&root), Ok((1, 0)), "the newer log wins");
+
+    // Recovery checkpointed again, and its log is alone in the directory.
+    let current = storage_files(&root);
+    assert_eq!(current.len(), 1);
+    fs::write(&current[0], &stale).unwrap(); // the stale splice
     let mut store2 = DurableStore::new(DurabilityConfig::new(&root));
-    let err = store2.recover(PEER).expect_err("stale manifest accepted");
+    let err = store2.recover(PEER).expect_err("stale log accepted");
     assert!(
-        err.is_corrupt(),
-        "stale manifest produced a non-corruption error: {err}"
+        err.is_corrupt() && err.to_string().contains("epoch"),
+        "stale log produced another error: {err}"
     );
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// A directory whose log was removed is a clean error, not a fresh peer.
+#[test]
+fn missing_log_is_a_clean_error() {
+    let root = tmp_root("nolog", 0);
+    build_durable_state(&root);
+    for f in storage_files(&root) {
+        fs::remove_file(f).unwrap();
+    }
+    let mut store = DurableStore::new(DurabilityConfig::new(&root));
+    assert!(!store.has_data(PEER));
+    let err = store.recover(PEER).expect_err("empty directory recovered");
+    assert!(err.is_corrupt(), "unexpected error class: {err}");
     let _ = fs::remove_dir_all(&root);
 }
 
@@ -291,47 +318,45 @@ fn cross_peer_wal_splice_is_rejected() {
     let _ = fs::remove_dir_all(&root);
 }
 
-/// MANIFEST swapped wholesale between two peers: caught by the
-/// peer-name binding of the WAL header, the log that also carries the
-/// peer's structure.
+/// Another peer's whole log copied into a directory, under a newer epoch
+/// than the directory's own, is the log recovery picks — and its header's
+/// peer binding rejects it.
 #[test]
-fn cross_peer_manifest_splice_is_rejected() {
-    let root = tmp_root("xman", 0);
+fn cross_peer_log_is_rejected() {
+    let root = tmp_root("xlog", 0);
     let mut store = DurableStore::new(DurabilityConfig::new(&root));
-    for name in ["xmanA", "xmanB"] {
+    for name in ["xlogA", "xlogB"] {
         let mut p = Peer::new(name);
         p.declare("pictures", 1, RelationKind::Extensional).unwrap();
         store.attach(&mut p).unwrap();
     }
-    let m_a = fs::read(root.join("xmanA").join("MANIFEST")).unwrap();
-    fs::write(root.join("xmanB").join("MANIFEST"), &m_a).unwrap();
-    // xmanA's files referenced by the manifest are not in xmanB's dir —
-    // same names though, so the log decodes and names the wrong peer.
-    for f in storage_files_for(&root, "xmanA") {
-        let name = f.file_name().unwrap();
-        let _ = fs::copy(&f, root.join("xmanB").join(name));
+    {
+        let engine = store.engine("xlogA").unwrap();
+        let mut engine = engine.lock();
+        let mut p = Peer::new("xlogA");
+        p.declare("pictures", 1, RelationKind::Extensional).unwrap();
+        engine.checkpoint(&p).unwrap(); // epoch 2
     }
+    let foreign = "wal-0000000000000002.log";
+    fs::copy(
+        root.join("xlogA").join(foreign),
+        root.join("xlogB").join(foreign),
+    )
+    .unwrap();
     let mut store2 = DurableStore::new(DurabilityConfig::new(&root));
-    let err = store2
-        .recover("xmanB")
-        .expect_err("foreign manifest accepted");
+    let err = store2.recover("xlogB").expect_err("foreign log accepted");
     assert!(err.is_corrupt(), "unexpected error class: {err}");
+    assert!(
+        err.to_string().contains("belongs to"),
+        "not the peer-binding check: {err}"
+    );
     let _ = fs::remove_dir_all(&root);
 }
 
-fn storage_files_for(root: &Path, peer: &str) -> Vec<PathBuf> {
-    fs::read_dir(root.join(peer))
-        .unwrap()
-        .flatten()
-        .map(|e| e.path())
-        .filter(|p| p.is_file())
-        .collect()
-}
-
-/// The Meta record opening the log is the peer's structure. Any byte of
-/// it flipped — in its frame, or inside its image behind a re-sealed
-/// frame — is a clean corruption error, never a panic and never a peer
-/// recovered without its schema.
+/// The meta image opening the log's snapshot is the peer's structure.
+/// Any byte of it flipped — its length prefix or the image, whose own
+/// envelope CRC covers it — is a clean corruption error, never a panic and
+/// never a peer recovered without its schema.
 #[test]
 fn corrupted_opening_meta_record_is_a_clean_error() {
     let root = tmp_root("meta", 0);
@@ -344,29 +369,23 @@ fn corrupted_opening_meta_record_is_a_clean_error() {
     // Header: magic, version, epoch, peer name (u32 length + bytes), CRC.
     let name_len = u32::from_le_bytes(log[13..17].try_into().unwrap()) as usize;
     let start = 17 + name_len + 4;
-    let payload_len = u32::from_le_bytes(log[start..start + 4].try_into().unwrap()) as usize;
-    let payload = start + 8..start + 8 + payload_len;
-    assert_eq!(log[payload.start], 3, "the log opens with a Meta record");
+    let image_len = u32::from_le_bytes(log[start..start + 4].try_into().unwrap()) as usize;
+    let image = start + 4..start + 4 + image_len;
+    assert_eq!(
+        &log[image.start..image.start + 4],
+        b"WMET",
+        "the snapshot opens with the meta image"
+    );
 
-    let expect_corrupt = |bytes: &[u8], ctx: String| {
-        fs::write(&wal, bytes).unwrap();
+    for i in start..image.end {
+        let mut bad = log.clone();
+        bad[i] ^= 0x04;
+        fs::write(&wal, &bad).unwrap();
         let mut store = DurableStore::new(DurabilityConfig::new(&root));
         match store.recover(PEER) {
-            Ok(_) => panic!("{ctx}: recovered from a damaged Meta record"),
-            Err(e) => assert!(e.is_corrupt(), "{ctx}: {e}"),
+            Ok(_) => panic!("flip at byte {i}: recovered from a damaged meta image"),
+            Err(e) => assert!(e.is_corrupt(), "flip at byte {i}: {e}"),
         }
-    };
-    for i in start..payload.end {
-        let mut bad = log.clone();
-        bad[i] ^= 0x04;
-        expect_corrupt(&bad, format!("flip at byte {i}"));
-    }
-    for i in payload.start + 1..payload.end {
-        let mut bad = log.clone();
-        bad[i] ^= 0x04;
-        let crc = crc32(&bad[payload.clone()]);
-        bad[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
-        expect_corrupt(&bad, format!("re-sealed flip at byte {i}"));
     }
     let _ = fs::remove_dir_all(&root);
 }

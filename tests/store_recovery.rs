@@ -77,6 +77,22 @@ fn sweep(test: &str, seeds: Range<u64>, body: impl Fn(u64)) {
     }
 }
 
+/// The committed log of a peer's storage directory: its one
+/// `wal-<epoch>.log` file.
+fn log_path(dir: &std::path::Path) -> PathBuf {
+    let logs: Vec<PathBuf> = fs::read_dir(dir)
+        .unwrap()
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| {
+            let name = p.file_name().unwrap().to_str().unwrap();
+            name.starts_with("wal-") && name.ends_with(".log")
+        })
+        .collect();
+    assert_eq!(logs.len(), 1, "one committed log in {}", dir.display());
+    logs[0].clone()
+}
+
 const RELS: [&str; 3] = ["album", "pictures", "tags"];
 /// Intensional views the random rules and delegations derive into.
 const VIEWS: [&str; 2] = ["v0", "v1"];
@@ -441,9 +457,10 @@ fn fault_budget_sweep_recovers_before_or_after() {
 }
 
 // ---------------------------------------------------------------------
-// Property 3: truncating the WAL at every byte offset of the last
-// (unacked) record never panics and never resurrects an
-// acked-then-deleted fact.
+// Property 3: truncating the log at every byte offset of the last
+// (unacked) commit never panics and never resurrects an
+// acked-then-deleted fact; a cut inside the checkpoint's snapshot is
+// clean corruption.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -455,7 +472,7 @@ fn wal_truncation_never_resurrects_deleted_facts() {
     let cfg = DurabilityConfig::new(&root)
         .checkpoint_records(10_000)
         .checkpoint_bytes(u64::MAX);
-    let mut persist = DurablePersistence::new(cfg);
+    let mut persist = DurablePersistence::new(cfg.clone());
 
     let mut p = build_peer(name);
     p.insert_local("pictures", vec![Value::from(1), Value::from(1)])
@@ -463,8 +480,8 @@ fn wal_truncation_never_resurrects_deleted_facts() {
     persist.store_mut().attach(&mut p).unwrap(); // checkpoint holds the fact
 
     let engine = persist.store_mut().engine(sym).unwrap();
-    let wal_file = engine.lock().manifest().unwrap().wal_file;
-    let wal_path = engine.lock().dir().join(&wal_file);
+    let wal_path = log_path(engine.lock().dir());
+    let snapshot_end = fs::metadata(&wal_path).unwrap().len() as usize;
 
     // Acked delete of the checkpointed fact…
     p.delete_local("pictures", vec![Value::from(1), Value::from(1)])
@@ -480,6 +497,14 @@ fn wal_truncation_never_resurrects_deleted_facts() {
     assert!(full.len() > acked_len, "second record landed");
     drop(p);
 
+    for cut in 0..snapshot_end {
+        fs::write(&wal_path, &full[..cut]).unwrap();
+        let err = Engine::open(&cfg, sym)
+            .unwrap()
+            .recover()
+            .expect_err("recovered from a cut snapshot");
+        assert!(err.is_corrupt(), "cut {cut} in the snapshot: {err}");
+    }
     for cut in acked_len..=full.len() {
         fs::write(&wal_path, &full[..cut]).unwrap();
         let recovered = persist
@@ -567,10 +592,9 @@ fn crash_after_structural_commit_recovers_both() {
     }
 }
 
-/// A torn Meta record is a torn tail: a cut anywhere in the Meta record
-/// that opens the last commit recovers the state acked before it, with
-/// neither the commit's rule nor its row. A cut in the row behind it
-/// recovers the valid prefix, as for any unacked batch: the rule alone.
+/// A commit is atomic on disk: a cut anywhere in the last commit — a Meta
+/// entry for a new rule, then a row — recovers the state acked before
+/// it, with neither the commit's rule nor its row.
 #[test]
 fn torn_meta_record_ends_at_the_previous_acked_state() {
     let root = tmp_root("tornmeta", 0);
@@ -587,10 +611,7 @@ fn torn_meta_record_ends_at_the_previous_acked_state() {
     p.sync_durability().unwrap();
 
     let engine = persist.store_mut().engine(sym).unwrap();
-    let wal_path = {
-        let engine = engine.lock();
-        engine.dir().join(engine.manifest().unwrap().wal_file)
-    };
+    let wal_path = log_path(engine.lock().dir());
     let acked_len = fs::metadata(&wal_path).unwrap().len() as usize;
     p.add_rule(view_rule(name)).unwrap();
     p.insert_local("pictures", row(3, 3)).unwrap();
@@ -602,13 +623,9 @@ fn torn_meta_record_ends_at_the_previous_acked_state() {
         fs::write(&wal_path, bytes).unwrap();
         Engine::open(&cfg, sym).unwrap().recover().unwrap()
     };
-    let meta_len = u32::from_le_bytes(full[acked_len..acked_len + 4].try_into().unwrap());
-    let meta_end = acked_len + 8 + meta_len as usize;
-    assert!(meta_end < full.len(), "the row follows the Meta record");
     for cut in acked_len..full.len() {
         let q = recover(&full[..cut]);
-        let rule_landed = !q.rules().is_empty();
-        assert_eq!(rule_landed, cut >= meta_end, "cut {cut}: Meta record");
+        assert!(q.rules().is_empty(), "cut {cut}: torn rule replayed");
         assert_eq!(
             q.relation_facts("album").len(),
             2,
@@ -622,5 +639,55 @@ fn torn_meta_record_ends_at_the_previous_acked_state() {
     let q = recover(&full);
     assert_eq!(q.rules().len(), 1);
     assert_eq!(q.relation_facts("pictures").len(), 1);
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// A commit carries a session watermark and the facts its frames
+/// delivered, noted in that order as a node steps. A cut anywhere in it
+/// recovers neither: a recovered watermark without its facts would dedup
+/// the sender's retransmission and lose them for good.
+#[test]
+fn torn_commit_recovers_neither_watermark_nor_facts() {
+    let root = tmp_root("tornmark", 0);
+    let name = "tornmarkp";
+    let sym = Symbol::intern(name);
+    let remote = Symbol::intern("tornmarksender");
+    let cfg = DurabilityConfig::new(&root)
+        .checkpoint_records(10_000)
+        .checkpoint_bytes(u64::MAX);
+    let mut persist = DurablePersistence::new(cfg.clone());
+    let mut p = build_peer(name);
+    persist.store_mut().attach(&mut p).unwrap();
+    p.note_session_watermark(remote, 0, 1, 1);
+    p.insert_local("album", row(1, 1)).unwrap();
+    p.sync_durability().unwrap();
+
+    let engine = persist.store_mut().engine(sym).unwrap();
+    let wal_path = log_path(engine.lock().dir());
+    let acked_len = fs::metadata(&wal_path).unwrap().len() as usize;
+    p.note_session_watermark(remote, 0, 1, 3);
+    p.insert_local("album", row(2, 2)).unwrap();
+    p.insert_local("album", row(3, 3)).unwrap();
+    p.sync_durability().unwrap();
+    let full = fs::read(&wal_path).unwrap();
+    drop(p);
+
+    for cut in acked_len..=full.len() {
+        fs::write(&wal_path, &full[..cut]).unwrap();
+        let q = Engine::open(&cfg, sym).unwrap().recover().unwrap();
+        let mark = q.session_watermarks().get(&(remote, 0)).copied();
+        let rows = q.relation_facts("album").len();
+        let whole = cut == full.len();
+        assert_eq!(
+            (mark, rows),
+            if whole {
+                (Some((1, 3)), 3)
+            } else {
+                (Some((1, 1)), 1)
+            },
+            "cut {cut} of {}",
+            full.len()
+        );
+    }
     let _ = fs::remove_dir_all(&root);
 }
