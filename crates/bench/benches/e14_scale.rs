@@ -7,11 +7,14 @@
 //! schedules by inbox and runs only the publishers and the hub —
 //! O(active). This bench pins that difference:
 //!
-//! * **`scale_independence`** (gated): the ratio of settled burst-round
-//!   latency at 10⁴ total peers to the same burst at 10⁵ total peers,
-//!   identical active set. Inbox-driven scheduling makes round cost a
-//!   function of the active set, so the ratio sits near 1.0; a runtime
-//!   that pays per registered peer drags it toward 0.1.
+//! * **`scale_independence`** (gated): the ratio of burst-cycle latency
+//!   at 10⁴ total peers to the same burst at 10⁵ total peers, identical
+//!   active set — the median of per-pair ratios over interleaved burst
+//!   blocks on the two runtimes, both alive, with the order alternating
+//!   and the same number of pairs in quick and full runs. Inbox-driven
+//!   scheduling makes round cost a function of the active set, so the
+//!   ratio sits near 1.0; a runtime that pays per registered peer drags
+//!   it toward 0.1.
 //! * **`active_set_speedup`** (informational): a full sequential
 //!   `LocalRuntime::tick` at 10⁵ peers versus the sharded active round —
 //!   the headline O(total)/O(active) gap. Machine-dependent in absolute
@@ -53,6 +56,11 @@ const PER: usize = 2;
 const BATCHES: usize = 2;
 const SHARDS: usize = 4;
 const QUIESCE_ROUNDS: usize = 64;
+/// Interleaved 10⁴/10⁵ block pairs behind `scale_independence`, in quick
+/// and full runs alike.
+const SCALE_PAIRS: usize = 15;
+/// Burst cycles per timed block.
+const CYCLES: usize = 4;
 
 /// Applies one scenario batch to a sharded runtime.
 fn apply_batch(rt: &mut ShardedRuntime, batch: &[(wdl_datalog::Symbol, SimOp)]) {
@@ -196,35 +204,28 @@ fn burst_round_ns(rt: &mut ShardedRuntime, runs: usize, tag: u32) -> u128 {
         .expect("at least one sample")
 }
 
-/// Tracing overhead as the **median of pairwise ratios** over
-/// alternating traced/untraced burst *blocks* ([`burst_block`]) on one
-/// runtime. The blocks alternate in ping-pong order so slow machine
-/// phases land on both modes alike, each block is long enough to average
-/// out per-round scheduler noise, and the median of per-pair ratios
-/// discards the pairs a noise spike still hit. (Separate traced and
-/// untraced passes measured minutes apart drift by more than the
-/// overhead being measured.) Returns the ratio and the fastest traced
-/// block, normalised to one cycle.
-fn paired_tracing_overhead(rt: &mut ShardedRuntime, pairs: usize, tag: u32) -> (f64, u128) {
-    const CYCLES: usize = 4;
+/// The **median of pairwise ratios** `a / b` over `pairs` pairs of timed
+/// blocks, `block(true)` timing an `a` block and `block(false)` a `b`
+/// one, and the fastest `a` block. The two blocks of a pair alternate in
+/// ping-pong order so slow machine phases land on both sides alike, and
+/// the median of per-pair ratios discards the pairs a noise spike still
+/// hit. (Separate passes measured minutes apart drift by more than the
+/// effects measured here.) One untimed warm-up pair goes first: it grows
+/// buffers and tables from empty, a one-off cost that is not the steady
+/// state under test.
+fn paired_ratio(pairs: usize, mut block: impl FnMut(bool) -> u128) -> (f64, u128) {
     let mut ratios = Vec::with_capacity(pairs);
-    let mut traced_min = u128::MAX;
-    let mut sample = 0usize;
-    // One untimed warm-up pair: the first traced block grows every
-    // publisher's event buffer and the aggregator's tables from empty,
-    // a one-off cost that is not the steady-state overhead under test.
+    let mut a_min = u128::MAX;
     for pair in 0..pairs + 1 {
-        let traced_first = pair % 2 == 0;
-        let mut t = [0u128; 2]; // [untraced, traced]
+        let a_first = pair % 2 == 0;
+        let mut t = [0u128; 2]; // [b, a]
         for slot in 0..2 {
-            let traced = (slot == 0) == traced_first;
-            rt.set_tracing(traced);
-            t[usize::from(traced)] = burst_block(rt, tag, sample, CYCLES);
-            sample += CYCLES;
+            let a = (slot == 0) == a_first;
+            t[usize::from(a)] = block(a);
         }
         if pair > 0 {
             ratios.push(t[1] as f64 / t[0] as f64);
-            traced_min = traced_min.min(t[1]);
+            a_min = a_min.min(t[1]);
         }
     }
     ratios.sort_by(f64::total_cmp);
@@ -234,7 +235,39 @@ fn paired_tracing_overhead(rt: &mut ShardedRuntime, pairs: usize, tag: u32) -> (
     } else {
         (ratios[mid - 1] + ratios[mid]) / 2.0
     };
-    (median, traced_min / CYCLES as u128)
+    (median, a_min)
+}
+
+/// Tracing overhead: [`paired_ratio`] over traced/untraced burst blocks
+/// ([`burst_block`]) on one runtime. Returns the ratio and the fastest
+/// traced block, normalised to one cycle.
+fn paired_tracing_overhead(rt: &mut ShardedRuntime, pairs: usize, tag: u32) -> (f64, u128) {
+    let mut sample = 0usize;
+    let (ratio, traced_min) = paired_ratio(pairs, |traced| {
+        rt.set_tracing(traced);
+        let t = burst_block(rt, tag, sample, CYCLES);
+        sample += CYCLES;
+        t
+    });
+    (ratio, traced_min / CYCLES as u128)
+}
+
+/// Scale independence: [`paired_ratio`] over burst blocks on the 10⁴-peer
+/// runtime against the 10⁵-peer one, both alive, so a pair's two blocks
+/// run seconds apart at most.
+fn paired_scale_independence(
+    small: &mut ShardedRuntime,
+    large: &mut ShardedRuntime,
+    tag: u32,
+) -> f64 {
+    let mut sample = 0usize;
+    let (ratio, _) = paired_ratio(SCALE_PAIRS, |is_small| {
+        let rt = if is_small { &mut *small } else { &mut *large };
+        let t = burst_block(rt, tag, sample, CYCLES);
+        sample += CYCLES;
+        t
+    });
+    ratio
 }
 
 /// The sequential reference at full scale: converge the same scenario on
@@ -304,35 +337,18 @@ fn main() {
     );
 
     let large_round_ns = burst_round_ns(&mut large, runs, 1);
-    drop(large);
-
-    // Oracle: the sequential reference over the same batches must agree
-    // on the hub registry (burst_round_ns uploads extra pictures, so
-    // compare the pre-burst converged prefix).
-    let (reference_hub, local_round_ns) = reference_state_and_round_ns(runs.min(5));
-    assert!(
-        sharded_hub.iter().all(|t| reference_hub.contains(t))
-            && reference_hub.len() >= sharded_hub.len(),
-        "sharded registry must match the sequential reference"
-    );
-    assert_eq!(
-        reference_hub.len(),
-        sharded_hub.len(),
-        "sharded and reference registries must be identical"
-    );
-
     let (mut small, _) = converge_sharded(SMALL);
     let small_round_ns = burst_round_ns(&mut small, runs, 2);
-    drop(small);
+    let scale_independence = paired_scale_independence(&mut small, &mut large, 5);
+    drop(large);
 
     // --- Profiled pass: the same burst with tracing on -----------------
-    // On a fresh converged runtime, paired traced/untraced sampling pins
-    // the pipeline's overhead (bench-gate ceilings it); a final profiled
-    // burst builds the aggregate for the "profile:" summary CI publishes.
-    // Twice `runs` pairs: the ratio compares two minima, and each needs
-    // enough stationary samples to shake off scheduler noise that can
+    // On the converged 10⁴ runtime (its burst cycles leave it as they
+    // found it), paired traced/untraced sampling pins the pipeline's
+    // overhead (bench-gate ceilings it); a final profiled burst builds the
+    // aggregate for the "profile:" summary CI publishes. Twice `runs`
+    // pairs of stationary blocks, to shake off scheduler noise that can
     // swing an individual burst round by a third either way.
-    let (mut small, _) = converge_sharded(SMALL);
     let (tracing_overhead, traced_round_ns) = paired_tracing_overhead(&mut small, runs * 2, 3);
     small.set_tracing(true);
     for sample in 0..3 {
@@ -374,8 +390,22 @@ fn main() {
     }
     drop(small);
 
+    // Oracle: the sequential reference over the same batches must agree
+    // on the hub registry (burst_round_ns uploads extra pictures, so
+    // compare the pre-burst converged prefix).
+    let (reference_hub, local_round_ns) = reference_state_and_round_ns(runs.min(5));
+    assert!(
+        sharded_hub.iter().all(|t| reference_hub.contains(t))
+            && reference_hub.len() >= sharded_hub.len(),
+        "sharded registry must match the sequential reference"
+    );
+    assert_eq!(
+        reference_hub.len(),
+        sharded_hub.len(),
+        "sharded and reference registries must be identical"
+    );
+
     // --- Metrics -------------------------------------------------------
-    let scale_independence = small_round_ns as f64 / large_round_ns as f64;
     let active_set_speedup = local_round_ns as f64 / large_round_ns as f64;
 
     println!("| measure                        | value |");

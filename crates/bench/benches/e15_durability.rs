@@ -21,10 +21,10 @@
 //!   recompute — re-applying the entire delta history through the
 //!   incremental-maintenance path, which is what recovery cost without
 //!   checkpoints — over recovery from segments plus the policy-bounded
-//!   1/8 tail. Segment load is bulk columnar import of the *surviving*
-//!   facts only; the ratio is the measured value of folding history
-//!   into checkpoints, and it collapses toward 1.0 if segment import
-//!   degrades to per-record history cost.
+//!   1/8 tail. Segment load decodes the *surviving* facts only and
+//!   moves each relation into the view whole; the ratio is the measured
+//!   value of folding history into checkpoints, and it collapses toward
+//!   1.0 if segment import degrades to per-record history cost.
 //!
 //! Every recovery sample is verified against the expected surviving
 //! fact count — a recovery that loses or invents facts fails the bench

@@ -119,12 +119,13 @@ impl Peer {
         out
     }
 
-    /// Installs a recovered extensional relation from a column dump into
-    /// the view, in the id plane and bypassing the durability sink
-    /// (recovery must not re-log what it replays); the next stage
-    /// maintains what the rows imply. The relation must already be
-    /// declared extensional with a matching arity — checkpoints carry the
-    /// schema, so a segment for an undeclared relation is corruption.
+    /// Replaces a recovered extensional relation's rows with a column
+    /// dump's, moved into the view whole, bypassing the durability sink
+    /// (recovery must not re-log what it replays). Nothing is maintained:
+    /// the ruleset epoch moves, so the next stage rebuilds the view over
+    /// the rows. The relation must already be declared extensional with a
+    /// matching arity — checkpoints carry the schema, so a segment for an
+    /// undeclared relation is corruption.
     pub fn import_extensional(
         &mut self,
         rel: impl Into<Symbol>,
@@ -143,9 +144,56 @@ impl Peer {
                 self.schema.arity_of(rel)
             )));
         }
-        let rebuilt = dump.into_relation()?;
-        let q = crate::qualify(rel, self.name);
-        self.incr.view.write_base_relation(q, &rebuilt)?;
+        let rows = dump.into_relation()?;
+        self.incr
+            .view
+            .put_base_relation(crate::qualify(rel, self.name), rows);
+        self.ruleset_epoch += 1;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{Peer, RelationKind, WAtom, WRule};
+    use wdl_datalog::{Delta, Term, Value};
+
+    /// Pin: a restore moves the segment's rows into the view as the
+    /// relation and records none of them as a pending change; the first
+    /// stage's rebuild takes them as they are.
+    #[test]
+    fn import_moves_rows_without_pending_changes() {
+        let mut src = Peer::new("import-src");
+        for i in 0..3 {
+            src.insert_local("r", vec![Value::from(i), Value::from(i * 2)])
+                .unwrap();
+        }
+        let (rel, dump) = src.export_extensional().remove(0);
+
+        let me = "import-dst";
+        let mut p = Peer::new(me);
+        p.declare("r", 2, RelationKind::Extensional).unwrap();
+        p.declare("s", 1, RelationKind::Intensional).unwrap();
+        p.add_rule(WRule::new(
+            WAtom::at("s", me, vec![Term::var("x")]),
+            vec![WAtom::at("r", me, vec![Term::var("x"), Term::var("y")]).into()],
+        ))
+        .unwrap();
+        p.run_stage().unwrap();
+        p.import_extensional(rel, &dump).unwrap();
+        let q = crate::qualify(rel, p.name());
+        assert_eq!(
+            p.incr.view.base_relation(q),
+            Some(&dump.into_relation().unwrap())
+        );
+        assert!(p.incr.view.apply(&Delta::new()).unwrap().is_empty());
+
+        p.run_stage().unwrap();
+        assert_eq!(p.relation_facts("s").len(), 3);
+        let mut rows = p.relation_facts("r");
+        rows.sort();
+        let mut want = src.relation_facts("r");
+        want.sort();
+        assert_eq!(rows, want);
     }
 }

@@ -22,18 +22,19 @@
 //!
 //! The view's database is the peer's only database: base writes (local
 //! inserts and deletes, ingested facts, remote contributions, buffered
-//! self-updates, recovery) enter it at once through
+//! self-updates, a replayed log tail) enter it at once through
 //! `MaterializedView::write_base`, and the next stage maintains what they
-//! imply.
+//! imply. A checkpoint's relations are the one exception: they move in
+//! whole, and the next stage rebuilds over them.
 //!
 //! The compiled layer is invalidated by anything that changes the
 //! translation — rule add/remove/replace or a schema declaration — which
 //! bumps `Peer::ruleset_epoch`; the view is then rebuilt from scratch at
-//! the next stage, over the replaced view's extensional rows plus the
-//! maintained remote contributions. A stage that fails also bumps the
-//! epoch, since it may leave the view part-maintained. Delegation churn does *not* invalidate it
-//! (delegated rules are always dynamic), which matters because delegations
-//! are re-derived every stage.
+//! the next stage, over the replaced view's extensional relations, moved
+//! whole, plus the maintained remote contributions. A stage that fails
+//! also bumps the epoch, since it may leave the view part-maintained.
+//! Delegation churn does *not* invalidate it (delegated rules are always
+//! dynamic), which matters because delegations are re-derived every stage.
 //!
 //! Every peer has a view — it is the one stage fixpoint. A peer with no
 //! compilable rule (a hub with no rules, a peer holding only delegations,
@@ -58,10 +59,11 @@
 //! for peers whose rules all compile. The view itself only ever patches
 //! the change — base writes and dynamic facts are maintained
 //! differentially, and reads use the view in place. Only a rebuild
-//! touches every row: it copies the extensional rows into the new view
-//! and compares the intensional ones. Making the dynamic share
-//! differential too would need per-source support counting inside the
-//! view and is left for a future change.
+//! touches every derived row: it re-derives the intensional rows and
+//! compares them with the replaced view's, while the extensional
+//! relations move into the new view without a row being copied. Making
+//! the dynamic share differential too would need per-source support
+//! counting inside the view and is left for a future change.
 
 use crate::{qualify, Peer, RelationKind, RuleId, WBodyItem, WRule};
 use std::collections::{HashMap, HashSet};
@@ -173,9 +175,11 @@ impl Peer {
     /// changed in the declared intensional relations `intensional`: −1
     /// for a row only the replaced view holds, +1 for a row only the new
     /// one holds (empty when nothing was rebuilt). The new view's base is
-    /// the replaced view's extensional rows plus the maintained remote
-    /// contributions; the stage re-adds dynamic-layer derivations. A
-    /// failed rebuild keeps the replaced view.
+    /// the declared extensional relations, moved out of the replaced view
+    /// whole (their cached indexes stay behind, as a copy would drop
+    /// them), plus the maintained remote contributions; the stage re-adds
+    /// dynamic-layer derivations. A failed rebuild moves the relations
+    /// back, so it keeps the replaced view as it was.
     pub(crate) fn ensure_view(
         &mut self,
         intensional: &HashSet<Symbol>,
@@ -185,16 +189,7 @@ impl Peer {
             return Ok(net);
         }
         let (program, compiled) = compile_local(self)?;
-        let old = &self.incr.view;
         let mut base = Database::new();
-        for decl in self.schema.iter() {
-            if decl.kind == RelationKind::Extensional {
-                let q = qualify(decl.rel, self.name);
-                if let Some(rel) = old.base_relation(q) {
-                    base.copy_relation(q, rel)?;
-                }
-            }
-        }
         for (rel, origins) in &self.remote_contrib {
             let q = qualify(*rel, self.name);
             for tuples in origins.values() {
@@ -203,12 +198,38 @@ impl Peer {
                 }
             }
         }
+        // Remote contributions feed intensional relations only, so the
+        // extensional ones move in beside them without a merge.
+        let mut moved = Vec::new();
+        let extensional = self
+            .schema
+            .iter()
+            .filter(|d| d.kind == RelationKind::Extensional);
+        for decl in extensional {
+            let q = qualify(decl.rel, self.name);
+            if let Some(rel) = self.incr.view.take_base_relation(q) {
+                base.put_relation(q, rel);
+                moved.push(q);
+            }
+        }
         // A rebuild is where a freshly added rule does its first (and in
         // one-shot flows, only) round of derivation, so the construction
         // fixpoint must feed the trace like any maintenance pass would.
         let mut prof = (self.tracer.is_some() && !program.rules().is_empty())
             .then(wdl_datalog::profile::RuleProfile::new);
-        let view = MaterializedView::new_profiled(program, base, prof.as_mut())?;
+        let view = match MaterializedView::new_profiled(program, base, prof.as_mut()) {
+            Ok(view) => view,
+            Err((e, mut base)) => {
+                // The compiled program never derives an extensional
+                // relation, so each comes back as it went in.
+                for q in moved {
+                    if let Some(rel) = base.take_relation(q) {
+                        self.incr.view.put_base_relation(q, rel);
+                    }
+                }
+                return Err(e.into());
+            }
+        };
         if let (Some(mut p), Some(tr)) = (prof, self.tracer.as_mut()) {
             for (head, c) in p.drain() {
                 tr.record(crate::TraceEvent::RuleEval {
@@ -221,6 +242,7 @@ impl Peer {
                 });
             }
         }
+        let old = &self.incr.view;
         for &q in intensional {
             let (before, after) = (old.database().relation(q), view.database().relation(q));
             for (from, to, sign) in [(before, after, -1), (after, before, 1)] {

@@ -1291,6 +1291,79 @@ mod tests {
         assert_eq!(sorted_facts(&p, "v"), vec![ints(&[1]).into()]);
     }
 
+    /// Pin: a rebuild that fails keeps the replaced view whole. A swapped
+    /// in rule whose from-scratch build divides by zero fails every stage
+    /// until it is swapped back, and meanwhile the extensional rows and
+    /// the replaced view's derivations stay readable.
+    #[test]
+    fn failed_rebuild_keeps_replaced_view() {
+        use crate::{WAtom, WBodyItem};
+        use wdl_datalog::{BinOp, Expr, Term};
+        let me = "rebuild-peer";
+        let mut p = Peer::new(me);
+        p.declare("q", 2, RelationKind::Intensional).unwrap();
+        p.insert_local("r", ints(&[1, 0])).unwrap();
+        p.insert_local("r", ints(&[4, 2])).unwrap();
+        let r: WBodyItem = WAtom::at("r", me, vec![Term::var("x"), Term::var("y")]).into();
+        let q = |out: &str| WAtom::at("q", me, vec![Term::var("x"), Term::var(out)]);
+        let copy = WRule::new(q("y"), vec![r.clone()]);
+        let id = p.add_rule(copy.clone()).unwrap();
+        p.run_stage().unwrap();
+        let rows: Vec<Tuple> = vec![ints(&[1, 0]).into(), ints(&[4, 2]).into()];
+        assert_eq!(sorted_facts(&p, "q"), rows);
+
+        let quotient = Expr::bin(
+            BinOp::Div,
+            Expr::term(Term::var("x")),
+            Expr::term(Term::var("y")),
+        );
+        let divide = WRule::new(q("z"), vec![r, WBodyItem::assign("z", quotient)]);
+        p.replace_rule(id, divide).unwrap();
+        for _ in 0..2 {
+            let err = p.run_stage().unwrap_err().to_string();
+            assert!(err.contains("arithmetic error: division by zero"), "{err}");
+            assert_eq!(sorted_facts(&p, "r"), rows);
+            assert_eq!(sorted_facts(&p, "q"), rows);
+        }
+        p.replace_rule(id, copy).unwrap();
+        p.run_stage().unwrap();
+        assert_eq!(sorted_facts(&p, "r"), rows);
+        assert_eq!(sorted_facts(&p, "q"), rows);
+    }
+
+    /// Pin: a rebuild leaves an extensional relation's index cache as a
+    /// fresh copy of its rows would have it. An index a query built on
+    /// the replaced view is not carried into the new one, whose build
+    /// only scans the relation.
+    #[test]
+    fn rebuild_starts_extensional_indexes_cold() {
+        use crate::{WAtom, WBodyItem};
+        use wdl_datalog::Term;
+        let me = "index-peer";
+        let mut p = Peer::new(me);
+        p.declare("q", 2, RelationKind::Intensional).unwrap();
+        p.insert_local("r", ints(&[1, 2])).unwrap();
+        p.insert_local("r", ints(&[3, 4])).unwrap();
+        let r = |x: Term| -> WBodyItem { WAtom::at("r", me, vec![x, Term::var("y")]).into() };
+        let copy = WRule::new(
+            WAtom::at("q", me, vec![Term::var("x"), Term::var("y")]),
+            vec![r(Term::var("x"))],
+        );
+        let id = p.add_rule(copy.clone()).unwrap();
+        p.run_stage().unwrap();
+        let rel = crate::qualify(Symbol::intern("r"), p.name());
+        let cached = |p: &Peer| p.incr.view.base_relation(rel).unwrap().cached_indexes();
+        assert_eq!(cached(&p), 0);
+        // Binding r's first column probes, and so builds, an index on it.
+        assert_eq!(p.query(&[r(Term::cst(1))]).unwrap().len(), 1);
+        assert_eq!(cached(&p), 1);
+
+        p.replace_rule(id, copy).unwrap();
+        p.run_stage().unwrap();
+        assert_eq!(cached(&p), 0);
+        assert_eq!(sorted_facts(&p, "q").len(), 2);
+    }
+
     /// An ingested fact whose arity differs from the declaration fails
     /// the stage and leaves the relation as it was.
     #[test]

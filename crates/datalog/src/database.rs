@@ -173,6 +173,21 @@ impl Database {
         }
         Ok(added)
     }
+
+    /// Removes `pred` and returns its relation's rows whole. Its cached
+    /// indexes are dropped, as a clone drops them: an index only an earlier
+    /// program probed would otherwise tax every later write.
+    pub fn take_relation(&mut self, pred: impl Into<Symbol>) -> Option<Relation> {
+        let mut rel = self.relations.remove(&pred.into())?;
+        rel.drop_indexes();
+        Some(rel)
+    }
+
+    /// Makes `rel` the relation of `pred`, replacing whatever `pred` held:
+    /// the rows move, none is inserted.
+    pub fn put_relation(&mut self, pred: impl Into<Symbol>, rel: Relation) {
+        self.relations.insert(pred.into(), rel);
+    }
 }
 
 #[cfg(test)]

@@ -1,5 +1,6 @@
-//! Rule evaluation: the left-to-right body matchers and the two bottom-up
-//! fixpoint strategies (naive and seminaive).
+//! Rule evaluation: the left-to-right body matchers, the seminaive
+//! bottom-up fixpoint, and the naive one kept as its interpreted test
+//! reference.
 //!
 //! Two matchers compute the same bindings. The compiled register-file
 //! plans (`plan.rs`; [`BodyPlan`] is the public prefix form the WebdamLog
@@ -19,15 +20,14 @@ pub use plan::{BodyPlan, BodyScratch};
 pub use stratify::{negative_cycle, NegativeCycle};
 
 pub(crate) use diff::{match_body_at_slot, DiffSide, NetChange};
-pub(crate) use naive::{naive_fixpoint, naive_fixpoint_compiled};
+pub(crate) use naive::naive_fixpoint;
 pub(crate) use plan::{derive_plan, has_witness, run_plan, DiffCtx, FixCtx, RulePlan, Scratch};
 pub(crate) use seminaive::{seminaive_fixpoint, seminaive_fixpoint_compiled};
 pub(crate) use stratify::{stratify, Strata};
 
 use crate::{Atom, BodyItem, Database, DatalogError, Result, Subst, Symbol, Term};
 
-/// Evaluation knobs, threaded from [`crate::Program`] down to the fixpoint
-/// strategies.
+/// Evaluation knobs, threaded from [`crate::Program`] down to the fixpoint.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EvalConfig {
     /// Whether rules run as compiled register-file plans over interned ids
@@ -53,9 +53,9 @@ impl EvalConfig {
     }
 }
 
-/// A rule paired with its compiled plan — what the fixpoint strategies
-/// consume (the interpreted paths read the rule, the compiled paths the
-/// plan; both are needed for delta-task discovery).
+/// A rule paired with its compiled plan — what the compiled fixpoint
+/// consumes (it runs the plan, and reads the rule for delta-task
+/// discovery).
 #[derive(Clone, Copy)]
 pub(crate) struct PlannedRule<'a> {
     pub(crate) rule: &'a crate::Rule,

@@ -1,65 +1,11 @@
 //! Naive bottom-up fixpoint: re-derive everything from scratch each round.
 //!
-//! Kept as the test reference for seminaive evaluation: both strategies
-//! must reach the same fixpoint.
+//! Kept as the interpreted test reference for seminaive evaluation
+//! ([`crate::Program::eval_naive`]): both must reach the same fixpoint.
 
-use crate::eval::{derive_plan, match_body, PlannedRule};
+use crate::eval::match_body;
 use crate::program::EvalStats;
 use crate::{Database, DatalogError, Result, Rule, Subst};
-
-/// Compiled naive fixpoint: same round structure (and [`EvalStats`]) as
-/// [`naive_fixpoint`], running each rule's register-file plan.
-pub(crate) fn naive_fixpoint_compiled(
-    db: &mut Database,
-    rules: &[PlannedRule<'_>],
-    stats: &mut EvalStats,
-    iteration_limit: usize,
-) -> Result<()> {
-    let mut scratches: Vec<crate::eval::Scratch> = rules
-        .iter()
-        .map(|pr| crate::eval::Scratch::for_plan(pr.plan))
-        .collect();
-    let mut bufs: Vec<super::seminaive::HeadBuf> = rules
-        .iter()
-        .map(|_| super::seminaive::HeadBuf::default())
-        .collect();
-    loop {
-        stats.iterations += 1;
-        if stats.iterations > iteration_limit {
-            return Err(DatalogError::IterationLimit(iteration_limit));
-        }
-        for (ri, pr) in rules.iter().enumerate() {
-            let mut n = 0usize;
-            derive_plan(
-                db,
-                None,
-                pr.plan,
-                &mut scratches[ri],
-                &mut bufs[ri].flat,
-                &mut n,
-            )?;
-            bufs[ri].rows += n;
-            stats.derivations += n;
-        }
-        let mut changed = false;
-        for (ri, buf) in bufs.iter_mut().enumerate() {
-            let pred = rules[ri].plan.head_pred;
-            let arity = rules[ri].plan.head_arity();
-            for r in 0..buf.rows {
-                let row = &buf.flat[r * arity..(r + 1) * arity];
-                if db.insert_ids(pred, arity, row)? {
-                    stats.facts_derived += 1;
-                    changed = true;
-                }
-            }
-            buf.rows = 0;
-            buf.flat.clear();
-        }
-        if !changed {
-            return Ok(());
-        }
-    }
-}
 
 /// Runs the naive fixpoint for one stratum's rules over `db` in place.
 pub(crate) fn naive_fixpoint(

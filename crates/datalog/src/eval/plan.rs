@@ -14,7 +14,7 @@
 //! Three compilation modes share the step set and executor:
 //!
 //! * **Fixpoint plans** ([`RulePlan::compile`]) — the body in source order,
-//!   used by the naive and seminaive strategies (one
+//!   used by the seminaive fixpoint (one
 //!   positive occurrence optionally reads the delta, selected at run time
 //!   by its precomputed ordinal).
 //! * **Differential plans** ([`RulePlan::compile_diff`]) — one plan per

@@ -1,6 +1,6 @@
 //! Seminaive bottom-up fixpoint: each round only joins through the facts
 //! derived in the previous round (the delta), so quiescent parts of the
-//! database are not re-scanned. This is the default strategy, mirroring the
+//! database are not re-scanned. This is the production fixpoint, mirroring the
 //! delta-driven evaluation of the Bud runtime the paper builds on.
 
 use crate::eval::{derive_plan, match_body, PlannedRule};

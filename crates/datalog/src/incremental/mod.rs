@@ -64,7 +64,7 @@ mod dred;
 
 use crate::eval::NetChange;
 use crate::intern::{self, ValueId};
-use crate::{Database, Fact, Program, Relation, Result, Symbol};
+use crate::{Database, DatalogError, Fact, Program, Relation, Result, Symbol};
 use std::collections::{HashMap, HashSet};
 
 /// A ground fact in the interned id plane: the representation the
@@ -235,6 +235,10 @@ struct StratumInfo {
 /// membership changed since the previous apply — including the writes
 /// [`MaterializedView::write_base`] made in between.
 ///
+/// Rows reach a view one at a time through those writes, or in bulk as
+/// whole relations: moved in at construction, or by
+/// [`MaterializedView::put_base_relation`], which maintains nothing.
+///
 /// The default view maintains the empty program over the empty base.
 #[derive(Default)]
 pub struct MaterializedView {
@@ -262,7 +266,7 @@ impl MaterializedView {
     /// Evaluates `program` over `base` from scratch and starts maintaining
     /// the result.
     pub fn new(program: Program, base: Database) -> Result<MaterializedView> {
-        MaterializedView::new_profiled(program, base, None)
+        MaterializedView::new_profiled(program, base, None).map_err(|(e, _)| e)
     }
 
     /// [`MaterializedView::new`] with optional per-rule cost capture of
@@ -270,36 +274,38 @@ impl MaterializedView {
     /// where a freshly added rule does all of its first-stage work —
     /// without this hook a profiler would see only the later differential
     /// maintenance and miss the build entirely. `None` is exactly the
-    /// unprofiled path.
+    /// unprofiled path. A failed build hands back its database: `base`
+    /// plus whatever it derived, so a relation no rule derives comes back
+    /// as it went in.
     pub fn new_profiled(
         program: Program,
         base: Database,
         profile: Option<&mut crate::profile::RuleProfile>,
-    ) -> Result<MaterializedView> {
-        let strata = classify(&program);
-        let mut external = Database::new();
-        for &pred in program.strata().pred_stratum.keys() {
-            if let Some(rel) = base.relation(pred) {
-                external.copy_relation(pred, rel)?;
-            }
-        }
-        let mut db = base;
-        let mut stats = crate::EvalStats::default();
-        program.eval_in_place_profiled(
-            &mut db,
-            crate::EvalStrategy::Seminaive,
-            &mut stats,
-            profile,
-        )?;
+    ) -> std::result::Result<MaterializedView, (DatalogError, Database)> {
         let mut view = MaterializedView {
+            strata: classify(&program),
             program,
-            base: external,
-            db,
-            strata,
+            db: base,
             ..MaterializedView::default()
         };
-        view.init_counts()?;
-        Ok(view)
+        match view.build(profile) {
+            Ok(()) => Ok(view),
+            Err(e) => Err((e, view.db)),
+        }
+    }
+
+    /// Saturates `db`, which holds the base, and records the external
+    /// support and derivation counts.
+    fn build(&mut self, profile: Option<&mut crate::profile::RuleProfile>) -> Result<()> {
+        for &pred in self.program.strata().pred_stratum.keys() {
+            if let Some(rel) = self.db.relation(pred) {
+                self.base.copy_relation(pred, rel)?;
+            }
+        }
+        let mut stats = crate::EvalStats::default();
+        self.program
+            .eval_in_place_profiled(&mut self.db, &mut stats, profile)?;
+        self.init_counts()
     }
 
     /// The maintained materialization (base plus derived facts).
@@ -338,14 +344,28 @@ impl MaterializedView {
         self.write_ids(fact.pred, &row, added)
     }
 
-    /// Adds every row of `rel` to the base of `pred`, as
-    /// [`MaterializedView::write_base`] would, without leaving the id
-    /// plane.
-    pub fn write_base_relation(&mut self, pred: Symbol, rel: &Relation) -> Result<()> {
-        for row in rel.iter_ids() {
-            self.write_ids(pred, row, true)?;
+    /// Takes the base rows of `pred` out of the view, from where
+    /// [`MaterializedView::base_relation`] reads them, without their cached
+    /// indexes ([`Database::take_relation`]). No maintenance follows:
+    /// derived facts and the pending changes stay as they were, so this is
+    /// for a caller that replaces the view, or puts the rows back with
+    /// [`MaterializedView::put_base_relation`].
+    pub fn take_base_relation(&mut self, pred: Symbol) -> Option<Relation> {
+        match self.stratum_of(pred) {
+            Some(_) => self.base.take_relation(pred),
+            None => self.db.take_relation(pred),
         }
-        Ok(())
+    }
+
+    /// Makes `rel` the base rows of `pred`, replacing the ones there, where
+    /// [`MaterializedView::base_relation`] reads them. Like
+    /// [`MaterializedView::take_base_relation`] this maintains nothing: the
+    /// view is stale until it is rebuilt over its base.
+    pub fn put_base_relation(&mut self, pred: Symbol, rel: Relation) {
+        match self.stratum_of(pred) {
+            Some(_) => self.base.put_relation(pred, rel),
+            None => self.db.put_relation(pred, rel),
+        }
     }
 
     fn write_ids(&mut self, pred: Symbol, row: &[ValueId], added: bool) -> Result<bool> {

@@ -13,12 +13,13 @@
 //!   ([`eval::BodyPlan`], which the WebdamLog stage runs on), with the
 //!   `Subst` interpreter ([`eval::evaluate_body`]) kept as the semantic
 //!   reference,
-//! * naive **and** seminaive bottom-up fixpoint evaluation with stratified
-//!   negation ([`Program::eval`]).
+//! * seminaive bottom-up fixpoint evaluation with stratified negation
+//!   ([`Program::eval`]).
 //!
-//! The naive evaluator is retained deliberately: it is the simplest
-//! correct fixpoint, the reference the seminaive and incremental paths
-//! are tested against (`tests/datalog_properties.rs`).
+//! A naive evaluator on the interpreter is retained deliberately
+//! ([`Program::eval_naive`]): it is the simplest correct fixpoint, the
+//! reference the seminaive and incremental paths are tested against
+//! (`tests/datalog_properties.rs`).
 //!
 //! [Bud]: http://www.bloom-lang.net/
 //!
@@ -85,7 +86,7 @@ pub use expr::{BinOp, CmpOp, Expr, MAX_EXPR_DEPTH};
 pub use fact::{Fact, Tuple};
 pub use incremental::{Delta, MaterializedView};
 pub use intern::ValueId;
-pub use program::{EvalStats, EvalStrategy, Program};
+pub use program::{EvalStats, Program};
 pub use rule::Rule;
 pub use storage::{ColMask, ColumnExport, Relation, MAX_ARITY};
 pub use subst::Subst;

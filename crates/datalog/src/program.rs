@@ -1,20 +1,10 @@
 //! Programs: validated rule sets with stratified fixpoint evaluation.
 
 use crate::eval::{
-    naive_fixpoint, naive_fixpoint_compiled, seminaive_fixpoint, seminaive_fixpoint_compiled,
-    stratify, EvalConfig, PlannedRule, RulePlan, Strata,
+    naive_fixpoint, seminaive_fixpoint, seminaive_fixpoint_compiled, stratify, EvalConfig,
+    PlannedRule, RulePlan, Strata,
 };
 use crate::{Database, Result, Rule};
-
-/// Which bottom-up strategy [`Program::eval`] uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum EvalStrategy {
-    /// Re-derive everything each round (the test reference).
-    Naive,
-    /// Delta-driven evaluation (default; mirrors Bud).
-    #[default]
-    Seminaive,
-}
 
 /// Counters reported by an evaluation, used by the bench harness.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -151,45 +141,27 @@ impl Program {
         &self.rederive_plans[ri]
     }
 
-    /// Evaluates with the default (seminaive) strategy. Returns a database
-    /// containing the input facts plus everything derivable.
+    /// Evaluates seminaively. Returns a database containing the input
+    /// facts plus everything derivable.
     pub fn eval(&self, db: &Database) -> Result<Database> {
-        self.eval_with(db, EvalStrategy::Seminaive).map(|(d, _)| d)
-    }
-
-    /// Evaluates with an explicit strategy, returning the saturated database
-    /// and evaluation statistics.
-    pub fn eval_with(
-        &self,
-        db: &Database,
-        strategy: EvalStrategy,
-    ) -> Result<(Database, EvalStats)> {
         let mut work = db.clone();
-        let mut stats = EvalStats::default();
-        self.eval_in_place(&mut work, strategy, &mut stats)?;
-        Ok((work, stats))
+        self.eval_in_place(&mut work, &mut EvalStats::default())?;
+        Ok(work)
     }
 
     /// Evaluates directly into `db` (used by the WebdamLog stage loop, which
     /// owns its working database and wants no extra clone).
-    pub fn eval_in_place(
-        &self,
-        db: &mut Database,
-        strategy: EvalStrategy,
-        stats: &mut EvalStats,
-    ) -> Result<()> {
-        self.eval_in_place_profiled(db, strategy, stats, None)
+    pub fn eval_in_place(&self, db: &mut Database, stats: &mut EvalStats) -> Result<()> {
+        self.eval_in_place_profiled(db, stats, None)
     }
 
     /// [`Program::eval_in_place`] with optional per-rule cost capture.
-    /// On the compiled seminaive path every plan invocation is
-    /// timed into `profile` (keyed by head predicate); the other
-    /// strategies ignore the profile rather than guess — they are
-    /// reference/ablation paths, not production ones.
+    /// On the compiled path every plan invocation is timed into `profile`
+    /// (keyed by head predicate); the interpreted path ignores the profile
+    /// rather than guess — it is a reference path, not a production one.
     pub fn eval_in_place_profiled(
         &self,
         db: &mut Database,
-        strategy: EvalStrategy,
         stats: &mut EvalStats,
         mut profile: Option<&mut crate::profile::RuleProfile>,
     ) -> Result<()> {
@@ -197,42 +169,42 @@ impl Program {
             if rule_ids.is_empty() {
                 continue;
             }
-            let planned: Vec<PlannedRule<'_>> = rule_ids
-                .iter()
-                .map(|&i| PlannedRule {
-                    rule: &self.rules[i],
-                    plan: &self.plans[i],
-                })
-                .collect();
-            let compiled = self.eval_config.compiled;
-            match strategy {
-                EvalStrategy::Naive => {
-                    if compiled {
-                        naive_fixpoint_compiled(db, &planned, stats, self.iteration_limit)?;
-                    } else {
-                        let rules: Vec<&Rule> = planned.iter().map(|pr| pr.rule).collect();
-                        naive_fixpoint(db, &rules, stats, self.iteration_limit)?;
-                    }
-                }
-                EvalStrategy::Seminaive => {
-                    let idb = self.strata.preds_of(stratum_idx);
-                    if compiled {
-                        seminaive_fixpoint_compiled(
-                            db,
-                            &planned,
-                            &idb,
-                            stats,
-                            self.iteration_limit,
-                            profile.as_deref_mut(),
-                        )?;
-                    } else {
-                        let rules: Vec<&Rule> = planned.iter().map(|pr| pr.rule).collect();
-                        seminaive_fixpoint(db, &rules, &idb, stats, self.iteration_limit)?;
-                    }
-                }
+            let idb = self.strata.preds_of(stratum_idx);
+            if self.eval_config.compiled {
+                let planned: Vec<PlannedRule<'_>> = rule_ids
+                    .iter()
+                    .map(|&i| PlannedRule {
+                        rule: &self.rules[i],
+                        plan: &self.plans[i],
+                    })
+                    .collect();
+                seminaive_fixpoint_compiled(
+                    db,
+                    &planned,
+                    &idb,
+                    stats,
+                    self.iteration_limit,
+                    profile.as_deref_mut(),
+                )?;
+            } else {
+                let rules: Vec<&Rule> = rule_ids.iter().map(|&i| &self.rules[i]).collect();
+                seminaive_fixpoint(db, &rules, &idb, stats, self.iteration_limit)?;
             }
         }
         Ok(())
+    }
+
+    /// The test reference: evaluates with the naive fixpoint on the
+    /// interpreter, whatever the evaluation config, and returns what
+    /// [`Program::eval`] returns.
+    pub fn eval_naive(&self, db: &Database) -> Result<Database> {
+        let mut work = db.clone();
+        let mut stats = EvalStats::default();
+        for rule_ids in &self.strata.rule_strata {
+            let rules: Vec<&Rule> = rule_ids.iter().map(|&i| &self.rules[i]).collect();
+            naive_fixpoint(&mut work, &rules, &mut stats, self.iteration_limit)?;
+        }
+        Ok(work)
     }
 }
 
@@ -275,8 +247,8 @@ mod tests {
     fn both_strategies_agree() {
         let p = tc_program();
         let db = chain(15);
-        let (semi, _) = p.eval_with(&db, EvalStrategy::Seminaive).unwrap();
-        let (naive, _) = p.eval_with(&db, EvalStrategy::Naive).unwrap();
+        let semi = p.eval(&db).unwrap();
+        let naive = p.eval_naive(&db).unwrap();
         assert_eq!(
             semi.relation("path").unwrap(),
             naive.relation("path").unwrap()
@@ -370,7 +342,8 @@ mod tests {
     #[test]
     fn stats_reported() {
         let p = tc_program();
-        let (_, stats) = p.eval_with(&chain(5), EvalStrategy::Seminaive).unwrap();
+        let mut stats = EvalStats::default();
+        p.eval_in_place(&mut chain(5), &mut stats).unwrap();
         assert!(stats.iterations > 0);
         assert_eq!(stats.facts_derived, 15);
         assert!(stats.derivations >= stats.facts_derived);

@@ -77,7 +77,8 @@ impl Hasher for PreHashed {
 type IdTable = HashMap<u64, Vec<u32>, BuildHasherDefault<PreHashed>>;
 
 /// A stored relation: a set of same-arity tuples in a flat arena with lazy
-/// secondary indexes.
+/// secondary indexes. A clone, or a relation moved out of a database
+/// ([`crate::Database::take_relation`]), starts with none cached.
 pub struct Relation {
     arity: usize,
     /// Number of rows; tracked explicitly so arity-0 relations work.
@@ -358,6 +359,11 @@ impl Relation {
     /// Number of index structures currently cached (observability/tests).
     pub fn cached_indexes(&self) -> usize {
         self.indexes.read().expect("index lock poisoned").len()
+    }
+
+    /// Drops every cached index, as a clone does.
+    pub(crate) fn drop_indexes(&mut self) {
+        self.indexes = RwLock::default();
     }
 
     /// Returns the index for `mask`, building it on first use. No lock is

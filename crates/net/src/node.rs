@@ -215,8 +215,9 @@ pub struct NodeHandle<T: Transport + 'static> {
 }
 
 impl<T: Transport + 'static> NodeHandle<T> {
-    /// Spawns `node` on a thread, stepping every `interval`.
-    pub fn spawn(mut node: PeerNode<T>, interval: Duration) -> NodeHandle<T> {
+    /// Spawns `node` on a thread, stepping every `interval`. Fails when
+    /// the system cannot start the thread.
+    pub fn spawn(mut node: PeerNode<T>, interval: Duration) -> std::io::Result<NodeHandle<T>> {
         let stop = Arc::new(AtomicBool::new(false));
         let thread_stop = Arc::clone(&stop);
         let name = node.peer().name().to_string();
@@ -228,15 +229,17 @@ impl<T: Transport + 'static> NodeHandle<T> {
                     std::thread::sleep(interval);
                 }
                 Ok(node)
-            })
-            .expect("spawn node thread");
-        NodeHandle { stop, join }
+            })?;
+        Ok(NodeHandle { stop, join })
     }
 
-    /// Signals the thread to stop and returns the node.
+    /// Signals the thread to stop and returns the node. A panic on the
+    /// node's thread resumes in the caller.
     pub fn stop(self) -> Result<PeerNode<T>, NodeError> {
         self.stop.store(true, Ordering::SeqCst);
-        self.join.join().expect("node thread panicked")
+        self.join
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
     }
 }
 
@@ -338,8 +341,8 @@ mod tests {
             )
             .unwrap();
 
-        let hj = NodeHandle::spawn(jules, Duration::from_millis(2));
-        let he = NodeHandle::spawn(emilien, Duration::from_millis(2));
+        let hj = NodeHandle::spawn(jules, Duration::from_millis(2)).unwrap();
+        let he = NodeHandle::spawn(emilien, Duration::from_millis(2)).unwrap();
         std::thread::sleep(Duration::from_millis(300));
         let jules = hj.stop().unwrap();
         let _ = he.stop().unwrap();

@@ -285,7 +285,6 @@ impl<T: Transport> SessionEndpoint<T> {
                 self.events.push(TransportEvent::PeerRestarted(from));
             }
         }
-        let link = self.links.get_mut(&from).expect("link just touched");
         match frame {
             SessionFrame::Data {
                 echo, seq, bytes, ..

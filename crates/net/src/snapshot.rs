@@ -53,7 +53,10 @@
 //! The meta image's schema fixes how many segments follow, so a snapshot
 //! cut at an image boundary is rejected like any other truncation.
 //!
-//! Transient state — in-flight messages, per-stage diffs, remote
+//! Loading moves each decoded segment into the peer's view as its
+//! relation ([`Peer::import_extensional`]), so a row is inserted once, by
+//! the decode, and the first stage's rebuild takes the relations as they
+//! are. Transient state — in-flight messages, per-stage diffs, remote
 //! contributions and derived facts — is not in the image: a restored peer
 //! re-derives its views at its first stage and its correspondents' diff
 //! protocols resynchronize from their side. Runtime settings
@@ -523,6 +526,38 @@ mod tests {
             values: vec![Value::from(1), Value::from("a"), Value::from(2)],
             cells: vec![0, 1, 2, 1],
         }
+    }
+
+    /// Pin: a peer whose rule cannot be built from scratch still loads
+    /// with its rows, and its first stage reports the rule's error.
+    #[test]
+    fn load_keeps_rows_of_a_rule_that_cannot_build() {
+        use wdl_core::WBodyItem;
+        use wdl_datalog::{BinOp, Expr};
+        let me = "divide-peer";
+        let mut p = Peer::new(me);
+        p.declare("q", 2, RelationKind::Intensional).unwrap();
+        let row = vec![Value::from(1), Value::from(0)];
+        p.insert_local("r", row.clone()).unwrap();
+        let quotient = Expr::bin(
+            BinOp::Div,
+            Expr::term(Term::var("x")),
+            Expr::term(Term::var("y")),
+        );
+        p.add_rule(WRule::new(
+            WAtom::at("q", me, vec![Term::var("x"), Term::var("z")]),
+            vec![
+                WAtom::at("r", me, vec![Term::var("x"), Term::var("y")]).into(),
+                WBodyItem::assign("z", quotient),
+            ],
+        ))
+        .unwrap();
+
+        let mut q = load(&save(&p)).unwrap();
+        assert_eq!(q.relation_facts("r"), vec![row.clone().into()]);
+        let err = q.run_stage().unwrap_err().to_string();
+        assert!(err.contains("arithmetic error: division by zero"), "{err}");
+        assert_eq!(q.relation_facts("r"), vec![row.into()]);
     }
 
     #[test]

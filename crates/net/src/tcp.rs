@@ -9,6 +9,7 @@
 use crate::{codec, NetError, Transport};
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use parking_lot::Mutex;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -105,18 +106,20 @@ impl TcpEndpoint {
                 self.conns.remove(&target);
             }
         }
-        if !self.conns.contains_key(&target) {
-            let addr = self
-                .directory
-                .lock()
-                .get(&target)
-                .copied()
-                .ok_or_else(|| NetError::UnknownPeer(target.to_string()))?;
-            let stream = TcpStream::connect(addr)?;
-            stream.set_nodelay(true)?;
-            self.conns.insert(target, stream);
+        match self.conns.entry(target) {
+            Entry::Occupied(e) => Ok(e.into_mut()),
+            Entry::Vacant(e) => {
+                let addr = self
+                    .directory
+                    .lock()
+                    .get(&target)
+                    .copied()
+                    .ok_or_else(|| NetError::UnknownPeer(target.to_string()))?;
+                let stream = TcpStream::connect(addr)?;
+                stream.set_nodelay(true)?;
+                Ok(e.insert(stream))
+            }
         }
-        Ok(self.conns.get_mut(&target).expect("just inserted"))
     }
 
     fn write_frame(stream: &mut TcpStream, bytes: &[u8]) -> std::io::Result<()> {
@@ -155,18 +158,11 @@ impl Transport for TcpEndpoint {
         let target = msg.to;
         let bytes = codec::encode(&msg);
         // One reconnect attempt on a stale cached connection.
-        for attempt in 0..2 {
-            let stream = self.connection(target)?;
-            match Self::write_frame(stream, &bytes) {
-                Ok(()) => return Ok(()),
-                Err(e) if attempt == 0 => {
-                    self.conns.remove(&target);
-                    let _ = e;
-                }
-                Err(e) => return Err(e.into()),
-            }
+        if Self::write_frame(self.connection(target)?, &bytes).is_ok() {
+            return Ok(());
         }
-        unreachable!("loop returns")
+        self.conns.remove(&target);
+        Ok(Self::write_frame(self.connection(target)?, &bytes)?)
     }
 
     fn drain(&mut self) -> Vec<Message> {

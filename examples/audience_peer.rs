@@ -36,7 +36,7 @@ fn main() {
         .unwrap();
 
     let sigmod_node = PeerNode::new(sigmod, sigmod_ep);
-    let sigmod_handle = NodeHandle::spawn(sigmod_node, Duration::from_millis(2));
+    let sigmod_handle = NodeHandle::spawn(sigmod_node, Duration::from_millis(2)).unwrap();
 
     // Three audience members launch their own peers, each on its own port
     // and thread.
@@ -65,10 +65,7 @@ fn main() {
         )
         .unwrap();
 
-        handles.push(NodeHandle::spawn(
-            PeerNode::new(p, ep),
-            Duration::from_millis(2),
-        ));
+        handles.push(NodeHandle::spawn(PeerNode::new(p, ep), Duration::from_millis(2)).unwrap());
     }
 
     // Let the free-running peers converge.

@@ -7,8 +7,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use webdamlog::datalog::{
-    Atom, BodyItem, Database, EvalStrategy, Fact, Program, Relation, Rule, Subst, Symbol, Term,
-    Value,
+    Atom, BodyItem, Database, Fact, Program, Relation, Rule, Subst, Symbol, Term, Value,
 };
 
 const CASES: u64 = 64;
@@ -76,8 +75,8 @@ fn seminaive_equals_naive_equals_reference() {
         let edges = edges(&mut rng);
         let program = tc_program();
         let db = db_from_edges(&edges);
-        let (semi, _) = program.eval_with(&db, EvalStrategy::Seminaive).unwrap();
-        let (naive, _) = program.eval_with(&db, EvalStrategy::Naive).unwrap();
+        let semi = program.eval(&db).unwrap();
+        let naive = program.eval_naive(&db).unwrap();
         let reference = reference_tc(&edges);
 
         let collect = |d: &Database| -> std::collections::BTreeSet<(i64, i64)> {

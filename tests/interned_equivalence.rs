@@ -15,8 +15,7 @@ use webdamlog::core::Peer;
 use webdamlog::datalog::aggregate::{AggFunc, AggQuery};
 use webdamlog::datalog::incremental::{Delta, MaterializedView};
 use webdamlog::datalog::{
-    Atom, BodyItem, CmpOp, Database, EvalConfig, EvalStrategy, Fact, Program, Rule, Subst, Term,
-    Value,
+    Atom, BodyItem, CmpOp, Database, EvalConfig, EvalStats, Fact, Program, Rule, Subst, Term, Value,
 };
 use webdamlog::net::{codec, snapshot};
 
@@ -115,8 +114,9 @@ fn assert_dbs_equal(a: &Database, b: &Database, ctx: &str) {
     }
 }
 
-/// Compiled ≡ interpreted through both fixpoint strategies (seminaive and
-/// naive) — relation sets *and* `EvalStats`, over random mixed programs.
+/// Compiled ≡ interpreted through the seminaive fixpoint — relation sets
+/// *and* `EvalStats` — and both ≡ the interpreted naive reference, over
+/// random mixed programs.
 #[test]
 fn compiled_equals_interpreted_seminaive_and_naive() {
     for case in 0u64..15 {
@@ -127,13 +127,18 @@ fn compiled_equals_interpreted_seminaive_and_naive() {
             .clone()
             .with_eval_config(EvalConfig::default().with_compiled(false));
 
-        for strategy in [EvalStrategy::Seminaive, EvalStrategy::Naive] {
-            let (old, old_stats) = interp.eval_with(&db, strategy).unwrap();
-            let (new, new_stats) = program.eval_with(&db, strategy).unwrap();
-            let ctx = format!("case {case}, {strategy:?}");
-            assert_dbs_equal(&new, &old, &ctx);
-            assert_eq!(new_stats, old_stats, "{ctx}: stats differ");
-        }
+        let eval = |p: &Program| {
+            let (mut out, mut stats) = (db.clone(), EvalStats::default());
+            p.eval_in_place(&mut out, &mut stats).unwrap();
+            (out, stats)
+        };
+        let (old, old_stats) = eval(&interp);
+        let (new, new_stats) = eval(&program);
+        let ctx = format!("case {case}");
+        assert_dbs_equal(&new, &old, &ctx);
+        assert_eq!(new_stats, old_stats, "{ctx}: stats differ");
+        let naive = program.eval_naive(&db).unwrap();
+        assert_dbs_equal(&new, &naive, &format!("{ctx}, naive"));
     }
 }
 

@@ -61,9 +61,10 @@ fn three_peer_wepic_over_tcp() {
     ops::select_attendee(&mut jules, "tcpEmilien").unwrap();
 
     // Launch all three free-running.
-    let hs = NodeHandle::spawn(PeerNode::new(sigmod, sigmod_ep), Duration::from_millis(2));
-    let he = NodeHandle::spawn(PeerNode::new(emilien, emilien_ep), Duration::from_millis(2));
-    let hj = NodeHandle::spawn(PeerNode::new(jules, jules_ep), Duration::from_millis(2));
+    let hs = NodeHandle::spawn(PeerNode::new(sigmod, sigmod_ep), Duration::from_millis(2)).unwrap();
+    let he =
+        NodeHandle::spawn(PeerNode::new(emilien, emilien_ep), Duration::from_millis(2)).unwrap();
+    let hj = NodeHandle::spawn(PeerNode::new(jules, jules_ep), Duration::from_millis(2)).unwrap();
 
     // Give the mesh time to converge (delegation + facts, several hops).
     std::thread::sleep(Duration::from_millis(800));
@@ -98,7 +99,7 @@ fn late_tcp_peer_discovers_and_publishes() {
     sigmod
         .acl_mut()
         .set_untrusted_policy(UntrustedPolicy::Accept);
-    let hs = NodeHandle::spawn(PeerNode::new(sigmod, sigmod_ep), Duration::from_millis(2));
+    let hs = NodeHandle::spawn(PeerNode::new(sigmod, sigmod_ep), Duration::from_millis(2)).unwrap();
 
     // The audience peer starts later, knows only sigmod's address.
     std::thread::sleep(Duration::from_millis(100));
@@ -116,7 +117,7 @@ fn late_tcp_peer_discovers_and_publishes() {
         },
     )
     .unwrap();
-    let hl = NodeHandle::spawn(PeerNode::new(late, late_ep), Duration::from_millis(2));
+    let hl = NodeHandle::spawn(PeerNode::new(late, late_ep), Duration::from_millis(2)).unwrap();
 
     std::thread::sleep(Duration::from_millis(500));
     let sigmod = hs.stop().unwrap();
